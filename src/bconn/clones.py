@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UsageError
 from .properties import (
@@ -22,7 +22,7 @@ from .properties import (
     PropertyReport,
     property_report,
 )
-from .truthtable import N_MAX, TruthTable, apply_masks, tt_parse, tt_print, var_mask
+from .truthtable import N_MAX, TruthTable, tt_parse, tt_print, var_mask
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -332,14 +332,64 @@ def dispatch(
     return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
 
 
+def closure_rounds(base: BaseSet, m: int, known: dict):
+    """Semi-naive least fixpoint of the base's functions over m-ary tables.
+
+    `known` maps each realized table to the caller's data for it, seeds
+    first.  Rounds come as `(applications, tuples)`; `tuples` iterates
+    `(name, args, out)`: base function `name` applied to `args`, a tuple
+    of `(complement, table)` pairs, gives table `out`.  A round builds
+    only the argument tuples holding a table new in the previous round
+    (all seeds are new in the first): position i takes the first new
+    table, earlier ones old tables, later ones any table, so each tuple
+    comes once.  They are the round's applications, counted up front;
+    arity-0 functions apply in the first round only, as no application.
+    The caller consumes a round (or stops early), then adds the tables it
+    accepts to `known`; the rounds end when one adds none.
+    """
+    full = (1 << (1 << m)) - 1
+    # one pattern per row f maps to 1: AND the tables (bit 1) or complements (bit 0)
+    ops = [
+        (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in f.one_rows()])
+        for name, f in base
+    ]
+    old: list[tuple[int, int]] = []
+    first = True
+    while True:
+        new = [(full ^ t, t) for t in islice(known, len(old), None)]
+        if not (new or first):
+            return
+        every = old + new
+        applications = sum(len(every) ** k - len(old) ** k for _, k, _ in ops)
+        yield applications, _round(ops, old, new, every, full, first)
+        old = every
+        first = False
+
+
+def _round(ops, old, new, every, full, first):
+    for name, k, rows in ops:
+        if k == 0 and first:
+            yield name, (), full if rows else 0
+        for i in range(k):
+            for args in product(*[old] * i, new, *[every] * (k - 1 - i)):
+                out = 0
+                for row in rows:
+                    term = full
+                    for pair, bit in zip(args, row):
+                        term &= pair[bit]
+                    out |= term
+                yield name, args, out
+
+
 def clone_closure(
     base: BaseSet, max_arity: int, budget: int | None = None
 ) -> frozenset[TruthTable]:
     """All functions of arity <= max_arity the base can express.
 
-    Least fixpoint per ambient arity: seed with the projections, then
-    repeatedly apply every base function to already-realized argument
-    tuples.  Every composite over variables x_1..x_m denotes an m-ary
+    Least fixpoint per ambient arity (closure_rounds): seed with the
+    projections, then apply every base function to realized tables; an
+    application is one argument tuple holding at least one table new in
+    the previous round.  Every composite over x_1..x_m denotes an m-ary
     function, so exhausting each ambient arity is a complete closure
     within the bound.  Budget counts distinct tables across all arities;
     exceeding it raises without returning a partial set.
@@ -350,31 +400,19 @@ def clone_closure(
     result: set[TruthTable] = set()
     total = 0
     for m in range(max_arity + 1):
-        known: set[int] = {var_mask(m, j) for j in range(1, m + 1)}
-        fresh = set(known)
-        first = True
-        while fresh or first:
-            new: set[int] = set()
-            known_sorted = sorted(known)
-            for _, f in base:
-                if f.n == 0:
-                    out = ((1 << (1 << m)) - 1) if f.bits else 0
-                    if first and out not in known:
-                        new.add(out)
-                    continue
-                for args in product(known_sorted, repeat=f.n):
-                    if not any(a in fresh for a in args):
-                        continue
-                    out = apply_masks(f, list(args), m)
-                    if out not in known and out not in new:
-                        new.add(out)
-                        if budget is not None and total + len(known) + len(new) > budget:
-                            raise BudgetExceeded(
-                                f"closure exceeds {budget} tables at arity {m}"
-                            )
-            known |= new
-            fresh = new
-            first = False
+        known = dict.fromkeys(var_mask(m, j) for j in range(1, m + 1))
+        for _, tuples in closure_rounds(base, m, known):
+            new: dict[int, None] = {}
+            for _, _, out in tuples:
+                if out not in known and out not in new:
+                    new[out] = None
+                    if budget is not None and total + len(known) + len(new) > budget:
+                        raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")
+                    if len(known) + len(new) == 1 << (1 << m):
+                        break  # every m-ary table is realized
+            known.update(new)
+            if len(known) == 1 << (1 << m):
+                break
         total += len(known)
         if budget is not None and total > budget:
             raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")

@@ -286,7 +286,12 @@ def parse_relation(text: str) -> SolutionSet:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "n":
                 raise UsageError(f"line {lineno}: expected header `n <dim>`")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise UsageError(f"line {lineno}: bad dimension {parts[1]!r}") from None
+            if n < 0:
+                raise UsageError(f"line {lineno}: negative dimension")
             continue
         if len(line) != n or any(c not in "01" for c in line):
             raise UsageError(f"line {lineno}: expected {n} bits")

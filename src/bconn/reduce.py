@@ -16,11 +16,12 @@ with a synthesized two-input combiner, giving depth ceil(log2 m).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
 
-from .clones import STANDARD_BASE, BaseSet
+from .clones import STANDARD_BASE, BaseSet, closure_rounds
 from .cnf import CnfFormula, cnf_to_formula
 from .errors import (
     BudgetExceeded,
@@ -36,7 +37,6 @@ from .formulas import (
     Var,
     formula_size,
     formula_vars,
-    print_formula,
     substitute,
 )
 from .graph import SolutionSet
@@ -94,8 +94,10 @@ class TVariant:
 
 @dataclass(frozen=True)
 class SynthBudget:
-    """Caps for the bottom-up synthesizer; applications counts every
-    candidate composition tried, realized or duplicate."""
+    """Caps for the bottom-up synthesizer.  An application is one argument
+    tuple containing at least one table new in the previous round
+    (clones.closure_rounds); every one counts, realized or duplicate, and
+    a round that would pass max_applications is refused whole."""
 
     max_size: int = 100_000
     max_applications: int = 120_000
@@ -232,90 +234,53 @@ def t_transform(
     return QuantifiedFormula(((FORALL, z),), matrix)
 
 
-_synth_cache: dict[tuple[int, int, object], FormulaAst] = {}
-
-
-def _synth_search(
-    target: TruthTable, base: BaseSet, budget: SynthBudget
-) -> FormulaAst:
-    """Bottom-up closure rounds with observational-equivalence memoing.
-
-    Each round applies every base function to everything realized in
-    earlier rounds; a table keeps the first (smallest size, then print
-    order) formula that produced it.  Reaching a fixpoint without any
+def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> FormulaAst:
+    """Bottom-up closure rounds (clones.closure_rounds) seeded with the
+    projections, with observational-equivalence memoing: each table keeps
+    the (size, print text, formula) of the smallest, then first printed,
+    candidate of the round that first produced it; a candidate's text is
+    built only when it could win.  Reaching a fixpoint without any
     budget-forced skip certifies the target unrealizable at this arity.
     """
     n = target.n
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    known: dict[int, FormulaAst] = {}
-    for j in range(1, n + 1):
-        known.setdefault(var_mask(n, j), Var(j))
-    if target.bits in known:
-        return known[target.bits]
-    full = (1 << (1 << n)) - 1
+    known = {var_mask(n, j): (1, f"x{j}", Var(j)) for j in range(1, n + 1)}
     applications = 0
     skipped = False
-    frontier = dict(known)
-    while frontier:
-        pool = sorted(known.items())
-        fresh: dict[int, tuple[int, str, FormulaAst]] = {}
-        for name, f in base:
-            if f.n == 0:
-                out = full if f.bits else 0
-                cand = Apply(name, ())
-                _offer(fresh, known, out, cand)
-                continue
-            for combo in itertools.product(pool, repeat=f.n):
-                if not any(bits in frontier for bits, _ in combo):
-                    continue
-                applications += 1
-                if applications > budget.max_applications:
-                    raise BudgetExceeded(
-                        f"synthesis stopped after {budget.max_applications} applications"
-                    )
-                if deadline is not None and applications % 1024 == 0:
-                    if time.monotonic() > deadline:
-                        raise BudgetExceeded("synthesis time cap reached")
-                asts = [a for _, a in combo]
-                size = 1 + sum(formula_size(a) for a in asts)
-                if size > budget.max_size:
-                    skipped = True
-                    continue
-                out = _apply_bits(f, [bits for bits, _ in combo], full)
-                _offer(fresh, known, out, Apply(name, tuple(asts)))
-        for bits, (_, _, ast) in fresh.items():
-            known[bits] = ast
+    for count, tuples in closure_rounds(base, n, known):
         if target.bits in known:
-            return known[target.bits]
-        frontier = {bits: known[bits] for bits in fresh}
+            return known[target.bits][2]
+        applications += count
+        if applications > budget.max_applications:
+            raise BudgetExceeded(
+                f"synthesis stopped after {budget.max_applications} applications"
+            )
+        fresh: dict[int, tuple] = {}
+        for i, (name, args, out) in enumerate(tuples):
+            if deadline is not None and i % 1024 == 0 and time.monotonic() > deadline:
+                raise BudgetExceeded("synthesis time cap reached")
+            size = 1
+            for _, a in args:
+                size += known[a][0]
+            if size > budget.max_size:
+                skipped = True
+                continue
+            if out in known:
+                continue
+            best = fresh.get(out)
+            if best is not None and size > best[0]:
+                continue
+            text = f"{name}({','.join(known[a][1] for _, a in args)})" if args else name
+            if best is None or (size, text) < best[:2]:
+                fresh[out] = (size, text, name, args)
+        for out, (size, text, name, args) in fresh.items():
+            known[out] = (size, text, Apply(name, tuple(known[a][2] for _, a in args)))
     if skipped:
         raise BudgetExceeded("synthesis size cap pruned the search")
     raise NotRealizable(
         f"target is outside the base's closure at arity {n} "
         f"({len(known)} realizable tables)"
     )
-
-
-def _offer(fresh, known, out: int, ast: FormulaAst):
-    if out in known:
-        return
-    size = formula_size(ast)
-    text = print_formula(ast)
-    cur = fresh.get(out)
-    if cur is None or (size, text) < (cur[0], cur[1]):
-        fresh[out] = (size, text, ast)
-
-
-def _apply_bits(f: TruthTable, children: list[int], full: int) -> int:
-    out = 0
-    for r in f.one_rows():
-        term = full
-        for j, child in enumerate(children, start=1):
-            term &= child if (r >> (f.n - j)) & 1 else (full ^ child)
-            if not term:
-                break
-        out |= term
-    return out
 
 
 def _shannon(
@@ -359,6 +324,7 @@ def _shannon(
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def synth_bformula(
     target: TruthTable, base: BaseSet, budget: SynthBudget = DEFAULT_SYNTH_BUDGET
 ) -> FormulaAst:
@@ -367,14 +333,11 @@ def synth_bformula(
     Exhaustive bottom-up search first; if its budget trips and the base
     can express not/and/or, fall back to Shannon expansion built from
     those synthesized connectives.  NotRealizable is only raised on a
-    genuine closure fixpoint, never on a budget stop.
+    genuine closure fixpoint, never on a budget stop.  Answers are cached
+    per (target, base, budget), least recently used first out.
     """
-    key = (target.bits, target.n, base.fingerprint())
-    got = _synth_cache.get(key)
-    if got is not None:
-        return got
     try:
-        out = _synth_search(target, base, budget)
+        return _synth_search(target, base, budget)
     except BudgetExceeded:
         ops = {}
         small = SynthBudget(max_size=64, max_applications=50_000)
@@ -387,9 +350,7 @@ def synth_bformula(
                 "synthesis budget exceeded and the base does not yield "
                 "not/and/or for a structural fallback"
             ) from None
-        out = _shannon(target, ops, {})
-    _synth_cache[key] = out
-    return out
+        return _shannon(target, ops, {})
 
 
 def _clause_formula(clause: tuple[int, ...], positions: dict[int, int]) -> FormulaAst:

@@ -245,6 +245,15 @@ def test_components_lists_representatives(capsys, files):
     assert payload["representatives"] == ["00", "11"]
 
 
+@pytest.mark.parametrize("header", ["n abc", "n -1"])
+def test_components_rejects_a_bad_relation_header(capsys, files, header):
+    rel = files("r.rel", header + "\n")
+    code, payload, err = jrun(capsys, "components", "--rel", rel)
+    assert code == 2 and payload is None
+    error = json.loads(err)["error"]
+    assert error["code"] == "UsageError" and "line 1" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -1,5 +1,7 @@
 """Classification in the lattice of closed classes, closure, dispatch."""
 
+from itertools import product
+
 import pytest
 
 from bconn import (
@@ -19,6 +21,7 @@ from bconn import (
     tt_print,
 )
 from bconn.properties import separating_coordinate
+from bconn.truthtable import apply_masks, var_mask
 
 from conftest import mk_base, tt_of
 
@@ -174,6 +177,43 @@ def test_closure_budget_is_enforced():
         clone_closure(mk_base(["and", "or", "not"]), 3, budget=20)
     with pytest.raises(UsageError):
         clone_closure(mk_base(["and"]), -1)
+
+
+def naive_closure(base, max_arity):
+    """The closure fixpoint without semi-naive rounds: every tuple over the
+    known tables, kept when it holds a table new in the last round."""
+    out = set()
+    for m in range(max_arity + 1):
+        full = (1 << (1 << m)) - 1
+        known = {var_mask(m, j) for j in range(1, m + 1)}
+        fresh, first = set(known), True
+        while fresh or first:
+            new = set()
+            for _, f in base:
+                if f.n == 0:
+                    if first:
+                        new.add(full if f.bits else 0)
+                    continue
+                for args in product(sorted(known), repeat=f.n):
+                    if any(a in fresh for a in args):
+                        new.add(apply_masks(f, list(args), m))
+            fresh, first = new - known, False
+            known |= fresh
+        out.update(TruthTable(m, bits) for bits in known)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("bits", [format(i, "04b") for i in range(16)])
+def test_closure_matches_the_naive_fixpoint_on_binary_bases(bits):
+    base = mk_base({"f": bits})
+    assert clone_closure(base, 2) == naive_closure(base, 2)
+
+
+def test_closure_matches_the_naive_fixpoint_on_a_multiplexer():
+    base = mk_base({"mux": "01010011"})  # x1 ? x2 : x3
+    got = clone_closure(base, 3)
+    assert got == naive_closure(base, 3)
+    assert len(got) == 1 + 4 + 64  # the clone R2 at arities 1, 2, 3
 
 
 def test_closure_members_satisfy_the_identified_class_predicate():

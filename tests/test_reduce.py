@@ -34,6 +34,7 @@ from bconn import (
     truth_table_of,
 )
 from bconn.properties import ALL
+from bconn.reduce import _synth_search
 
 from conftest import (
     STD_BASE,
@@ -238,6 +239,42 @@ def test_synth_is_deterministic():
     a = synth_bformula(tt_of("0001"), base)
     b = synth_bformula(tt_of("0001"), base)
     assert print_formula(a) == print_formula(b)
+
+
+def test_synth_cache_keeps_answers_apart_per_budget():
+    # the tight budget trips the search, so its answer is the Shannon
+    # fallback; the default budget must still get the searched formula
+    xor = tt_of("0110")
+    fallback = synth_bformula(xor, STD_BASE, SynthBudget(max_applications=5))
+    assert print_formula(fallback) == (
+        "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
+        "and(x2,and(x2,not(x2))))))"
+    )
+    assert print_formula(synth_bformula(xor, STD_BASE)) == "and(not(and(x1,x2)),or(x1,x2))"
+
+
+@pytest.mark.parametrize(
+    "bits, base, limit, want",
+    [
+        ("0110", STD_BASE, 406, "and(not(and(x1,x2)),or(x1,x2))"),
+        ("0001", mk_base({"h": "0010"}), 25, "h(x1,h(x1,x2))"),
+        (
+            "01101001",
+            STD_BASE,
+            129286,
+            "and(or(and(not(and(x1,x2)),or(x1,x2)),x3),"
+            "or(not(or(x1,x2)),or(and(x1,x2),not(x3))))",
+        ),
+    ],
+)
+def test_synth_search_budget_boundary(bits, base, limit, want):
+    # `limit` applications complete the round that realizes the target;
+    # one fewer trips the budget in that round
+    target = tt_of(bits)
+    got = _synth_search(target, base, SynthBudget(max_applications=limit))
+    assert print_formula(got) == want
+    with pytest.raises(BudgetExceeded, match="applications"):
+        _synth_search(target, base, SynthBudget(max_applications=limit - 1))
 
 
 # ---------------------------------------------------------------------------
