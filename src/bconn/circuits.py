@@ -1,10 +1,14 @@
-"""Circuits over a base: line-format parsing and evaluation.
+"""Circuits over a base, and the gate list every input kind lowers to.
 
 File format, one statement per line ('#' comments, blank lines ignored):
 
     input xN
     gate NAME fn arg ...     # args are earlier inputs or gates
     output NAME
+
+Every input kind lowers to a GateList; the three loops at the end of
+this module are the package's only point evaluator, mask tabulator and
+GF(2) propagator.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from .errors import (
     MissingVariable,
     UnknownFunction,
     UsageError,
+    WrongClass,
 )
-from .truthtable import BitVector
+from .properties import affine_form_of
+from .truthtable import BitVector, LinearForm, TruthTable, apply_masks, tt_print
 
 _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
@@ -41,12 +47,6 @@ class CircuitDag:
     inputs: tuple[int, ...]  # variable indices, file order
     gates: tuple[Gate, ...]
     output: str
-
-    def var_indices(self) -> set[int]:
-        return set(self.inputs)
-
-    def max_var(self) -> int:
-        return max(self.inputs, default=0)
 
 
 def parse_circuit(text: str, base: BaseSet) -> CircuitDag:
@@ -113,16 +113,93 @@ def print_circuit(c: CircuitDag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_circuit(c: CircuitDag, base: BaseSet, a: BitVector) -> int:
-    values: dict[str, int] = {}
-    for i in c.inputs:
-        if i > a.n:
-            raise MissingVariable(f"assignment has no value for x{i}")
-        values[f"x{i}"] = a.bit(i)
+@dataclass(frozen=True)
+class GateList:
+    """An input lowered to gates in topological order.
+
+    Node i < len(inputs) is the variable x_{inputs[i]}; node
+    len(inputs) + g is gates[g], a table applied to earlier nodes.  Equal
+    (table, args) pairs share one node (hash-consing, as in Filliatre &
+    Conchon, "Type-safe modular hash-consing", 2006): lowering keeps a dict
+    from pair to node, whose keys in insertion order are the gates.  dim is
+    the least dimension the input declares (a formula's highest variable,
+    a circuit's highest input, a CNF's n, a table's arity).  prefix is None
+    unless the input is a quantified formula: then the gates are its
+    matrix and dim counts its free variables.
+    """
+
+    inputs: tuple[int, ...]
+    gates: tuple[tuple[TruthTable, tuple[int, ...]], ...]
+    output: int
+    dim: int
+    prefix: tuple[tuple[str, int], ...] | None = None
+
+    def free_vars(self) -> list[int]:
+        bound = {j for _, j in self.prefix or ()}
+        return sorted(set(self.inputs) - bound)
+
+
+def lower_circuit(c: CircuitDag, base: BaseSet) -> GateList:
+    node = {f"x{i}": k for k, i in enumerate(c.inputs)}
+    cons: dict[tuple, int] = {}  # (table, args) -> node, in creation order
     for g in c.gates:
-        f = base[g.fn]
+        key = (base[g.fn], tuple(node[a] for a in g.args))
+        node[g.name] = cons.setdefault(key, len(c.inputs) + len(cons))
+    return GateList(c.inputs, tuple(cons), node[c.output], max(c.inputs, default=0))
+
+
+def evaluate_circuit(c: CircuitDag, base: BaseSet, a: BitVector) -> int:
+    return point_value(lower_circuit(c, base), a)
+
+
+def point_value(gl: GateList, a: BitVector) -> int:
+    """Value of the gates under assignment a (the prefix is not read)."""
+    if gl.dim > a.n:
+        raise MissingVariable(f"assignment has no value for x{gl.dim}")
+    values = [a.bit(j) for j in gl.inputs]
+    for f, args in gl.gates:
         row = 0
-        for arg in g.args:
-            row = (row << 1) | values[arg]
-        values[g.name] = f.value(row)
-    return values[c.output]
+        for k in args:
+            row = row << 1 | values[k]
+        values.append(f.bits >> row & 1)
+    return values[gl.output]
+
+
+def tabulate(gl: GateList, leaves: list[int], n: int) -> int:
+    """Output mask over 2^n rows, given one row mask per input node.
+
+    A node's mask is dropped after its last use, so a long list does not
+    keep every mask alive."""
+    k = len(gl.inputs)
+    last = {a: g for g, (_, args) in enumerate(gl.gates, start=k) for a in args}
+    last[gl.output] = -1
+    values = list(leaves)
+    for g, (f, args) in enumerate(gl.gates, start=k):
+        values.append(apply_masks(f, [values[a] for a in args], n))
+        for a in args:
+            if last[a] == g:
+                values[a] = None
+    return values[gl.output]
+
+
+def linear_form(gl: GateList) -> LinearForm:
+    """GF(2) form of the gates, when every gate table is affine.
+
+    Each node carries one int: bit j is set when x_j is in its support and
+    bit 0 is its constant.  An affine gate XORs the ints of the arguments
+    its form selects into its own constant."""
+    forms: dict[TruthTable, tuple[int, tuple[int, ...]]] = {}
+    values = [1 << j for j in gl.inputs]
+    for f, args in gl.gates:
+        form = forms.get(f)
+        if form is None:
+            lin = affine_form_of(f)
+            if lin is None:
+                raise WrongClass(f"gate table {tt_print(f)} is not affine")
+            form = forms[f] = (lin.c, tuple(i - 1 for i in lin.support))
+        v, picks = form
+        for i in picks:
+            v ^= values[args[i]]
+        values.append(v)
+    v = values[gl.output]
+    return LinearForm(frozenset(j for j in range(1, v.bit_length()) if v >> j & 1), v & 1)

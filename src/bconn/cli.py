@@ -65,7 +65,7 @@ from .reduce import (
     shift_to_one_reproducing,
     tr_combine,
 )
-from .semantics import min_dimension
+from .semantics import lower
 from .truthtable import BitVector, tt_print
 
 _DEFAULT_CLOSURE_BUDGET = 200_000
@@ -102,6 +102,7 @@ def _load_base(args, required: bool) -> BaseSet | None:
 
 
 def _load_object(args, base: BaseSet | None):
+    """The one input file: a relation, or any other kind lowered to gates."""
     picked = [
         (name, path)
         for name in ("formula", "circuit", "cnf", "qbf", "rel")
@@ -114,13 +115,13 @@ def _load_object(args, base: BaseSet | None):
     kind, path = picked[0]
     text = _read(path)
     if kind == "formula":
-        return parse_formula(text.strip(), base)
+        return lower(parse_formula(text.strip(), base), base)
     if kind == "circuit":
-        return parse_circuit(text, base)
+        return lower(parse_circuit(text, base), base)
     if kind == "cnf":
-        return parse_dimacs(text)
+        return lower(parse_dimacs(text), base)
     if kind == "qbf":
-        return parse_qbf(text.strip(), base)
+        return lower(parse_qbf(text.strip(), base), base)
     return parse_relation(text)
 
 
@@ -129,8 +130,8 @@ def _ambient(args, obj) -> int:
         if args.vars is not None and args.vars != obj.n:
             raise UsageError(f"relation has dimension {obj.n}, not {args.vars}")
         return obj.n
-    low = min_dimension(obj)
-    if isinstance(obj, QuantifiedFormula):
+    low = obj.dim
+    if obj.prefix is not None:
         if args.vars is not None and args.vars != low:
             raise UsageError(f"quantified formula has {low} free variables")
         return low
@@ -151,9 +152,7 @@ def _endpoints(args, n: int) -> tuple[BitVector | None, BitVector | None]:
 
 
 def _poly_answer(obj, base: BaseSet, n: int, s, t) -> EasyAnswer:
-    if isinstance(obj, SolutionSet):
-        raise UsageError("polynomial algorithms need a formula-like input")
-    if isinstance(obj, QuantifiedFormula):
+    if obj.prefix is not None:
         verdict = dispatch(base, quantified=True)
         if verdict.side != "EASY":
             raise WrongClass(
@@ -170,12 +169,6 @@ def _poly_answer(obj, base: BaseSet, n: int, s, t) -> EasyAnswer:
     return zerosep_decide(obj, base, n, s, t)
 
 
-def _solutions(obj, base: BaseSet | None, n: int) -> SolutionSet:
-    if isinstance(obj, SolutionSet):
-        return obj
-    return enumerate_solutions(obj, base, n)
-
-
 def _pick_mode(args, obj, base: BaseSet | None) -> str:
     """Resolve AUTO to poly or brute; validate explicit choices."""
     mode = getattr(args, "mode", "auto")
@@ -185,17 +178,17 @@ def _pick_mode(args, obj, base: BaseSet | None) -> str:
         return "brute"
     if mode != "auto":
         return mode
-    verdict = dispatch(base, quantified=isinstance(obj, QuantifiedFormula))
+    verdict = dispatch(base, quantified=obj.prefix is not None)
     return "poly" if verdict.side == "EASY" else "brute"
 
 
 def _brute_guarded(obj, base: BaseSet | None, n: int) -> SolutionSet:
+    if isinstance(obj, SolutionSet):
+        return obj
     try:
-        return _solutions(obj, base, n)
+        return enumerate_solutions(obj, base, n)
     except BudgetExceeded as e:
-        if isinstance(obj, SolutionSet) or base is None:
-            raise
-        verdict = dispatch(base, quantified=isinstance(obj, QuantifiedFormula))
+        verdict = dispatch(base, quantified=obj.prefix is not None)
         raise BudgetExceeded(
             f"{e}; dispatch for this base is {verdict.describe()}, so no "
             "polynomial algorithm applies"

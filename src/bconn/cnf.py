@@ -1,11 +1,17 @@
-"""DIMACS CNF parsing and rendering into the standard connectives."""
+"""DIMACS CNF parsing and rendering into the standard connectives.
+
+Reading stops at a line that is exactly `%`, the trailer SATLIB's
+uf*/uuf* files end with (`%` then `0`); whatever follows it is ignored.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .circuits import GateList, point_value
+from .clones import STANDARD_BASE
 from .errors import EmptyClause, HeaderMismatch, LiteralOutOfRange
-from .formulas import Apply, FormulaAst, Var
+from .formulas import Apply, FormulaAst, Var, lower_formula
 from .truthtable import BitVector
 
 
@@ -19,16 +25,7 @@ class CnfFormula:
         return all(len(c) <= 3 for c in self.clauses)
 
     def evaluate(self, a: BitVector) -> int:
-        for clause in self.clauses:
-            ok = False
-            for lit in clause:
-                v = a.bit(abs(lit))
-                if (v == 1) == (lit > 0):
-                    ok = True
-                    break
-            if not ok:
-                return 0
-        return 1
+        return point_value(lower_cnf(self), a)
 
     def is_one_reproducing(self) -> bool:
         """All-ones satisfies, i.e. every clause has a positive literal."""
@@ -42,6 +39,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
@@ -109,3 +108,8 @@ def cnf_to_formula(cnf: CnfFormula) -> FormulaAst:
         _fold("or", [_literal_ast(lit) for lit in clause]) for clause in cnf.clauses
     ]
     return _fold("and", clause_asts)
+
+
+def lower_cnf(cnf: CnfFormula) -> GateList:
+    """The not/and/or rendering as a gate list, declaring all n variables."""
+    return replace(lower_formula(cnf_to_formula(cnf), STANDARD_BASE), dim=cnf.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import CircuitDag
+from .circuits import GateList, linear_form
 from .clones import BaseSet
 from .errors import (
     NonAffineBaseFunction,
@@ -20,17 +20,15 @@ from .errors import (
     UsageError,
     WrongClass,
 )
-from .formulas import Apply, Var
 from .properties import (
-    affine_form_of,
     is_affine,
     is_monotone,
     is_separating,
     separating_coordinate,
 )
 from .qbf import EXISTS, QuantifiedFormula
-from .semantics import evaluate, truth_table_of
-from .truthtable import BitVector, LinearForm, TruthTable, var_mask
+from .semantics import evaluate, lower, truth_table_of
+from .truthtable import BitVector, LinearForm, var_mask
 
 DEFAULT_SEARCH_BUDGET = 20
 
@@ -102,6 +100,7 @@ def monotone_decide(
     """
     if not all(is_monotone(f) for f in base.tables):
         raise WrongClass("base contains a non-monotone function")
+    obj = lower(obj, base)
     _check_pair(obj, base, s, t)
     rationale = (
         "monotone base: the solution graph is connected; witness flips "
@@ -114,34 +113,22 @@ def monotone_decide(
     return EasyAnswer(True, True, path, rationale)
 
 
-def _syntactic_coordinate(obj, base: BaseSet) -> int | None:
-    """A separating coordinate read off the outermost application, if any.
+def _syntactic_coordinate(gl: GateList) -> int | None:
+    """A separating coordinate read off the output node, if any.
 
-    When the top function is 0-separating in its i-th argument and that
-    argument is literally a variable x_j, setting x_j = 1 forces the
-    output to 1 regardless of the rest of the object.
+    When the output is a variable, or its function is 0-separating in its
+    i-th argument and that argument is a variable x_j, setting x_j = 1
+    forces the output to 1 regardless of the rest of the object.
     """
-    if isinstance(obj, TruthTable):
-        return separating_coordinate(obj, 0)
-    if isinstance(obj, Var):
-        return obj.index
-    if isinstance(obj, Apply):
-        f = base[obj.name]
-        i = separating_coordinate(f, 0)
-        if i is not None and f.n >= 1 and isinstance(obj.args[i - 1], Var):
-            return obj.args[i - 1].index
+    if gl.prefix is not None:
         return None
-    if isinstance(obj, CircuitDag):
-        if obj.output.startswith("x") and obj.output[1:].isdigit():
-            return int(obj.output[1:])
-        gate = next(g for g in obj.gates if g.name == obj.output)
-        f = base[gate.fn]
-        i = separating_coordinate(f, 0)
-        if i is not None and f.n >= 1:
-            arg = gate.args[i - 1]
-            if arg.startswith("x") and arg[1:].isdigit():
-                return int(arg[1:])
-        return None
+    k = len(gl.inputs)
+    if gl.output < k:
+        return gl.inputs[gl.output]
+    f, args = gl.gates[gl.output - k]
+    i = separating_coordinate(f, 0)
+    if i is not None and f.n >= 1 and args[i - 1] < k:
+        return gl.inputs[args[i - 1]]
     return None
 
 
@@ -174,6 +161,7 @@ def zerosep_decide(
     """
     if not all(is_separating(f, 0) for f in base.tables):
         raise WrongClass("base contains a function that is not 0-separating")
+    obj = lower(obj, base)
     _check_pair(obj, base, s, t)
     rationale = (
         "0-separating base: the solution graph is connected; solutions "
@@ -185,7 +173,7 @@ def zerosep_decide(
         raise UsageError(f"endpoints must have dimension {n}")
     if s.word == t.word:
         return EasyAnswer(True, True, [s], rationale)
-    i = _syntactic_coordinate(obj, base)
+    i = _syntactic_coordinate(obj)
     if i is not None and i > n:
         i = None
     if i is None and n <= search_budget:
@@ -214,55 +202,22 @@ def zerosep_decide(
     return EasyAnswer(True, True, path, rationale)
 
 
-def _base_forms(base: BaseSet) -> dict[str, LinearForm]:
-    forms = {}
-    for name, f in base:
-        form = affine_form_of(f)
-        if form is None:
-            raise NonAffineBaseFunction(f"base function {name} is not affine")
-        forms[name] = form
-    return forms
-
-
-def _combine(form: LinearForm, children: list[LinearForm]) -> LinearForm:
-    support: set[int] = set()
-    c = form.c
-    for k in form.support:
-        support.symmetric_difference_update(children[k - 1].support)
-        c ^= children[k - 1].c
-    return LinearForm(frozenset(support), c)
-
-
 def linear_form_of(obj, base: BaseSet) -> LinearForm:
     """GF(2) form of a composite over an affine base.
 
-    Forward propagation: each node carries (support, constant); applying
-    an affine base function takes the symmetric difference of the
-    selected children's supports and XORs their constants.  The result
-    equals the parity of backward paths from the output to each input.
+    Forward propagation over the lowered gate list (circuits.linear_form):
+    each node carries one int, its support as bits j for x_j and its
+    constant as bit 0, and an affine gate XORs the ints of the arguments
+    its form selects into its own constant.  The result equals the parity
+    of backward paths from the output to each input.
     """
-    forms = _base_forms(base)
-
-    def walk(ast) -> LinearForm:
-        if isinstance(ast, Var):
-            return LinearForm(frozenset([ast.index]), 0)
-        return _combine(forms[ast.name], [walk(a) for a in ast.args])
-
-    if isinstance(obj, (Var, Apply)):
-        return walk(obj)
-    if isinstance(obj, CircuitDag):
-        values: dict[str, LinearForm] = {
-            f"x{i}": LinearForm(frozenset([i]), 0) for i in obj.inputs
-        }
-        for g in obj.gates:
-            values[g.name] = _combine(forms[g.fn], [values[a] for a in g.args])
-        return values[obj.output]
-    if isinstance(obj, TruthTable):
-        form = affine_form_of(obj)
-        if form is None:
-            raise WrongClass("truth table is not affine")
-        return form
-    raise UsageError(f"no linear form for {type(obj).__name__}")
+    for name, f in base:
+        if not is_affine(f):
+            raise NonAffineBaseFunction(f"base function {name} is not affine")
+    gl = lower(obj, base)
+    if gl.prefix is not None:
+        raise UsageError("no linear form for a quantified formula")
+    return linear_form(gl)
 
 
 def _linear_verdict(
@@ -295,7 +250,8 @@ def linear_decide(
     """
     if not all(is_affine(f) for f in base.tables):
         raise WrongClass("base contains a non-affine function")
-    if isinstance(obj, QuantifiedFormula):
+    obj = lower(obj, base)
+    if obj.prefix is not None:
         raise UsageError("use qbf_easy_decide for quantified formulas")
     _check_pair(obj, base, s, t)
     form = linear_form_of(obj, base)
@@ -321,7 +277,8 @@ def qbf_easy_decide(
     quantifier existential) or unsatisfiable (universal); otherwise the
     matrix form restricted to the free variables decides as usual.
     """
-    if not isinstance(q, QuantifiedFormula):
+    q = lower(q, base)
+    if q.prefix is None:
         raise UsageError("qbf_easy_decide needs a quantified formula")
     if all(is_monotone(f) for f in base.tables):
         _check_pair(q, base, s, t)
@@ -339,7 +296,7 @@ def qbf_easy_decide(
             "quantified connectivity is polynomial only for monotone or affine bases"
         )
     _check_pair(q, base, s, t)
-    form = linear_form_of(q.matrix, base)
+    form = linear_form(q)
     kept = [(quant, j) for quant, j in q.prefix if j in form.support]
     free = q.free_vars()
     if kept:

@@ -1,4 +1,4 @@
-"""Formulas over a base: recursive-descent parsing, printing, evaluation.
+"""Formulas over a base: recursive-descent parsing, printing, lowering.
 
 Grammar (whitespace-insensitive):
 
@@ -8,6 +8,8 @@ Grammar (whitespace-insensitive):
 
 Tokens matching the variable pattern are always variables, so a base
 function named like `x1` is not reachable from the concrete syntax.
+Nesting deep enough to exhaust the interpreter's recursion limit is
+refused with FormulaSyntaxError.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .circuits import CircuitDag, Gate
+from .circuits import CircuitDag, Gate, GateList, point_value
 from .clones import BaseSet
 from .errors import (
     ArityMismatch,
     FormulaSyntaxError,
-    MissingVariable,
     UnknownFunction,
 )
 from .truthtable import BitVector
@@ -103,7 +104,10 @@ class _Parser:
 
 def parse_formula(text: str, base: BaseSet) -> FormulaAst:
     p = _Parser(text, base)
-    ast = p.expr()
+    try:
+        ast = p.expr()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply", p.pos) from None
     p.skip_ws()
     if p.pos != len(text):
         raise FormulaSyntaxError("trailing input", p.pos)
@@ -140,40 +144,52 @@ def substitute(ast: FormulaAst, mapping: dict[int, FormulaAst]) -> FormulaAst:
     return Apply(ast.name, tuple(substitute(a, mapping) for a in ast.args))
 
 
+def lower_formula(ast: FormulaAst, base: BaseSet) -> GateList:
+    """The formula as a gate list, by an explicit-stack post-order walk.
+
+    A subterm object met twice is walked once, so a formula that shares
+    subtrees lowers in time linear in its distinct objects."""
+    cons: dict[tuple, int] = {}  # (table, args) -> gate index, as in lower_circuit
+    done: dict[int, int] = {}  # id(subterm) -> gate index, or ~j for x_j
+    stack = [ast]
+    while stack:
+        t = stack.pop()
+        if id(t) in done:
+            continue
+        if isinstance(t, Var):
+            done[id(t)] = ~t.index
+            continue
+        todo = [a for a in t.args if id(a) not in done]
+        if todo:
+            stack.append(t)
+            stack.extend(todo)
+            continue
+        key = (base[t.name], tuple(done[id(a)] for a in t.args))
+        done[id(t)] = cons.setdefault(key, len(cons))
+    inputs = tuple(sorted(~v for v in set(done.values()) if v < 0))
+    k = len(inputs)
+    node = {~j: p for p, j in enumerate(inputs)}
+    gates = tuple(
+        (f, tuple(node[a] if a < 0 else a + k for a in args)) for f, args in cons
+    )
+    root = done[id(ast)]
+    return GateList(inputs, gates, node[root] if root < 0 else root + k, max(inputs, default=0))
+
+
 def evaluate_formula(ast: FormulaAst, base: BaseSet, a: BitVector) -> int:
-    return _eval_env(ast, base, lambda j: a.bit(j) if j <= a.n else None)
-
-
-def evaluate_formula_env(ast: FormulaAst, base: BaseSet, env: dict[int, int]) -> int:
-    return _eval_env(ast, base, env.get)
-
-
-def _eval_env(ast: FormulaAst, base: BaseSet, lookup) -> int:
-    if isinstance(ast, Var):
-        v = lookup(ast.index)
-        if v is None:
-            raise MissingVariable(f"no value for x{ast.index}")
-        return v
-    f = base[ast.name]
-    row = 0
-    for arg in ast.args:
-        row = (row << 1) | _eval_env(arg, base, lookup)
-    return f.value(row)
+    return point_value(lower_formula(ast, base), a)
 
 
 def formula_to_circuit(ast: FormulaAst) -> CircuitDag:
     """One gate per function occurrence; inputs are the distinct variables."""
     inputs = sorted(formula_vars(ast))
     gates: list[Gate] = []
-    counter = 0
 
     def walk(node: FormulaAst) -> str:
-        nonlocal counter
         if isinstance(node, Var):
             return f"x{node.index}"
         args = tuple(walk(a) for a in node.args)
-        counter += 1
-        name = f"g{counter}"
+        name = f"g{len(gates) + 1}"
         gates.append(Gate(name, node.name, args))
         return name
 

@@ -80,8 +80,6 @@ def enumerate_solutions(
     obj, base: BaseSet, n: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SolutionSet:
     """Exactly the assignments the object maps to 1, sorted."""
-    if n > budget:
-        raise BudgetExceeded(f"dimension {n} exceeds budget {budget}")
     table = truth_table_of(obj, base, n, budget)
     return SolutionSet(n, tuple(table.one_rows()))
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .circuits import GateList, tabulate
 from .clones import BaseSet
 from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
-from .formulas import FormulaAst, evaluate_formula_env, formula_vars, parse_formula, print_formula
-from .truthtable import BitVector
+from .formulas import FormulaAst, formula_vars, lower_formula, parse_formula, print_formula
+from .truthtable import BitVector, TruthTable, var_mask
 
 DEFAULT_EXPANSION_BUDGET = 20
 
@@ -70,39 +71,66 @@ def print_qbf(q: QuantifiedFormula) -> str:
     return f"{head} : {matrix}"
 
 
+def lower_qbf(q: QuantifiedFormula, base: BaseSet) -> GateList:
+    m = lower_formula(q.matrix, base)
+    free = len(set(m.inputs) - q.bound_vars())
+    return GateList(m.inputs, m.gates, m.output, free, q.prefix)
+
+
+def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:
+    """Mask over m coordinates: bound variable prefix[i] is coordinate i + 1
+    (the most significant), free variable j has the mask free[j].  The
+    matrix is tabulated and the quantifiers folded out innermost first.  A
+    point value holds the free variables constant (m = len(prefix)); a table
+    puts them in the low coordinates, so it is the lowest 2^f rows."""
+    coord = {j: i for i, (_, j) in enumerate(q.prefix, start=1)}
+    leaves = [var_mask(m, coord[j]) if j in coord else free[j] for j in q.inputs]
+    mask = tabulate(q, leaves, m)
+    full = (1 << (1 << m)) - 1
+    for quant, j in reversed(q.prefix):
+        vm = var_mask(m, coord[j])
+        stride = 1 << (m - coord[j])
+        c0 = mask & (full ^ vm)
+        c1 = (mask & vm) >> stride
+        half = (c0 | c1) if quant == EXISTS else (c0 & c1)
+        mask = half | (half << stride)
+    return mask
+
+
+def quantified_value(
+    q: GateList, a: BitVector | None, budget: int = DEFAULT_EXPANSION_BUDGET
+) -> int:
+    """Value of a lowered quantified formula under a free-variable assignment."""
+    b = len(q.prefix)
+    if b > budget:
+        raise BudgetExceeded(f"{b} quantifiers exceed budget {budget}")
+    free = q.free_vars()
+    if free and (a is None or a.n != len(free)):
+        raise UsageError(f"need {len(free)} free-variable bits, got {0 if a is None else a.n}")
+    full = (1 << (1 << b)) - 1
+    masks = {j: full * a.bit(p) for p, j in enumerate(free, start=1)}
+    return _quantified_mask(q, b, masks) & 1
+
+
+def quantified_table(q: GateList, n: int, budget: int) -> TruthTable:
+    """Table of a lowered quantified formula over its n free variables."""
+    free = q.free_vars()
+    if n != len(free):
+        raise UsageError(
+            f"quantified formula has {len(free)} free variables, dimension {n} requested"
+        )
+    m = len(q.prefix) + n
+    if m > budget:
+        raise BudgetExceeded(f"ambient dimension {m} exceeds budget {budget}")
+    b = len(q.prefix)
+    masks = {j: var_mask(m, b + p) for p, j in enumerate(free, start=1)}
+    return TruthTable(n, _quantified_mask(q, m, masks) & ((1 << (1 << n)) - 1))
+
+
 def eval_qbf(
     q: QuantifiedFormula,
     base: BaseSet,
     free_assignment: BitVector | None = None,
     budget: int = DEFAULT_EXPANSION_BUDGET,
 ) -> int:
-    """Recursive expansion, leftmost quantifier outermost."""
-    if len(q.prefix) > budget:
-        raise BudgetExceeded(f"{len(q.prefix)} quantifiers exceed budget {budget}")
-    free = q.free_vars()
-    env: dict[int, int] = {}
-    if free:
-        if free_assignment is None or free_assignment.n != len(free):
-            got = 0 if free_assignment is None else free_assignment.n
-            raise UsageError(f"need {len(free)} free-variable bits, got {got}")
-        for pos, j in enumerate(free, start=1):
-            env[j] = free_assignment.bit(pos)
-
-    def rec(i: int) -> int:
-        if i == len(q.prefix):
-            return evaluate_formula_env(q.matrix, base, env)
-        quant, j = q.prefix[i]
-        env[j] = 0
-        v0 = rec(i + 1)
-        if quant == EXISTS and v0 == 1:
-            del env[j]
-            return 1
-        if quant == FORALL and v0 == 0:
-            del env[j]
-            return 0
-        env[j] = 1
-        v1 = rec(i + 1)
-        del env[j]
-        return v1
-
-    return rec(0)
+    return quantified_value(lower_qbf(q, base), free_assignment, budget)

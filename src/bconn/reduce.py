@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 
 from .clones import STANDARD_BASE, BaseSet, closure_rounds
-from .cnf import CnfFormula, cnf_to_formula
+from .cnf import CnfFormula
 from .errors import (
     BudgetExceeded,
     KTooLarge,
@@ -101,13 +100,10 @@ class SynthBudget:
 
     max_size: int = 100_000
     max_applications: int = 120_000
-    time_cap: float | None = None
 
     def __post_init__(self):
         if self.max_size <= 0 or self.max_applications <= 0:
             raise UsageError("synthesis budget fields must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise UsageError("synthesis time cap must be positive")
 
 
 DEFAULT_SYNTH_BUDGET = SynthBudget()
@@ -243,7 +239,6 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> For
     budget-forced skip certifies the target unrealizable at this arity.
     """
     n = target.n
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
     known = {var_mask(n, j): (1, f"x{j}", Var(j)) for j in range(1, n + 1)}
     applications = 0
     skipped = False
@@ -256,9 +251,7 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> For
                 f"synthesis stopped after {budget.max_applications} applications"
             )
         fresh: dict[int, tuple] = {}
-        for i, (name, args, out) in enumerate(tuples):
-            if deadline is not None and i % 1024 == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded("synthesis time cap reached")
+        for name, args, out in tuples:
             size = 1
             for _, a in args:
                 size += known[a][0]
@@ -396,7 +389,7 @@ def tr_combine(
 
     def tee(compact_psi: FormulaAst, arity: int) -> FormulaAst:
         t = t_transform(compact_psi, variant, n0=arity)
-        if isinstance(t, QuantifiedFormula):
+        if variant.kind == S02Q:
             t = t.matrix
         table = truth_table_of(t, STANDARD_BASE, arity + extra)
         return synth_bformula(table, base, budget)

@@ -1,124 +1,65 @@
 """Uniform evaluation and truth-table extraction for every object kind.
 
-Truth tables are computed with whole-table bit masks: a variable is a
-periodic 2^n-bit pattern and a gate ORs the row sets on which its
-function is 1, so extraction is a handful of bigint operations per node
-instead of 2^n tree walks.
+Every kind lowers once, in `lower`, to the hash-consed gate list of
+circuits.py: formulas by an explicit-stack walk, circuits through a
+name-to-node map, CNFs through their not/and/or rendering, a truth table
+as one gate over x_1..x_k, and a quantified formula as its lowered matrix
+with the prefix kept beside it.  Lowering an already lowered object
+returns it unchanged, so a caller that lowers first pays for it once.
+
+Point values come from one loop over the gates.  Tables come from one
+loop of whole-table bit masks: a variable is a periodic 2^n-bit pattern
+and a gate ORs the row sets on which its function is 1, so extraction is
+a handful of bigint operations per node instead of 2^n walks.
 """
 
 from __future__ import annotations
 
-from .circuits import CircuitDag, evaluate_circuit
+from collections import defaultdict
+
+from .circuits import CircuitDag, GateList, lower_circuit, point_value, tabulate
 from .clones import BaseSet
-from .cnf import CnfFormula
+from .cnf import CnfFormula, lower_cnf
 from .errors import BudgetExceeded, MissingVariable, UsageError
-from .formulas import Apply, Var, evaluate_formula, formula_vars
-from .qbf import EXISTS, QuantifiedFormula, eval_qbf
-from .truthtable import BitVector, TruthTable, apply_masks, tt_eval, var_mask
+from .formulas import Apply, Var, lower_formula
+from .qbf import QuantifiedFormula, lower_qbf, quantified_table, quantified_value
+from .truthtable import BitVector, TruthTable, var_mask
 
 DEFAULT_ENUM_BUDGET = 24
 
-Evaluatable = object  # FormulaAst | CircuitDag | CnfFormula | QuantifiedFormula | TruthTable
+
+def lower(obj, base: BaseSet) -> GateList:
+    """The object as a gate list over the base's tables."""
+    if isinstance(obj, GateList):
+        return obj
+    if isinstance(obj, (Var, Apply)):
+        return lower_formula(obj, base)
+    if isinstance(obj, CircuitDag):
+        return lower_circuit(obj, base)
+    if isinstance(obj, CnfFormula):
+        return lower_cnf(obj)
+    if isinstance(obj, QuantifiedFormula):
+        return lower_qbf(obj, base)
+    if isinstance(obj, TruthTable):  # one gate over x_1..x_k
+        return GateList(tuple(range(1, obj.n + 1)), ((obj, tuple(range(obj.n))),), obj.n, obj.n)
+    raise UsageError(f"cannot lower {type(obj).__name__}")
 
 
 def evaluate(obj, base: BaseSet, a: BitVector) -> int:
     """Value of the object under assignment a (free variables for QBF)."""
-    if isinstance(obj, (Var, Apply)):
-        return evaluate_formula(obj, base, a)
-    if isinstance(obj, CircuitDag):
-        return evaluate_circuit(obj, base, a)
-    if isinstance(obj, CnfFormula):
-        return obj.evaluate(a)
-    if isinstance(obj, QuantifiedFormula):
-        return eval_qbf(obj, base, a)
-    if isinstance(obj, TruthTable):
-        return tt_eval(obj, a)
-    raise UsageError(f"cannot evaluate {type(obj).__name__}")
+    gl = lower(obj, base)
+    if gl.prefix is None:
+        return point_value(gl, a)
+    return quantified_value(gl, a)
 
 
 def min_dimension(obj) -> int:
     """Smallest ambient dimension: the largest referenced variable index.
 
-    For quantified formulas, the count of free variables instead.
+    For quantified formulas, the count of free variables instead.  It does
+    not depend on what the gates compute, so any table stands in for each.
     """
-    if isinstance(obj, (Var, Apply)):
-        return max(formula_vars(obj), default=0)
-    if isinstance(obj, CircuitDag):
-        return obj.max_var()
-    if isinstance(obj, CnfFormula):
-        return obj.n
-    if isinstance(obj, QuantifiedFormula):
-        return len(obj.free_vars())
-    if isinstance(obj, TruthTable):
-        return obj.n
-    raise UsageError(f"no dimension for {type(obj).__name__}")
-
-
-def _formula_mask(ast, base: BaseSet, n: int) -> int:
-    if isinstance(ast, Var):
-        if ast.index > n:
-            raise MissingVariable(f"x{ast.index} exceeds dimension {n}")
-        return var_mask(n, ast.index)
-    masks = [_formula_mask(a, base, n) for a in ast.args]
-    return apply_masks(base[ast.name], masks, n)
-
-
-def _circuit_mask(c: CircuitDag, base: BaseSet, n: int) -> int:
-    values: dict[str, int] = {}
-    for i in c.inputs:
-        if i > n:
-            raise MissingVariable(f"x{i} exceeds dimension {n}")
-        values[f"x{i}"] = var_mask(n, i)
-    for g in c.gates:
-        values[g.name] = apply_masks(base[g.fn], [values[a] for a in g.args], n)
-    return values[c.output]
-
-
-def _cnf_mask(cnf: CnfFormula, n: int) -> int:
-    if cnf.n > n:
-        raise MissingVariable(f"CNF has {cnf.n} variables, dimension {n}")
-    full = (1 << (1 << n)) - 1
-    out = full
-    for clause in cnf.clauses:
-        cm = 0
-        for lit in clause:
-            vm = var_mask(n, abs(lit))
-            cm |= vm if lit > 0 else (full ^ vm)
-        out &= cm
-    return out
-
-
-def _qbf_table(q: QuantifiedFormula, base: BaseSet, n: int, budget: int) -> TruthTable:
-    free = q.free_vars()
-    if n != len(free):
-        raise UsageError(
-            f"quantified formula has {len(free)} free variables, dimension {n} requested"
-        )
-    ambient = max(
-        [1]
-        + [j for _, j in q.prefix]
-        + list(formula_vars(q.matrix))
-    )
-    if ambient > budget:
-        raise BudgetExceeded(f"ambient dimension {ambient} exceeds budget {budget}")
-    mask = _formula_mask(q.matrix, base, ambient)
-    full = (1 << (1 << ambient)) - 1
-    for quant, j in reversed(q.prefix):
-        vm = var_mask(ambient, j)
-        stride = 1 << (ambient - j)
-        c0 = mask & (full ^ vm)
-        c1 = (mask & vm) >> stride
-        half = (c0 | c1) if quant == EXISTS else (c0 & c1)
-        mask = half | (half << stride)
-    bits = 0
-    for i in range(1 << n):
-        w = 0
-        for pos, j in enumerate(free, start=1):
-            if (i >> (n - pos)) & 1:
-                w |= 1 << (ambient - j)
-        if (mask >> w) & 1:
-            bits |= 1 << i
-    return TruthTable(n, bits)
+    return lower(obj, defaultdict(lambda: TruthTable(0, 0))).dim
 
 
 def truth_table_of(
@@ -129,17 +70,9 @@ def truth_table_of(
         raise UsageError("dimension must be >= 0")
     if n > budget:
         raise BudgetExceeded(f"dimension {n} exceeds budget {budget}")
-    if isinstance(obj, QuantifiedFormula):
-        return _qbf_table(obj, base, n, budget)
-    if isinstance(obj, (Var, Apply)):
-        return TruthTable(n, _formula_mask(obj, base, n))
-    if isinstance(obj, CircuitDag):
-        return TruthTable(n, _circuit_mask(obj, base, n))
-    if isinstance(obj, CnfFormula):
-        return TruthTable(n, _cnf_mask(obj, n))
-    if isinstance(obj, TruthTable):
-        if obj.n > n:
-            raise MissingVariable(f"table arity {obj.n} exceeds dimension {n}")
-        mask = apply_masks(obj, [var_mask(n, j) for j in range(1, obj.n + 1)], n)
-        return TruthTable(n, mask)
-    raise UsageError(f"cannot tabulate {type(obj).__name__}")
+    gl = lower(obj, base)
+    if gl.prefix is not None:
+        return quantified_table(gl, n, budget)
+    if gl.dim > n:
+        raise MissingVariable(f"x{gl.dim} exceeds dimension {n}")
+    return TruthTable(n, tabulate(gl, [var_mask(n, j) for j in gl.inputs], n))

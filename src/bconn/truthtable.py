@@ -42,14 +42,6 @@ class BitVector:
             raise BadCharacter(f"bit vector must be nonempty over 0/1: {text!r}")
         return cls(len(text), int(text, 2))
 
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        bits = list(bits)
-        word = 0
-        for b in bits:
-            word = (word << 1) | (b & 1)
-        return cls(len(bits), word)
-
     @property
     def text(self) -> str:
         return format(self.word, f"0{self.n}b")

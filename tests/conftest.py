@@ -88,6 +88,10 @@ def eval_circuit_slow(dag: CircuitDag, tables: dict[str, str], env: dict[int, in
     return val[dag.output]
 
 
+def eval_cnf_slow(cnf: CnfFormula, env: dict[int, int]) -> int:
+    return int(all(any(env[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses))
+
+
 def eval_qbf_slow(q: QuantifiedFormula, tables: dict[str, str], free_env: dict[int, int]) -> int:
     def rec(i: int, env: dict[int, int]) -> int:
         if i == len(q.prefix):

@@ -254,6 +254,24 @@ def test_components_rejects_a_bad_relation_header(capsys, files, header):
     assert error["code"] == "UsageError" and "line 1" in error["message"]
 
 
+@pytest.mark.parametrize("kind, head", [("--formula", ""), ("--qbf", "E x2 : ")])
+def test_components_of_a_deeply_nested_formula(capsys, files, kind, head):
+    base = files("std.tt", STD_TT)
+    deep = files("deep.txt", head + "not(" * 900 + "x1" + ")" * 900)
+    code, payload, err = jrun(capsys, "components", kind, deep, "--base", base)
+    assert code == 0 and err == ""
+    assert payload == {"components": 1, "count": 1, "representatives": ["1"]}
+
+
+@pytest.mark.parametrize("kind, head", [("--formula", ""), ("--qbf", "E x2 : ")])
+def test_nesting_past_the_recursion_limit_is_a_syntax_error(capsys, files, kind, head):
+    base = files("std.tt", STD_TT)
+    deep = files("deep.txt", head + "not(" * 1500 + "x1" + ")" * 1500)
+    code, payload, err = jrun(capsys, "components", kind, deep, "--base", base)
+    assert code == 2 and payload is None
+    assert json.loads(err)["error"]["code"] == "FormulaSyntaxError"
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

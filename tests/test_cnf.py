@@ -64,6 +64,13 @@ def test_evaluate_by_clause_scan():
     assert cnf.evaluate(BitVector.parse("111")) == 1
 
 
+def test_satlib_trailer_ends_the_clause_list():
+    cnf = parse_dimacs("c uf3-01\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n")
+    assert cnf.clauses == ((1, -2, 3), (-1, 2))
+    with pytest.raises(LiteralOutOfRange):
+        parse_dimacs("p cnf 3 1\n1 -2 3 0\n% 0\n")
+
+
 def test_one_reproducing_detection():
     assert not CnfFormula(2, ((-1, -2),)).is_one_reproducing()
     assert CnfFormula(2, ((-1, 2),)).is_one_reproducing()

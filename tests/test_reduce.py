@@ -82,8 +82,6 @@ def test_variant_sizes_and_pads():
 def test_synth_budget_validation():
     with pytest.raises(UsageError):
         SynthBudget(max_size=0)
-    with pytest.raises(UsageError):
-        SynthBudget(time_cap=-1)
 
 
 # ---------------------------------------------------------------------------

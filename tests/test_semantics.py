@@ -7,16 +7,22 @@ import pytest
 from bconn import (
     BitVector,
     BudgetExceeded,
+    CnfFormula,
     MissingVariable,
+    QuantifiedFormula,
     TruthTable,
     UsageError,
     evaluate,
+    formula_to_circuit,
+    linear_form_of,
     min_dimension,
+    parse_circuit,
     parse_formula,
     parse_qbf,
     truth_table_of,
     tt_print,
 )
+from bconn.semantics import lower
 
 from conftest import (
     LIN_BASE,
@@ -29,6 +35,7 @@ from conftest import (
     circuit_solutions_slow,
     env_of,
     eval_ast_slow,
+    eval_cnf_slow,
     mk_base,
     qbf_solutions_slow,
     rand_ast,
@@ -137,3 +144,52 @@ def test_tables_over_unnormalized_bases():
     ast = parse_formula("t(x1,x2,c1)", base)
     f = truth_table_of(ast, base, 2)
     assert tt_print(f) == "0111"
+
+
+STD_OPS = (("and", 2), ("or", 2), ("not", 1))
+
+
+def _random_objects(rng):
+    """(base, n, object) triples of every kind, with n <= 6."""
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        yield STD_BASE, n, rand_ast(rng, STD_OPS, n, rng.randint(1, 30))
+        yield STD_BASE, n, formula_to_circuit(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)))
+        yield LIN_BASE, n, rand_ast(rng, LIN_OPS, n, rng.randint(1, 30))
+        yield LIN_BASE, n, rand_linear_circuit(rng, n, rng.randint(0, 9))
+        yield STD_BASE, n, rand_three_cnf(rng, n, rng.randint(0, 9))
+        k = rng.randint(0, n)
+        yield STD_BASE, n, TruthTable(k, rng.getrandbits(1 << k))
+        for base, ops in ((MONO_BASE, MONO_OPS), (LIN_BASE, LIN_OPS)):
+            q = rand_qbf(rng, ops, n, rng.randint(0, 3), rng.randint(1, 18))
+            yield base, len(q.free_vars()), q
+
+
+def test_one_engine_agrees_with_itself_across_kinds():
+    rng = random.Random(2028)
+    for base, n, obj in _random_objects(rng):
+        table = truth_table_of(obj, base, n)
+        for w in range(1 << n):
+            a = BitVector(n, w) if n else None
+            assert evaluate(obj, base, a) == table.value(w)
+            if isinstance(obj, CnfFormula):
+                assert eval_cnf_slow(obj, env_of(w, n)) == table.value(w)
+        if base is LIN_BASE and not isinstance(obj, QuantifiedFormula):
+            assert linear_form_of(obj, base).truth_table(n) == table
+
+
+def test_lowering_shares_equal_gates():
+    ast = parse_formula("and(or(x1,x2),or(x1,x2))", STD_BASE)
+    gl = lower(ast, STD_BASE)
+    assert gl.inputs == (1, 2) and gl.dim == 2
+    assert gl.gates == ((STD_BASE["or"], (0, 1)), (STD_BASE["and"], (2, 2)))
+    assert gl.output == 3
+    assert lower(gl, STD_BASE) is gl
+
+
+def test_lowering_a_circuit_whose_output_is_an_input():
+    dag = parse_circuit("input x1\ninput x3\ngate g and x1 x3\noutput x3\n", STD_BASE)
+    gl = lower(dag, STD_BASE)
+    assert gl.inputs == (1, 3) and gl.output == 1 and gl.dim == 3
+    assert tt_print(truth_table_of(gl, STD_BASE, 3)) == "01010101"
+    assert evaluate(gl, STD_BASE, BitVector.parse("001")) == 1
