@@ -4,13 +4,46 @@ Vertices are assignment words (row-index encoding); two words are
 adjacent iff they differ in exactly one bit.  The empty set counts as
 connected and has diameter 0, matching the convention that the solution
 graph of an unsatisfiable formula is connected.
+
+Breadth-first search (`_layers`) holds each frontier in one of two forms,
+switching as its size crosses a threshold (the switch of Beamer, Asanovic
+and Patterson, "Direction-Optimizing Breadth-First Search", SC 2012):
+
+* A thin frontier is a set of words.  A layer probes each word's
+  neighbours against the set of words not yet visited.
+* A thick frontier is a 2^n-bit mask laid out like a truth table.  A layer
+  moves it along every coordinate x_j at once,
+  ((F & M_j) >> s_j) | ((F << s_j) & M_j) with M_j = var_mask(n, j) and
+  s_j = 2^(n-j), and keeps the unvisited solutions (Knuth, TAOCP 4A,
+  7.1.3).
+
+A frontier is thick from 2^(n - _THICK_SHIFT) words on.  A set with fewer
+words than that can have no thick frontier, so it never gets a mask: an
+enumerated set keeps the table it came from, and a relation's mask is
+built from its words only when it is at least that dense.  On the mask
+side one pass over the coordinates finds the isolated vertices, which
+`components` labels without a search, and the coordinates along which
+some edge runs, the only ones a search probes or shifts.
+
+`components` and the lower-bound `diameter` search each component once
+from its smallest word; the lower bound searches again from the smallest
+word at the greatest distance (the double sweep).  `shortest_path` walks
+back from the goal, each step to its smallest neighbour in the layer
+before.  The exact `diameter` runs `_bfs_depths` over `_adjacency`: twice
+per tree component (|E| = |V| - 1), where the double sweep is exact, and
+once from every vertex of a component with a cycle.  Its budget counts
+that work.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product, starmap
+from operator import xor
 
 from .clones import BaseSet
 from .errors import (
@@ -21,9 +54,14 @@ from .errors import (
     UsageError,
 )
 from .semantics import DEFAULT_ENUM_BUDGET, truth_table_of
-from .truthtable import BitVector
+from .truthtable import BitVector, mask_rows, var_mask
 
-DEFAULT_EXACT_DIAMETER_BUDGET = 1 << 20
+# BFS steps (sources x (vertices + edges)) of an exact diameter, summed over
+# the components with a cycle; trees cost two searches and are not counted
+DEFAULT_EXACT_DIAMETER_BUDGET = 1 << 25
+
+# one mask layer costs about as much as probing 2^(n-11) frontier words
+_THICK_SHIFT = 11
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -53,8 +91,8 @@ class SolutionSet:
         return len(self.words)
 
     def __contains__(self, word: int) -> bool:
-        i = _bisect(self.words, word)
-        return i >= 0
+        i = bisect_left(self.words, word)
+        return i < len(self.words) and self.words[i] == word
 
     def vectors(self) -> list[BitVector]:
         return [BitVector(self.n, w) for w in self.words]
@@ -63,25 +101,182 @@ class SolutionSet:
         return [format(w, f"0{self.n}b") for w in self.words]
 
 
-def _bisect(words: tuple[int, ...], w: int) -> int:
-    lo, hi = 0, len(words)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if words[mid] < w:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(words) and words[lo] == w:
-        return lo
-    return -1
-
-
 def enumerate_solutions(
     obj, base: BaseSet, n: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SolutionSet:
     """Exactly the assignments the object maps to 1, sorted."""
     table = truth_table_of(obj, base, n, budget)
-    return SolutionSet(n, tuple(table.one_rows()))
+    s = SolutionSet(n, tuple(table.one_rows()))
+    object.__setattr__(s, "_table", table.bits)  # the mask, should the search want it
+    return s
+
+
+class _Cube:
+    """What the search needs of a solution set; built once per set."""
+
+    def __init__(self, s: SolutionSet):
+        n = s.n
+        self.n = n
+        self.thick = max(1, (1 << n) >> _THICK_SHIFT)
+        self.flips = [1 << b for b in range(n)]  # coordinates to probe, as XOR masks
+        self.mask = self.alone = 0  # the set and its isolated vertices, on the mask side
+        if len(s.words) < self.thick:
+            return
+        mask = getattr(s, "_table", None)
+        if mask is None:
+            mask = _words_mask(s.words, n)
+        linked, flips = 0, []
+        for j in range(1, n + 1):
+            step = (1 << (n - j), var_mask(n, j))
+            edges = mask & _spread(mask, [step])
+            if edges:
+                flips.append(step[0])
+                linked |= edges
+        self.flips, self.mask, self.alone = flips, mask, mask ^ linked
+
+    @cached_property
+    def steps(self) -> list[tuple[int, int]]:
+        """(s_j, M_j) per coordinate to shift; kept only once a frontier
+        gets thick, since sets that stay thin would hold n masks for nothing."""
+        return [(sh, var_mask(self.n, self.n - sh.bit_length() + 1)) for sh in self.flips]
+
+
+def _cube(s: SolutionSet) -> _Cube:
+    cube = s.__dict__.get("_cube")
+    if cube is None:
+        cube = _Cube(s)
+        object.__setattr__(s, "_cube", cube)
+    return cube
+
+
+def _words_mask(words, n: int) -> int:
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for w in words:
+        buf[w >> 3] |= 1 << (w & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _spread(front: int, steps) -> int:
+    """Every row one step along a listed coordinate from a row of `front`."""
+    out = 0
+    for sh, hi in steps:
+        out |= ((front & hi) >> sh) | ((front << sh) & hi)
+    return out
+
+
+def _layers(cube: _Cube, frontier, unseen: set[int]):
+    """The BFS layers after `frontier`, whose words must not be in `unseen`.
+
+    A thin layer is a set of words, a thick one a mask.  `unseen` loses
+    each word a thin step reaches; words reached by thick steps leave it
+    when the search turns thin again or ends.  So a search run to its end
+    leaves exactly the words it did not reach, and `unseen` must hold
+    every word the search may reach (other components may stay in it).
+    """
+    flips, thick, n = cube.flips, cube.thick, cube.n
+    rest = cube.mask  # unvisited solutions but for `owed`; 0 on the word side
+    owed = list(frontier)  # visited words still set in `rest`
+    while frontier:
+        if len(frontier) < thick:
+            frontier = unseen.intersection(starmap(xor, product(frontier, flips)))
+            unseen.difference_update(frontier)
+            if frontier:
+                if rest:
+                    owed.extend(frontier)
+                yield frontier
+            continue
+        steps = cube.steps
+        rest ^= _words_mask(owed, n)
+        owed = []
+        mark = rest
+        front = _words_mask(frontier, n)
+        while True:
+            front = _spread(front, steps) & rest
+            if not front:
+                break
+            rest ^= front
+            yield front
+            if front.bit_count() < thick:
+                break
+        unseen.difference_update(mask_rows(mark ^ rest))
+        frontier = mask_rows(front)
+
+
+def _sweeps(cube: _Cube, words):
+    """Each component once, by ascending smallest word: its words, that
+    word first, and the smallest word at the greatest distance from it."""
+    unseen = set(words)
+    alone = set(mask_rows(cube.alone))
+    for w in words:
+        if w in alone:
+            yield [w], w
+        elif w in unseen:
+            unseen.remove(w)
+            found, thick, last = [w], 0, (w,)
+            for last in _layers(cube, (w,), unseen):
+                if isinstance(last, int):
+                    thick |= last
+                else:
+                    found.extend(last)
+            found += mask_rows(thick)
+            yield found, min(mask_rows(last) if isinstance(last, int) else last)
+
+
+@dataclass(frozen=True)
+class ComponentLabeling:
+    labels: tuple[int, ...]
+    count: int
+    representatives: tuple[int, ...]  # smallest word per component, in label order
+
+
+def components(s: SolutionSet) -> ComponentLabeling:
+    reps: list[int] = []
+    label: dict[int, int] = {}
+    for k, (found, _) in enumerate(_sweeps(_cube(s), s.words)):
+        reps.append(found[0])
+        for w in found:
+            label[w] = k
+    return ComponentLabeling(tuple(map(label.__getitem__, s.words)), len(reps), tuple(reps))
+
+
+def is_connected(s: SolutionSet) -> bool:
+    return components(s).count <= 1
+
+
+def shortest_path(
+    s: SolutionSet, start: BitVector, goal: BitVector
+) -> list[BitVector] | None:
+    """A shortest path, or None.  Of all shortest paths it is the one that,
+    walked back from the goal, always steps to the smallest word."""
+    if start.n != s.n or goal.n != s.n:
+        raise NotASolution("endpoint dimension mismatch")
+    if start.word not in s:
+        raise NotASolution(f"{start.text} is not a solution")
+    if goal.word not in s:
+        raise NotASolution(f"{goal.text} is not a solution")
+    if start.word == goal.word:
+        return [start]
+    cube = _cube(s)
+    unseen = set(s.words)
+    unseen.remove(start.word)
+    layers = [{start.word}]
+    g = goal.word
+    for layer in _layers(cube, layers[0], unseen):
+        layers.append(layer)
+        if (layer >> g & 1) if isinstance(layer, int) else g in layer:
+            break
+    else:
+        return None
+    path = [goal.word]
+    for layer in reversed(layers[:-1]):
+        w = path[-1]
+        if isinstance(layer, int):
+            path.append(min(u for u in map(w.__xor__, cube.flips) if layer >> u & 1))
+        elif len(layer) < len(cube.flips):  # fewer words to test than neighbours
+            path.append(min(u for u in layer if (u ^ w).bit_count() == 1))
+        else:
+            path.append(min(layer.intersection(map(w.__xor__, cube.flips))))
+    return [BitVector(s.n, w) for w in reversed(path)]
 
 
 def _adjacency(s: SolutionSet) -> list[list[int]]:
@@ -93,75 +288,6 @@ def _adjacency(s: SolutionSet) -> list[list[int]]:
             if j is not None:
                 adj[i].append(j)
     return adj
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    labels: tuple[int, ...]
-    count: int
-    representatives: tuple[int, ...]  # smallest word per component, in label order
-
-
-def components(s: SolutionSet) -> ComponentLabeling:
-    parent = list(range(len(s.words)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    index = {w: i for i, w in enumerate(s.words)}
-    for i, w in enumerate(s.words):
-        for b in range(s.n):
-            j = index.get(w ^ (1 << b))
-            if j is not None and j > i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    roots: dict[int, int] = {}
-    labels = []
-    reps: list[int] = []
-    for i in range(len(s.words)):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(reps)
-            reps.append(s.words[i])  # words sorted, so first hit is smallest
-        labels.append(roots[r])
-    return ComponentLabeling(tuple(labels), len(reps), tuple(reps))
-
-
-def is_connected(s: SolutionSet) -> bool:
-    return components(s).count <= 1
-
-
-def shortest_path(
-    s: SolutionSet, start: BitVector, goal: BitVector
-) -> list[BitVector] | None:
-    if start.n != s.n or goal.n != s.n:
-        raise NotASolution("endpoint dimension mismatch")
-    index = {w: i for i, w in enumerate(s.words)}
-    if start.word not in index:
-        raise NotASolution(f"{start.text} is not a solution")
-    if goal.word not in index:
-        raise NotASolution(f"{goal.text} is not a solution")
-    if start.word == goal.word:
-        return [start]
-    prev: dict[int, int] = {start.word: start.word}
-    queue = deque([start.word])
-    while queue:
-        w = queue.popleft()
-        for b in range(s.n):
-            nb = w ^ (1 << b)
-            if nb in index and nb not in prev:
-                prev[nb] = w
-                if nb == goal.word:
-                    path = [nb]
-                    while path[-1] != start.word:
-                        path.append(prev[path[-1]])
-                    return [BitVector(s.n, w2) for w2 in reversed(path)]
-                queue.append(nb)
-    return None
 
 
 def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
@@ -176,31 +302,53 @@ def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
     return depth
 
 
+def _far(depth: dict[int, int]) -> int:
+    top = max(depth.values())
+    return min(i for i, d in depth.items() if d == top)
+
+
 def diameter(
     s: SolutionSet, mode: str = EXACT, budget: int = DEFAULT_EXACT_DIAMETER_BUDGET
 ) -> int:
-    """Largest eccentricity within any component (0 for the empty set)."""
+    """Largest eccentricity within any component (0 for the empty set).
+
+    LOWER_BOUND gives the double sweep's value, which lies between the
+    eccentricity of each component's smallest word and the diameter.
+    EXACT raises BudgetExceeded, before any search, when the components
+    with a cycle need more than `budget` BFS steps (sources x (vertices +
+    edges)).
+    """
     if mode not in (EXACT, LOWER_BOUND):
         raise UsageError(f"bad diameter mode {mode!r}")
-    if not s.words:
-        return 0
-    if mode == EXACT and len(s.words) > budget:
-        raise BudgetExceeded(f"{len(s.words)} vertices exceed exact budget {budget}")
-    adj = _adjacency(s)
     best = 0
-    if mode == EXACT:
-        for i in range(len(s.words)):
-            best = max(best, max(_bfs_depths(adj, i).values()))
+    cube = _cube(s)
+    if mode == LOWER_BOUND:
+        for found, far in _sweeps(cube, s.words):
+            if len(found) == 1:
+                continue
+            rest = set(found)
+            rest.remove(far)
+            best = max(best, sum(1 for _ in _layers(cube, (far,), rest)))
         return best
-    seen: set[int] = set()
-    for i in range(len(s.words)):
-        if i in seen:
-            continue
-        first = _bfs_depths(adj, i)
-        seen.update(first)
-        far = max(first, key=first.get)
-        second = _bfs_depths(adj, far)
-        best = max(best, max(second.values()))
+    members = set(s.words)
+    work, parts = 0, []
+    for found, _ in _sweeps(cube, s.words):
+        if len(found) > 1:
+            ends = sum(map(members.__contains__, starmap(xor, product(found, cube.flips))))
+            tree = ends == 2 * (len(found) - 1)
+            if not tree:
+                work += len(found) * (len(found) + ends // 2)
+            parts.append((found, tree))
+    if work > budget:
+        raise BudgetExceeded(f"exact diameter needs {work} BFS steps, over the budget of {budget}")
+    adj = _adjacency(s)
+    for found, tree in parts:
+        if tree:  # the double sweep is exact on a tree
+            sources = [_far(_bfs_depths(adj, bisect_left(s.words, found[0])))]
+        else:
+            sources = [bisect_left(s.words, w) for w in found]
+        for i in sources:
+            best = max(best, max(_bfs_depths(adj, i).values()))
     return best
 
 
@@ -255,7 +403,7 @@ def export_dot(s: SolutionSet, labeling: ComponentLabeling | None = None) -> str
     for w in s.words:
         for b in range(s.n):
             other = w ^ (1 << b)
-            if other > w and _bisect(s.words, other) >= 0:
+            if other > w and other in s:
                 a = format(w, f"0{s.n}b")
                 btxt = format(other, f"0{s.n}b")
                 lines.append(f'  "{a}" -- "{btxt}";')

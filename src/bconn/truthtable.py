@@ -11,6 +11,7 @@ Conventions pinned here and used everywhere else:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -90,13 +91,9 @@ class TruthTable:
     def value(self, row: int) -> int:
         return (self.bits >> row) & 1
 
-    def one_rows(self):
+    def one_rows(self) -> list[int]:
         """Row indices mapped to 1, ascending."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return mask_rows(self.bits)
 
     def __str__(self) -> str:
         return tt_print(self)
@@ -146,6 +143,25 @@ def dual(f: TruthTable) -> TruthTable:
         if not f.value(f.size - 1 - i):
             bits |= 1 << i
     return TruthTable(f.n, bits)
+
+
+def mask_rows(bits: int) -> list[int]:
+    """Positions of the 1 bits of a nonnegative int, ascending.
+
+    Linear in the int's length plus the number of 1s: the int is cut into
+    little-endian 64-bit chunks, and only nonzero chunks are taken apart,
+    so no step touches the whole int.
+    """
+    rows: list[int] = []
+    data = bits.to_bytes(-(-bits.bit_length() // 64) * 8, "little")
+    base = 0
+    for (chunk,) in struct.iter_unpack("<Q", data):
+        while chunk:
+            low = chunk & -chunk
+            rows.append(base + low.bit_length() - 1)
+            chunk ^= low
+        base += 64
+    return rows
 
 
 def var_mask(n: int, j: int) -> int:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: queries, generators, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,18 @@ def test_diameter_exact_and_lower_bound(capsys, files):
     )
     assert code == 0
     assert payload["mode"] == "LOWER_BOUND" and payload["diameter"] <= 6
+
+
+def test_exact_diameter_budget_trips_before_searching(capsys, files):
+    # a dense random relation whose all-sources search is ~4e9 steps
+    code, text, _ = run(capsys, "gen-random", "--vars", "16", "--count", "30000")
+    assert code == 0
+    rel = files("dense.rel", text)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "diameter", "--rel", rel, "--diameter-mode", "exact", "--json")
+    assert time.monotonic() - t0 < 10.0
+    assert code == 3 and not out
+    assert json.loads(err)["error"]["code"] == "BudgetExceeded"
 
 
 def test_components_lists_representatives(capsys, files):

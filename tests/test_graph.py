@@ -24,7 +24,10 @@ from bconn import (
     random_relation,
     shortest_path,
 )
+from bconn import TruthTable, gen_expdiam, var_mask
+from bconn import graph
 from bconn.graph import EXACT, LOWER_BOUND
+from bconn.truthtable import mask_rows
 
 from conftest import (
     STD_BASE,
@@ -221,3 +224,184 @@ def test_relation_file_round_trip():
         parse_relation("01\n11\n")
     with pytest.raises(UsageError):
         parse_relation("n 2\n011\n")
+
+
+# ---------------------------------------------------------------------------
+# Both frontier forms.  At n <= 12 the shipped threshold puts nearly every
+# frontier on the mask side, so the differentials below also run with
+# _THICK_SHIFT = 0 (every search on words), 3 and 6 (searches that switch
+# forms midway) and 64 (every frontier thick), on sets enumerated from a
+# table and on the same sets parsed as relations.
+
+SHIPPED_SHIFT = graph._THICK_SHIFT
+SHIFTS = (0, 3, 6, SHIPPED_SHIFT, 64)
+
+
+def _parity_bits(n, free):
+    """Even parity of x1..x_(n-free); the last `free` variables are free."""
+    return sum(1 << w for w in range(1 << n) if (w >> free).bit_count() % 2 == 0)
+
+
+def _cnf_bits(rng, n, m):
+    full = (1 << (1 << n)) - 1
+    bits = full
+    for _ in range(m):
+        clause = 0
+        for j in rng.sample(range(1, n + 1), 3):
+            clause |= var_mask(n, j) if rng.random() < 0.5 else full ^ var_mask(n, j)
+        bits &= clause
+    return bits
+
+
+def _shaped_sets():
+    out = []
+    for n in (1, 4, 8, 12):
+        full = (1 << (1 << n)) - 1
+        out += [
+            (f"empty{n}", n, 0),
+            (f"cube{n}", n, full),
+            (f"parity{n}", n, _parity_bits(n, 0)),  # every vertex isolated
+            (f"parity{n}-free", n, _parity_bits(n, 1)),  # 2-vertex components
+            (f"or{n}", n, full ^ 1),  # one dense component
+        ]
+    rng = random.Random(2024)
+    for n in (6, 9, 12):
+        for m in (n // 2, n, 2 * n, 3 * n):
+            out.append((f"cnf{n}x{m}", n, _cnf_bits(rng, n, m)))
+    return out
+
+
+SHAPED = _shaped_sets()
+
+
+def _both_backings(n, bits):
+    table_set = enumerate_solutions(TruthTable(n, bits), STD_BASE, n)
+    rel_set = SolutionSet(n, tuple(mask_rows(bits)))
+    assert table_set == rel_set
+    return [table_set, rel_set]
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("name,n,bits", SHAPED, ids=[c[0] for c in SHAPED])
+def test_engine_matches_cube_oracles_on_both_sides(monkeypatch, shift, name, n, bits):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    rng = random.Random(name)
+    for s in _both_backings(n, bits):
+        words = s.words
+        oracle = cube_labels(words, n)
+        lab = components(s)
+        assert lab.labels == tuple(oracle[w] for w in words)
+        assert lab.count == len(set(oracle.values()))
+        assert lab.representatives == tuple(
+            min(w for w in words if oracle[w] == k) for k in range(lab.count)
+        )
+        members = set(words)
+        pairs = [tuple(rng.sample(words, 2)) for _ in range(4)] if len(words) > 1 else []
+        if words:
+            pairs.append((words[0], words[-1]))
+        for a, b in pairs:
+            dist = cube_dist_from(words, n, a)
+            path = shortest_path(s, BitVector(n, a), BitVector(n, b))
+            if b not in dist:
+                assert path is None
+            else:
+                check_path_words(path, members, n, a, b)
+                assert len(path) - 1 == dist[b]
+        ecc_rep = max(
+            (max(cube_dist_from(words, n, r).values()) for r in lab.representatives), default=0
+        )
+        lower = diameter(s, mode=LOWER_BOUND)
+        if len(words) <= 600:  # the oracle runs a search from every vertex
+            exact = cube_diameter(words, n)
+            assert diameter(s, mode=EXACT) == exact
+        else:
+            exact = 2 * ecc_rep
+        assert ecc_rep <= lower <= exact
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_sparse_sets_stay_on_words(monkeypatch, shift):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    rng = random.Random(shift)
+    for n in (14, 16, 18):
+        s = random_relation(n, 3 * n, rng.randrange(1 << 30))
+        oracle = cube_labels(s.words, n)
+        assert components(s).labels == tuple(oracle[w] for w in s.words)
+        assert diameter(s, mode=EXACT) == cube_diameter(s.words, n)
+    if shift <= SHIPPED_SHIFT:  # a mask-only search pays 8191 whole-cube layers
+        s = gen_expdiam(12)
+        assert diameter(s, mode=LOWER_BOUND) == (1 << 13) - 2
+        assert graph._cube(s).mask == 0  # 8191 words at n = 24: no whole-cube mask
+
+
+# ---------------------------------------------------------------------------
+# Exact diameter: two sweeps on tree components, every source elsewhere.
+
+
+def _count_bfs(monkeypatch):
+    calls = []
+    real = graph._bfs_depths
+
+    def counted(adj, src):
+        calls.append(src)
+        return real(adj, src)
+
+    monkeypatch.setattr(graph, "_bfs_depths", counted)
+    return calls
+
+
+def _random_induced_tree(rng, n, size):
+    """Grow a tree of the n-cube by adding vertices with one tree neighbour,
+    so that it stays induced (no chords)."""
+    tree = [rng.randrange(1 << n)]
+    members = set(tree)
+    for _ in range(50 * size):
+        if len(tree) == size:
+            break
+        u = rng.choice(tree) ^ (1 << rng.randrange(n))
+        if u not in members and sum((u ^ (1 << b)) in members for b in range(n)) == 1:
+            tree.append(u)
+            members.add(u)
+    return members
+
+
+def test_exact_diameter_of_expdiam_paths_takes_two_sweeps(monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    for k in range(1, 9):
+        s = gen_expdiam(k)
+        calls.clear()
+        assert diameter(s, mode=EXACT) == cube_diameter(s.words, s.n) == (1 << (k + 1)) - 2
+        assert len(calls) == 2
+
+
+def test_exact_diameter_of_random_induced_trees(monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    rng = random.Random(99)
+    for _ in range(25):
+        n = rng.randint(3, 10)
+        words = _random_induced_tree(rng, n, rng.randint(2, 80))
+        s = rel(n, words)
+        if components(s).count != 1:
+            continue
+        calls.clear()
+        assert diameter(s, mode=EXACT) == cube_diameter(s.words, n)
+        assert len(calls) == 2
+
+
+def test_exact_diameter_mixes_trees_and_cycles(monkeypatch):
+    calls = _count_bfs(monkeypatch)
+    # a 4-cycle in the low corner and a 3-edge path far from it
+    cycle = [0b000000, 0b000001, 0b000011, 0b000010]
+    path = [0b110000, 0b111000, 0b111100, 0b111110]
+    s = rel(6, cycle + path + [0b101011])  # plus an isolated vertex
+    assert diameter(s, mode=EXACT) == cube_diameter(s.words, 6) == 3
+    assert len(calls) == 4 + 2  # every cycle vertex, two sweeps on the path
+
+
+def test_exact_diameter_budget_counts_search_work():
+    cycle = rel(2, [0, 1, 2, 3])  # 4 vertices, 4 edges: 4 * (4 + 4) steps
+    assert diameter(cycle, mode=EXACT, budget=32) == 2
+    with pytest.raises(BudgetExceeded):
+        diameter(cycle, mode=EXACT, budget=31)
+    # a tree costs nothing against the budget
+    assert diameter(gen_expdiam(6), mode=EXACT, budget=0) == (1 << 7) - 2

@@ -1,5 +1,7 @@
 """Bit-level primitives: vectors, tables, masks, duals, linear forms."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,18 @@ def test_tt_print_round_trip():
 def test_one_rows_ascending():
     f = tt_of("0111")
     assert list(f.one_rows()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_one_rows_matches_bit_loop(n):
+    # n <= 5 gives tables shorter than one 64-bit chunk
+    rng = random.Random(n)
+    full = (1 << (1 << n)) - 1
+    tables = [0, full, 1 << ((1 << n) - 1), 1]
+    tables += [rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(8)]
+    for bits in tables:
+        want = [i for i in range(1 << n) if (bits >> i) & 1]
+        assert TruthTable(n, bits).one_rows() == want
 
 
 def test_threshold_majority():
