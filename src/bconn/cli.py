@@ -81,7 +81,6 @@ def _read(path: str) -> str:
 
 def _emit(args, text: str, payload: dict):
     if getattr(args, "json", False):
-        payload = {k: v for k, v in payload.items()}
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -123,6 +122,13 @@ def _load_object(args, base: BaseSet | None):
     if kind == "qbf":
         return lower(parse_qbf(text.strip(), base), base)
     return parse_relation(text)
+
+
+def _load(args) -> tuple[BaseSet | None, object, int]:
+    """The base, the input object and its ambient dimension."""
+    base = _load_base(args, required=not args.rel)
+    obj = _load_object(args, base)
+    return base, obj, _ambient(args, obj)
 
 
 def _ambient(args, obj) -> int:
@@ -224,9 +230,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_conn(args) -> int:
-    base = _load_base(args, required=not args.rel)
-    obj = _load_object(args, base)
-    n = _ambient(args, obj)
+    base, obj, n = _load(args)
     mode = _pick_mode(args, obj, base)
     if mode == "poly":
         ans = _poly_answer(obj, base, n, None, None)
@@ -249,10 +253,8 @@ def _cmd_conn(args) -> int:
     return 0 if connected or not args.exit_status else 1
 
 
-def _st_answer(args, want_path: bool) -> tuple[bool, list[BitVector] | None, str, str, int]:
-    base = _load_base(args, required=not args.rel)
-    obj = _load_object(args, base)
-    n = _ambient(args, obj)
+def _st_answer(args) -> tuple[bool, list[BitVector] | None, str, str, int]:
+    base, obj, n = _load(args)
     if args.s is None or args.t is None:
         raise UsageError("--s and --t are required")
     s, t = _endpoints(args, n)
@@ -268,7 +270,7 @@ def _st_answer(args, want_path: bool) -> tuple[bool, list[BitVector] | None, str
 
 
 def _cmd_stconn(args) -> int:
-    st, path, rationale, mode, n = _st_answer(args, want_path=False)
+    st, path, rationale, mode, n = _st_answer(args)
     if st and path is not None:
         text = f"connected: true; path: {' '.join(v.text for v in path)}"
     else:
@@ -288,7 +290,7 @@ def _cmd_stconn(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    st, path, rationale, mode, n = _st_answer(args, want_path=True)
+    st, path, rationale, mode, n = _st_answer(args)
     if st and path is None:
         raise WitnessBudgetExceeded(rationale)
     if not st:
@@ -312,9 +314,7 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    base = _load_base(args, required=not args.rel)
-    obj = _load_object(args, base)
-    n = _ambient(args, obj)
+    base, obj, n = _load(args)
     sol = _brute_guarded(obj, base, n)
     lab = components(sol)
     mode = EXACT if args.diameter_mode == "exact" else LOWER_BOUND
@@ -328,9 +328,7 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    base = _load_base(args, required=not args.rel)
-    obj = _load_object(args, base)
-    n = _ambient(args, obj)
+    base, obj, n = _load(args)
     sol = _brute_guarded(obj, base, n)
     lab = components(sol)
     reps = [format(w, f"0{max(n, 1)}b") for w in lab.representatives]
@@ -412,13 +410,14 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _write_dot(args, sol: SolutionSet) -> dict:
+def _write_dot(args, sol: SolutionSet) -> tuple[dict, str]:
+    """The DOT rendering, written to --dot if given, and its summary."""
     lab = components(sol)
     dot = export_dot(sol, lab)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
-    return {"vertices": len(sol), "components": lab.count, "dot": args.dot}
+    return {"vertices": len(sol), "components": lab.count, "dot": args.dot}, dot
 
 
 def _cmd_gen_expdiam(args) -> int:
@@ -430,7 +429,7 @@ def _cmd_gen_expdiam(args) -> int:
         "diameter": (1 << (args.k + 1)) - 2,
     }
     if args.dot:
-        info.update(_write_dot(args, sol))
+        info.update(_write_dot(args, sol)[0])
     _emit(args, print_relation(sol).rstrip("\n"), info)
     return 0
 
@@ -441,7 +440,7 @@ def _cmd_gen_random(args) -> int:
     sol = random_relation(args.vars, args.count, args.seed)
     info = {"n": sol.n, "count": len(sol), "seed": args.seed, "words": sol.texts()}
     if args.dot:
-        info.update(_write_dot(args, sol))
+        info.update(_write_dot(args, sol)[0])
     _emit(args, print_relation(sol).rstrip("\n"), info)
     return 0
 
@@ -468,36 +467,28 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    base = _load_base(args, required=not (args.rel or args.cnf))
-    obj = _load_object(args, base)
-    n = _ambient(args, obj)
-    sol = _brute_guarded(obj, base, n)
-    lab = components(sol)
-    dot = export_dot(sol, lab)
+    base, obj, n = _load(args)
+    info, dot = _write_dot(args, _brute_guarded(obj, base, n))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
         _emit(
             args,
-            f"wrote {args.dot} ({len(sol)} vertices, {lab.count} components)",
-            {"vertices": len(sol), "components": lab.count, "dot": args.dot},
+            f"wrote {args.dot} ({info['vertices']} vertices, {info['components']} components)",
+            info,
         )
+    elif args.json:
+        _emit(args, "", {**info, "dot": dot})
     else:
-        if args.json:
-            _emit(args, "", {"vertices": len(sol), "components": lab.count, "dot": dot})
-        else:
-            print(dot, end="")
+        print(dot, end="")
     return 0
 
 
-def _add_io(p: argparse.ArgumentParser, rel: bool = True):
+def _add_io(p: argparse.ArgumentParser):
     p.add_argument("--base", help="base file: `name arity bits` lines")
     p.add_argument("--formula", help="formula file over the base")
     p.add_argument("--circuit", help="circuit file over the base")
     p.add_argument("--cnf", help="DIMACS CNF file (standard base implied)")
     p.add_argument("--qbf", help="quantified formula file over the base")
-    if rel:
-        p.add_argument("--rel", help="explicit solution-set file")
+    p.add_argument("--rel", help="explicit solution-set file")
     p.add_argument("--vars", type=int, help="ambient dimension (adds fictive variables)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -613,9 +604,6 @@ def run_cli(argv: list[str]) -> int:
     except (BudgetError, NotRealizable) as e:
         _report_error(args, e)
         return 3
-    except UsageError as e:
-        _report_error(args, e)
-        return 2
     except BconnError as e:
         _report_error(args, e)
         return 2

@@ -64,28 +64,35 @@ def _verify_path(obj, base: BaseSet, path: list[BitVector]):
             raise AssertionError(f"witness vertex {v.text} is not a solution")
 
 
-def _monotone_path(s: BitVector, t: BitVector) -> list[BitVector]:
-    path = [s]
-    cur = s
-    for j in range(1, s.n + 1):
-        if s.bit(j) == 0 and t.bit(j) == 1:
-            cur = cur.with_bit(j, 1)
-            path.append(cur)
-    for j in range(1, s.n + 1):
-        if s.bit(j) == 1 and t.bit(j) == 0:
-            cur = cur.with_bit(j, 0)
-            path.append(cur)
-    return path
-
-
-def _flip_ascending(s: BitVector, t: BitVector) -> list[BitVector]:
-    path = [s]
-    cur = s
-    for j in range(1, s.n + 1):
+def _walk(path: list[BitVector], t: BitVector, order) -> list[BitVector]:
+    """Extend the path from its last vertex toward t, setting each
+    coordinate that still differs from t in the given order."""
+    cur = path[-1]
+    for j in order:
         if cur.bit(j) != t.bit(j):
             cur = cur.with_bit(j, t.bit(j))
             path.append(cur)
     return path
+
+
+def _zeros_first(s: BitVector):
+    return sorted(range(1, s.n + 1), key=s.bit)
+
+
+def _ascending(s: BitVector):
+    return range(1, s.n + 1)
+
+
+def _witnessed(
+    obj, base: BaseSet, connected: bool, s, t, order, rationale: str
+) -> EasyAnswer:
+    """The verdict, plus (given s and t) the eval-verified walk from s to t
+    in the coordinate order order(s)."""
+    if s is None:
+        return EasyAnswer(connected, None, None, rationale)
+    path = _walk([s], t, order(s))
+    _verify_path(obj, base, path)
+    return EasyAnswer(connected, True, path, rationale)
 
 
 def monotone_decide(
@@ -106,11 +113,7 @@ def monotone_decide(
         "monotone base: the solution graph is connected; witness flips "
         "0-to-1 differences before 1-to-0 differences"
     )
-    if s is None:
-        return EasyAnswer(True, None, None, rationale)
-    path = _monotone_path(s, t)
-    _verify_path(obj, base, path)
-    return EasyAnswer(True, True, path, rationale)
+    return _witnessed(obj, base, True, s, t, _zeros_first, rationale)
 
 
 def _syntactic_coordinate(gl: GateList) -> int | None:
@@ -186,18 +189,9 @@ def zerosep_decide(
             rationale + " (witness path withheld: coordinate search over "
             f"{n} variables exceeds budget {search_budget})",
         )
-    path = [s]
-    cur = s
-    if cur.bit(i) == 0:
-        cur = cur.with_bit(i, 1)
-        path.append(cur)
-    for j in range(1, n + 1):
-        if j != i and cur.bit(j) != t.bit(j):
-            cur = cur.with_bit(j, t.bit(j))
-            path.append(cur)
-    if cur.bit(i) != t.bit(i):
-        cur = cur.with_bit(i, 0)
-        path.append(cur)
+    # set x_i, flip the other differences, then move x_i to t's value
+    detour = [j for j in range(1, n + 1) if j != i] + [i]
+    path = _walk(_walk([s], s.with_bit(i, 1), [i]), t, detour)
     _verify_path(obj, base, path)
     return EasyAnswer(True, True, path, rationale)
 
@@ -229,13 +223,9 @@ def _linear_verdict(
     rationale: str,
 ) -> EasyAnswer:
     connected = len(support) <= 1
-    if s is None:
-        return EasyAnswer(connected, None, None, rationale)
-    if any(s.bit(j) != t.bit(j) for j in support):
+    if s is not None and any(s.bit(j) != t.bit(j) for j in support):
         return EasyAnswer(connected, False, None, rationale)
-    path = _flip_ascending(s, t)
-    _verify_path(obj, base, path)
-    return EasyAnswer(connected, True, path, rationale)
+    return _witnessed(obj, base, connected, s, t, _ascending, rationale)
 
 
 def linear_decide(
@@ -286,11 +276,7 @@ def qbf_easy_decide(
             "monotone base: quantification preserves monotonicity, so the "
             "free-variable solution graph is connected"
         )
-        if s is None:
-            return EasyAnswer(True, None, None, rationale)
-        path = _monotone_path(s, t)
-        _verify_path(q, base, path)
-        return EasyAnswer(True, True, path, rationale)
+        return _witnessed(q, base, True, s, t, _zeros_first, rationale)
     if not all(is_affine(f) for f in base.tables):
         raise WrongClass(
             "quantified connectivity is polynomial only for monotone or affine bases"
@@ -306,11 +292,7 @@ def qbf_easy_decide(
                 "the rightmost quantifier is existential, so the formula is a "
                 "tautology over its free variables"
             )
-            if s is None:
-                return EasyAnswer(True, None, None, rationale)
-            path = _flip_ascending(s, t)
-            _verify_path(q, base, path)
-            return EasyAnswer(True, True, path, rationale)
+            return _witnessed(q, base, True, s, t, _ascending, rationale)
         rationale = (
             "affine base: after dropping quantifiers on fictive variables "
             "the rightmost quantifier is universal, so the formula is "

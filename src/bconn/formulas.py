@@ -10,6 +10,10 @@ Tokens matching the variable pattern are always variables, so a base
 function named like `x1` is not reachable from the concrete syntax.
 Nesting deep enough to exhaust the interpreter's recursion limit is
 refused with FormulaSyntaxError.
+
+Subterms may be shared by reference (the reductions substitute each half
+of a CNF into a combiner); every walk but the parser and the printer is
+one explicit-stack fold that visits each distinct subterm object once.
 """
 
 from __future__ import annotations
@@ -114,7 +118,31 @@ def parse_formula(text: str, base: BaseSet) -> FormulaAst:
     return ast
 
 
+def _fold(ast: FormulaAst, var, app):
+    """The root's value, var(v) at a variable and app(t, arg values) at an
+    application, computed once per distinct subterm object in post-order
+    (last argument first) on an explicit stack, so depth is unbounded."""
+    done: dict[int, object] = {}  # id(subterm) -> value
+    stack = [ast]
+    while stack:
+        t = stack.pop()
+        if id(t) in done:
+            continue
+        if isinstance(t, Var):
+            done[id(t)] = var(t)
+            continue
+        todo = [a for a in t.args if id(a) not in done]
+        if todo:
+            stack.append(t)
+            stack.extend(todo)
+            continue
+        done[id(t)] = app(t, tuple([done[id(a)] for a in t.args]))
+    return done[id(ast)]
+
+
 def print_formula(ast: FormulaAst) -> str:
+    """A recursive join: a fold would keep every shared subterm's text
+    alive, several times the peak memory on reduction outputs."""
     if isinstance(ast, Var):
         return f"x{ast.index}"
     if not ast.args:
@@ -123,56 +151,38 @@ def print_formula(ast: FormulaAst) -> str:
 
 
 def formula_vars(ast: FormulaAst) -> set[int]:
-    if isinstance(ast, Var):
-        return {ast.index}
     out: set[int] = set()
-    for a in ast.args:
-        out |= formula_vars(a)
+    _fold(ast, lambda v: out.add(v.index), lambda t, args: None)
     return out
 
 
 def formula_size(ast: FormulaAst) -> int:
-    if isinstance(ast, Var):
-        return 1
-    return 1 + sum(formula_size(a) for a in ast.args)
+    """Nodes of the formula as a tree, shared subterms counted per occurrence."""
+    return _fold(ast, lambda v: 1, lambda t, args: 1 + sum(args))
 
 
 def substitute(ast: FormulaAst, mapping: dict[int, FormulaAst]) -> FormulaAst:
-    """Replace every variable by its image (identity where unmapped)."""
-    if isinstance(ast, Var):
-        return mapping.get(ast.index, ast)
-    return Apply(ast.name, tuple(substitute(a, mapping) for a in ast.args))
+    """Replace every variable by its image (identity where unmapped),
+    keeping shared subterms shared."""
+    return _fold(ast, lambda v: mapping.get(v.index, v), lambda t, args: Apply(t.name, args))
 
 
 def lower_formula(ast: FormulaAst, base: BaseSet) -> GateList:
-    """The formula as a gate list, by an explicit-stack post-order walk.
-
-    A subterm object met twice is walked once, so a formula that shares
-    subtrees lowers in time linear in its distinct objects."""
+    """The formula as a gate list; a shared subterm object lowers once."""
     cons: dict[tuple, int] = {}  # (table, args) -> gate index, as in lower_circuit
-    done: dict[int, int] = {}  # id(subterm) -> gate index, or ~j for x_j
-    stack = [ast]
-    while stack:
-        t = stack.pop()
-        if id(t) in done:
-            continue
-        if isinstance(t, Var):
-            done[id(t)] = ~t.index
-            continue
-        todo = [a for a in t.args if id(a) not in done]
-        if todo:
-            stack.append(t)
-            stack.extend(todo)
-            continue
-        key = (base[t.name], tuple(done[id(a)] for a in t.args))
-        done[id(t)] = cons.setdefault(key, len(cons))
-    inputs = tuple(sorted(~v for v in set(done.values()) if v < 0))
+    seen: set[int] = set()
+
+    def var(v: Var) -> int:
+        seen.add(v.index)
+        return ~v.index  # x_j, until the inputs are numbered
+
+    root = _fold(ast, var, lambda t, args: cons.setdefault((base[t.name], args), len(cons)))
+    inputs = tuple(sorted(seen))
     k = len(inputs)
     node = {~j: p for p, j in enumerate(inputs)}
     gates = tuple(
         (f, tuple(node[a] if a < 0 else a + k for a in args)) for f, args in cons
     )
-    root = done[id(ast)]
     return GateList(inputs, gates, node[root] if root < 0 else root + k, max(inputs, default=0))
 
 
@@ -181,17 +191,12 @@ def evaluate_formula(ast: FormulaAst, base: BaseSet, a: BitVector) -> int:
 
 
 def formula_to_circuit(ast: FormulaAst) -> CircuitDag:
-    """One gate per function occurrence; inputs are the distinct variables."""
-    inputs = sorted(formula_vars(ast))
+    """One gate per distinct application object; inputs are the distinct variables."""
     gates: list[Gate] = []
 
-    def walk(node: FormulaAst) -> str:
-        if isinstance(node, Var):
-            return f"x{node.index}"
-        args = tuple(walk(a) for a in node.args)
-        name = f"g{len(gates) + 1}"
-        gates.append(Gate(name, node.name, args))
-        return name
+    def app(t: Apply, args: tuple[str, ...]) -> str:
+        gates.append(Gate(f"g{len(gates) + 1}", t.name, args))
+        return gates[-1].name
 
-    output = walk(ast)
-    return CircuitDag(tuple(inputs), tuple(gates), output)
+    output = _fold(ast, lambda v: f"x{v.index}", app)
+    return CircuitDag(tuple(sorted(formula_vars(ast))), tuple(gates), output)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ArityMismatch,
+    ArityOverflow,
     BadCharacter,
     BadThreshold,
     LengthMismatch,
@@ -100,6 +101,10 @@ class TruthTable:
 
 
 def tt_parse(text: str, n: int) -> TruthTable:
+    if n < 0:
+        raise ArityMismatch("arity must be >= 0")
+    if n > N_MAX:
+        raise ArityOverflow(f"arity {n} > {N_MAX}")
     if len(text) != (1 << n):
         raise LengthMismatch(
             f"expected {1 << n} characters for arity {n}, got {len(text)}"

@@ -430,6 +430,14 @@ def test_json_error_reporting_shape(capsys, tmp_path):
     assert "message" in blob["error"]
 
 
+def test_base_arity_past_the_limit_is_a_typed_error(capsys, files):
+    # 1 << 20000 has too many digits to format, so the arity is checked first
+    base = files("wide.tt", "f 20000 0\n")
+    code, out, err = run(capsys, "classify", "--base", base, "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "ArityOverflow"
+
+
 # ---------------------------------------------------------------------------
 # poly/brute agreement across a randomized corpus
 

@@ -255,6 +255,10 @@ def test_qbf_monotone_path_on_free_variables():
     ans = qbf_easy_decide(q, MONO_BASE, bv("10"), bv("11"))
     assert ans.connected and ans.st_connected
     assert path_texts(ans) == ["10", "11"]
+    # free x1, x2, x4: (x1 and x2) or x4; flipping x1 first would leave 010
+    q = parse_qbf("E x3 : or(and(x1,x2),and(x3,x4))", MONO_BASE)
+    ans = qbf_easy_decide(q, MONO_BASE, bv("110"), bv("001"))
+    assert path_texts(ans) == ["110", "111", "011", "001"]
 
 
 def test_qbf_linear_rightmost_existential_is_a_tautology():
@@ -263,6 +267,10 @@ def test_qbf_linear_rightmost_existential_is_a_tautology():
     assert ans.connected and ans.st_connected
     assert "tautology" in ans.rationale
     assert path_texts(ans) == ["0", "1"]
+    # the flips go in ascending coordinate order
+    q = parse_qbf("E x4 : xor(x1,xor(x2,xor(x3,x4)))", LIN_BASE)
+    ans = qbf_easy_decide(q, LIN_BASE, bv("101"), bv("010"))
+    assert path_texts(ans) == ["101", "001", "011", "010"]
 
 
 def test_qbf_linear_rightmost_universal_is_unsatisfiable():

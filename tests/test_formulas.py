@@ -19,6 +19,7 @@ from bconn import (
     parse_formula,
     print_formula,
     substitute,
+    truth_table_of,
 )
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     eval_ast_slow,
     mk_base,
     rand_ast,
+    tt_of,
 )
 
 
@@ -114,6 +116,28 @@ def test_formula_to_circuit_of_a_variable():
     dag = formula_to_circuit(Var(2))
     assert evaluate_circuit(dag, STD_BASE, BitVector.parse("01")) == 1
     assert evaluate_circuit(dag, STD_BASE, BitVector.parse("10")) == 0
+
+
+def test_deep_chain_folds_without_recursion():
+    ast = Var(1)
+    for _ in range(5000):
+        ast = Apply("not", (ast,))
+    assert formula_size(ast) == 5001
+    assert formula_vars(ast) == {1}
+    out = substitute(ast, {1: Var(2)})
+    assert formula_vars(out) == {2} and formula_size(out) == 5001
+    assert truth_table_of(ast, STD_BASE, 1) == tt_of("01")
+
+
+def test_shared_subterms_are_walked_once():
+    f = Var(1)
+    for _ in range(40):
+        f = Apply("and", (f, f))
+    assert formula_size(f) == 2**41 - 1
+    out = substitute(f, {1: Var(3)})
+    assert out.args[0] is out.args[1]
+    assert formula_vars(out) == {3}
+    assert len(formula_to_circuit(f).gates) == 40
 
 
 def test_apply_normalizes_args_to_tuple():

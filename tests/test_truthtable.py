@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bconn import (
     ArityMismatch,
+    ArityOverflow,
     BadCharacter,
     BadThreshold,
     BitVector,
@@ -74,6 +75,11 @@ def test_tt_parse_rejects_bad_text():
         tt_parse("01a1", 2)
     with pytest.raises(LengthMismatch):
         TruthTable(1, 4)
+    # the arity is checked before 1 << n is taken or formatted
+    with pytest.raises(ArityMismatch):
+        tt_parse("1", -1)
+    with pytest.raises(ArityOverflow):
+        tt_parse("0", 20000)
 
 
 def test_tt_print_round_trip():
