@@ -120,8 +120,7 @@ class GateList:
     Node i < len(inputs) is the variable x_{inputs[i]}; node
     len(inputs) + g is gates[g], a table applied to earlier nodes.  Equal
     (table, args) pairs share one node (hash-consing, as in Filliatre &
-    Conchon, "Type-safe modular hash-consing", 2006): lowering keeps a dict
-    from pair to node, whose keys in insertion order are the gates.  dim is
+    Conchon, "Type-safe modular hash-consing", 2006; see GateBuilder).  dim is
     the least dimension the input declares (a formula's highest variable,
     a circuit's highest input, a CNF's n, a table's arity).  prefix is None
     unless the input is a quantified formula: then the gates are its
@@ -139,13 +138,42 @@ class GateList:
         return sorted(set(self.inputs) - bound)
 
 
+class GateBuilder:
+    """A gate list under construction: the one hash-consing site.
+
+    Input p is node p (node[j] is x_j's node) and gates follow.  app(name,
+    args) keys a gate on (table number, args); equal tables of the base
+    share a number, so keys hash small ints, not tables."""
+
+    def __init__(self, base: BaseSet, inputs: tuple[int, ...]):
+        self.base, self.inputs = base, inputs
+        self.node = {j: p for p, j in enumerate(inputs)}
+        self.numbers: dict[str, int] = {}  # function name -> table number
+        self.tables: dict[TruthTable, int] = {}  # distinct table -> number
+        self.cons: dict[tuple, int] = {}  # (table number, args) -> node
+
+    def app(self, name: str, args: tuple[int, ...]) -> int:
+        t = self.numbers.get(name)
+        if t is None:
+            t = self.numbers[name] = self.tables.setdefault(self.base[name], len(self.tables))
+        return self.cons.setdefault((t, args), len(self.inputs) + len(self.cons))
+
+    def finish(self, output: int) -> GateList:
+        """The list (dim: the highest input), emptying the builder key by key."""
+        tables, k = list(self.tables), len(self.inputs)
+        gates: list = [None] * len(self.cons)
+        while self.cons:
+            (t, args), g = self.cons.popitem()
+            gates[g - k] = (tables[t], args)
+        return GateList(self.inputs, tuple(gates), output, max(self.inputs, default=0))
+
+
 def lower_circuit(c: CircuitDag, base: BaseSet) -> GateList:
-    node = {f"x{i}": k for k, i in enumerate(c.inputs)}
-    cons: dict[tuple, int] = {}  # (table, args) -> node, in creation order
+    b = GateBuilder(base, c.inputs)
+    node = {f"x{i}": p for p, i in enumerate(c.inputs)}
     for g in c.gates:
-        key = (base[g.fn], tuple(node[a] for a in g.args))
-        node[g.name] = cons.setdefault(key, len(c.inputs) + len(cons))
-    return GateList(c.inputs, tuple(cons), node[c.output], max(c.inputs, default=0))
+        node[g.name] = b.app(g.fn, tuple([node[a] for a in g.args]))
+    return b.finish(node[c.output])
 
 
 def evaluate_circuit(c: CircuitDag, base: BaseSet, a: BitVector) -> int:

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .circuits import parse_circuit
+from .circuits import lower_circuit, parse_circuit
 from .clones import (
     STANDARD_BASE,
     BaseSet,
@@ -24,7 +24,7 @@ from .clones import (
     dispatch,
     parse_base_file,
 )
-from .cnf import parse_dimacs
+from .cnf import lower_cnf, parse_dimacs
 from .easy import (
     EasyAnswer,
     linear_decide,
@@ -65,7 +65,6 @@ from .reduce import (
     shift_to_one_reproducing,
     tr_combine,
 )
-from .semantics import lower
 from .truthtable import BitVector, tt_print
 
 _DEFAULT_CLOSURE_BUDGET = 200_000
@@ -114,13 +113,13 @@ def _load_object(args, base: BaseSet | None):
     kind, path = picked[0]
     text = _read(path)
     if kind == "formula":
-        return lower(parse_formula(text.strip(), base), base)
+        return parse_formula(text.strip(), base, gates=True)
     if kind == "circuit":
-        return lower(parse_circuit(text, base), base)
+        return lower_circuit(parse_circuit(text, base), base)
     if kind == "cnf":
-        return lower(parse_dimacs(text), base)
+        return lower_cnf(parse_dimacs(text))
     if kind == "qbf":
-        return lower(parse_qbf(text.strip(), base), base)
+        return parse_qbf(text.strip(), base, gates=True)
     return parse_relation(text)
 
 

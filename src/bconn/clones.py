@@ -154,15 +154,9 @@ _FIXED_CLASSES: list[tuple[str, tuple]] = [
 
 def _class_table(dmax: int) -> list[tuple[str, frozenset]]:
     table = [(name, frozenset(atoms)) for name, atoms in _FIXED_CLASSES]
-    for k in range(2, dmax + 1):
-        table.append((f"S0^{k}", frozenset({("S0d", k)})))
-        table.append((f"S02^{k}", frozenset({("S0d", k), "R0", "R1"})))
-        table.append((f"S01^{k}", frozenset({("S0d", k), "M"})))
-        table.append((f"S00^{k}", frozenset({("S0d", k), "R0", "R1", "M"})))
-        table.append((f"S1^{k}", frozenset({("S1d", k)})))
-        table.append((f"S12^{k}", frozenset({("S1d", k), "R0", "R1"})))
-        table.append((f"S11^{k}", frozenset({("S1d", k), "M"})))
-        table.append((f"S10^{k}", frozenset({("S1d", k), "R0", "R1", "M"})))
+    for k, c in product(range(2, dmax + 1), "01"):  # S0^k, S02^k, S01^k, S00^k, S1^k, ...
+        for tail, atoms in (("", ()), ("2", ("R0", "R1")), ("1", ("M",)), ("0", ("R0", "R1", "M"))):
+            table.append((f"S{c}{tail}^{k}", frozenset({(f"S{c}d", k), *atoms})))
     return table
 
 
@@ -260,7 +254,8 @@ def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> s
     _check_arities(base)
     max_arity = max(f.n for f in base.tables)
     dmax = min(degree_bound, 1 << max_arity)
-    reports = [property_report(f, max(dmax, 2)) for f in base.tables]
+    # atoms read degrees up to dmax only, so dispatch's reports serve here
+    reports = [property_report(f, max(degree_bound, 2)) for f in base.tables]
     common = frozenset.intersection(
         *(_function_atoms(r, dmax) for r in reports)
     )

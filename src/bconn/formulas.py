@@ -1,4 +1,4 @@
-"""Formulas over a base: recursive-descent parsing, printing, lowering.
+"""Formulas over a base: shift-reduce parsing, printing, lowering.
 
 Grammar (whitespace-insensitive):
 
@@ -8,12 +8,16 @@ Grammar (whitespace-insensitive):
 
 Tokens matching the variable pattern are always variables, so a base
 function named like `x1` is not reachable from the concrete syntax.
-Nesting deep enough to exhaust the interpreter's recursion limit is
-refused with FormulaSyntaxError.
+
+The parser is one loop over the tokens of one regex: an application's
+'(' opens a frame on an explicit stack and its ')' reduces the frame, so
+nesting depth is unbounded.  The reductions are parameters, as in the
+fold below: the default builds a FormulaAst, and parse_formula(...,
+gates=True) hash-conses straight into a GateList with no tree in between.
 
 Subterms may be shared by reference (the reductions substitute each half
-of a CNF into a combiner); every walk but the parser and the printer is
-one explicit-stack fold that visits each distinct subterm object once.
+of a CNF into a combiner); every walk but the printer is one
+explicit-stack fold that visits each distinct subterm object once.
 """
 
 from __future__ import annotations
@@ -21,16 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .circuits import CircuitDag, Gate, GateList, point_value
+from .circuits import CircuitDag, Gate, GateBuilder, GateList, point_value
 from .clones import BaseSet
-from .errors import (
-    ArityMismatch,
-    FormulaSyntaxError,
-    UnknownFunction,
-)
+from .errors import ArityMismatch, FormulaSyntaxError, UnknownFunction
 from .truthtable import BitVector
 
 _VAR_TOKEN = re.compile(r"x[1-9][0-9]*\Z")
+_TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
 
 
 @dataclass(frozen=True)
@@ -50,72 +51,72 @@ class Apply:
 FormulaAst = Var | Apply
 
 
-class _Parser:
-    def __init__(self, text: str, base: BaseSet):
-        self.text = text
-        self.base = base
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise FormulaSyntaxError("expected identifier", start)
-        return self.text[start : self.pos]
-
-    def expr(self) -> FormulaAst:
-        start = self.pos
-        name = self.ident()
-        if _VAR_TOKEN.match(name):
-            return Var(int(name[1:]))
-        if name not in self.base:
-            raise UnknownFunction(f"unknown function {name!r} at position {start}")
-        want = self.base[name].n
-        self.skip_ws()
-        if self.peek() != "(":
-            if want != 0:
-                raise ArityMismatch(f"{name} takes {want} args, got 0")
-            return Apply(name, ())
-        self.pos += 1
-        self.skip_ws()
-        if self.peek() == ")" and want == 0:
-            self.pos += 1
-            return Apply(name, ())
-        args = [self.expr()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            args.append(self.expr())
-            self.skip_ws()
-        if self.peek() != ")":
-            raise FormulaSyntaxError("expected ',' or ')'", self.pos)
-        self.pos += 1
-        if len(args) != want:
-            raise ArityMismatch(f"{name} takes {want} args, got {len(args)}")
-        return Apply(name, tuple(args))
+def _parse(text: str, toks: list[str], base: BaseSet, var, app):
+    """var(index) once per distinct variable token and app(name, argument
+    values) at each application, reduced left to right on an explicit stack."""
+    heads: dict[str, tuple] = {}  # token -> (None, var value) or (arity, name)
+    frames: list[tuple[str, int, list]] = []  # open applications
+    i = 0
+    while True:  # an expression starts at token i
+        i += 1
+        want, value = heads.get(toks[i - 1]) or _head(text, toks, i - 1, base, var, heads)
+        if want is not None:
+            if toks[i] == "(":
+                i += 1
+                if toks[i] != ")" or want:
+                    frames.append((value, want, []))
+                    continue
+                i += 1
+            elif want:
+                raise ArityMismatch(f"{value} takes {want} args, got 0")
+            value = app(value, ())
+        while frames:  # close the frames that value completes
+            frames[-1][2].append(value)
+            i += 1
+            if toks[i - 1] == ",":
+                break
+            if toks[i - 1] != ")":
+                raise FormulaSyntaxError("expected ',' or ')'", _at(text, i - 1))
+            name, want, args = frames.pop()
+            if len(args) != want:
+                raise ArityMismatch(f"{name} takes {want} args, got {len(args)}")
+            value = app(name, tuple(args))
+        else:
+            if toks[i]:
+                raise FormulaSyntaxError("trailing input", _at(text, i))
+            return value
 
 
-def parse_formula(text: str, base: BaseSet) -> FormulaAst:
-    p = _Parser(text, base)
-    try:
-        ast = p.expr()
-    except RecursionError:
-        raise FormulaSyntaxError("formula nested too deeply", p.pos) from None
-    p.skip_ws()
-    if p.pos != len(text):
-        raise FormulaSyntaxError("trailing input", p.pos)
-    return ast
+def _head(text: str, toks: list[str], k: int, base: BaseSet, var, heads: dict) -> tuple:
+    """Classify token k, which starts an expression, and remember it."""
+    tok = toks[k]
+    if _VAR_TOKEN.match(tok):
+        heads[tok] = (None, var(int(tok[1:])))
+    elif not tok[:1].isalnum() and tok[:1] != "_":
+        raise FormulaSyntaxError("expected identifier", _at(text, k))
+    elif tok not in base:
+        # an expression starts right after a comma, before any whitespace;
+        # elsewhere at its own first token (the first one at offset 0)
+        start = 0 if k == 0 else _at(text, k - 1) + 1 if toks[k - 1] == "," else _at(text, k)
+        raise UnknownFunction(f"unknown function {tok!r} at position {start}")
+    else:
+        heads[tok] = (base[tok].n, tok)
+    return heads[tok]
+
+
+def _at(text: str, k: int) -> int:
+    """Offset of token k (the end of the text for the end marker); errors only."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
+
+
+def parse_formula(text: str, base: BaseSet, gates: bool = False) -> FormulaAst | GateList:
+    """The formula as a tree, or with gates=True as a hash-consed gate list."""
+    toks = _TOKEN.findall(text) + [""]  # "" ends the input
+    if not gates:
+        return _parse(text, toks, base, Var, Apply)
+    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if _VAR_TOKEN.match(t))))
+    return b.finish(_parse(text, toks, base, b.node.__getitem__, b.app))
 
 
 def _fold(ast: FormulaAst, var, app):
@@ -141,13 +142,28 @@ def _fold(ast: FormulaAst, var, app):
 
 
 def print_formula(ast: FormulaAst) -> str:
-    """A recursive join: a fold would keep every shared subterm's text
-    alive, several times the peak memory on reduction outputs."""
-    if isinstance(ast, Var):
-        return f"x{ast.index}"
-    if not ast.args:
-        return ast.name
-    return f"{ast.name}({','.join(print_formula(a) for a in ast.args)})"
+    """A join on an explicit stack.  A frame's argument texts live until it
+    closes, as in a recursive join, and nothing is memoized: keeping every
+    shared subterm's text costs several times the peak on reduction outputs."""
+    frames: list[tuple[Apply, list[str]]] = []  # open applications, argument texts
+    t = ast
+    while True:
+        while isinstance(t, Apply) and t.args:
+            frames.append((t, []))
+            t = t.args[0]
+        text = f"x{t.index}" if isinstance(t, Var) else t.name
+        while frames:
+            app, texts = frames[-1]
+            texts.append(text)
+            if len(texts) < len(app.args):
+                t = app.args[len(texts)]
+                break
+            frames.pop()
+            text = ",".join(texts)
+            texts.clear()  # drop the argument texts, as a returning call would
+            text = f"{app.name}({text})"
+        else:
+            return text
 
 
 def formula_vars(ast: FormulaAst) -> set[int]:
@@ -169,21 +185,8 @@ def substitute(ast: FormulaAst, mapping: dict[int, FormulaAst]) -> FormulaAst:
 
 def lower_formula(ast: FormulaAst, base: BaseSet) -> GateList:
     """The formula as a gate list; a shared subterm object lowers once."""
-    cons: dict[tuple, int] = {}  # (table, args) -> gate index, as in lower_circuit
-    seen: set[int] = set()
-
-    def var(v: Var) -> int:
-        seen.add(v.index)
-        return ~v.index  # x_j, until the inputs are numbered
-
-    root = _fold(ast, var, lambda t, args: cons.setdefault((base[t.name], args), len(cons)))
-    inputs = tuple(sorted(seen))
-    k = len(inputs)
-    node = {~j: p for p, j in enumerate(inputs)}
-    gates = tuple(
-        (f, tuple(node[a] if a < 0 else a + k for a in args)) for f, args in cons
-    )
-    return GateList(inputs, gates, node[root] if root < 0 else root + k, max(inputs, default=0))
+    b = GateBuilder(base, tuple(sorted(formula_vars(ast))))
+    return b.finish(_fold(ast, lambda v: b.node[v.index], lambda t, args: b.app(t.name, args)))
 
 
 def evaluate_formula(ast: FormulaAst, base: BaseSet, a: BitVector) -> int:

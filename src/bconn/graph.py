@@ -54,7 +54,7 @@ from .errors import (
     UsageError,
 )
 from .semantics import DEFAULT_ENUM_BUDGET, truth_table_of
-from .truthtable import BitVector, mask_rows, var_mask
+from .truthtable import N_MAX, BitVector, mask_rows, var_mask
 
 # BFS steps (sources x (vertices + edges)) of an exact diameter, summed over
 # the components with a cycle; trees cost two searches and are not counted
@@ -80,7 +80,7 @@ class SolutionSet:
             if w <= prev:
                 raise UsageError("words must be strictly increasing")
             prev = w
-        if prev >= (1 << self.n):
+        if self.words and prev.bit_length() > self.n:
             raise UsageError(f"word {prev} does not fit {self.n} bits")
 
     @classmethod
@@ -438,6 +438,8 @@ def parse_relation(text: str) -> SolutionSet:
                 raise UsageError(f"line {lineno}: bad dimension {parts[1]!r}") from None
             if n < 0:
                 raise UsageError(f"line {lineno}: negative dimension")
+            if n > N_MAX:
+                raise UsageError(f"line {lineno}: dimension {n} exceeds {N_MAX}")
             continue
         if len(line) != n or any(c not in "01" for c in line):
             raise UsageError(f"line {lineno}: expected {n} bits")

@@ -13,9 +13,11 @@ and separation at every degree is equivalent to no cover existing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .errors import BudgetExceeded, DegreeBoundTooSmall
-from .truthtable import LinearForm, TruthTable, dual, var_mask
+from .truthtable import LinearForm, TruthTable, dual, mask_rows, var_mask
 
 # sep_degree sentinel: separation holds at every finite degree
 ALL = "ALL"
@@ -49,17 +51,9 @@ def is_self_dual(f: TruthTable) -> bool:
 def affine_form_of(f: TruthTable) -> LinearForm | None:
     """The linear form equal to f, or None if f is not affine."""
     c = f.value(0)
-    support = set()
-    for j in range(1, f.n + 1):
-        if f.value(1 << (f.n - j)) != c:
-            support.add(j)
-    mask = 0
-    for j in support:
-        mask |= 1 << (f.n - j)
-    for i in range(f.size):
-        if f.value(i) != ((i & mask).bit_count() & 1) ^ c:
-            return None
-    return LinearForm(frozenset(support), c)
+    support = frozenset(j for j in range(1, f.n + 1) if f.value(1 << (f.n - j)) != c)
+    form = LinearForm(support, c)
+    return form if form.truth_table(f.n) == f else None
 
 
 def is_affine(f: TruthTable) -> bool:
@@ -82,11 +76,7 @@ def is_conjunction_like(f: TruthTable) -> bool:
     """f is a constant or a conjunction of (unnegated) variables."""
     if f.bits == 0:
         return True
-    lead = 0
-    first = True
-    for r in f.one_rows():
-        lead = r if first else (lead & r)
-        first = False
+    lead = reduce(and_, f.one_rows())
     return all(f.value(i) == (1 if (i & lead) == lead else 0) for i in range(f.size))
 
 
@@ -136,10 +126,7 @@ def _min_cover_size(masks: set[int], universe: int) -> int | None:
     """Minimum number of masks whose union is universe; None if impossible."""
     if universe == 0:
         return 0
-    union = 0
-    for m in masks:
-        union |= m
-    if union != universe:
+    if reduce(or_, masks, 0) != universe:
         return None
     pool = sorted(masks, key=lambda m: -m.bit_count())
     maximal = []
@@ -178,14 +165,7 @@ def max_separation_degree(f: TruthTable, c: int) -> int | str:
     if rows == 0:
         return ALL
     universe = (1 << f.n) - 1
-    full_n = universe
-    masks = set()
-    bits = rows
-    while bits:
-        low = bits & -bits
-        r = low.bit_length() - 1
-        bits ^= low
-        masks.add(r if c == 0 else (full_n ^ r))
+    masks = {r if c == 0 else universe ^ r for r in mask_rows(rows)}
     kappa = _min_cover_size(masks, universe)
     if kappa is None:
         return ALL
@@ -229,7 +209,10 @@ def _degree_field(f: TruthTable, c: int, m_max: int) -> int | str | None:
     return min(d, m_max)
 
 
+@lru_cache(maxsize=1024)
 def property_report(f: TruthTable, degree_bound: int = DEFAULT_DEGREE_BOUND) -> PropertyReport:
+    """The report of one table, computed once per (table, degree bound):
+    classify asks for each base table in clone_identify and both dispatches."""
     if degree_bound < 2:
         raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
     form = affine_form_of(f)

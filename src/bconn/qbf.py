@@ -11,7 +11,7 @@ in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .circuits import GateList, tabulate
 from .clones import BaseSet
@@ -25,19 +25,23 @@ EXISTS = "E"
 FORALL = "A"
 
 
+def _check_prefix(prefix: tuple[tuple[str, int], ...]):
+    seen = set()
+    for q, j in prefix:
+        if q not in (EXISTS, FORALL):
+            raise UsageError(f"bad quantifier {q!r}")
+        if j in seen:
+            raise UsageError(f"x{j} quantified twice")
+        seen.add(j)
+
+
 @dataclass(frozen=True)
 class QuantifiedFormula:
     prefix: tuple[tuple[str, int], ...]  # (quantifier, variable index)
     matrix: FormulaAst
 
     def __post_init__(self):
-        seen = set()
-        for q, j in self.prefix:
-            if q not in (EXISTS, FORALL):
-                raise UsageError(f"bad quantifier {q!r}")
-            if j in seen:
-                raise UsageError(f"x{j} quantified twice")
-            seen.add(j)
+        _check_prefix(self.prefix)
 
     def bound_vars(self) -> set[int]:
         return {j for _, j in self.prefix}
@@ -46,10 +50,12 @@ class QuantifiedFormula:
         return sorted(formula_vars(self.matrix) - self.bound_vars())
 
 
-def parse_qbf(text: str, base: BaseSet) -> QuantifiedFormula:
+def parse_qbf(text: str, base: BaseSet, gates: bool = False) -> QuantifiedFormula | GateList:
+    """The quantified formula, or with gates=True its matrix parsed straight
+    into a gate list that carries the prefix (see lower_qbf)."""
     head, sep, body = text.partition(":")
     if not sep:
-        return QuantifiedFormula((), parse_formula(text, base))
+        head, body = "", text
     prefix = []
     toks = head.split()
     if len(toks) % 2 != 0:
@@ -60,7 +66,11 @@ def parse_qbf(text: str, base: BaseSet) -> QuantifiedFormula:
         if not (v.startswith("x") and v[1:].isdigit() and v[1] != "0"):
             raise FormulaSyntaxError(f"bad quantified variable {v!r}")
         prefix.append((q, int(v[1:])))
-    return QuantifiedFormula(tuple(prefix), parse_formula(body, base))
+    matrix = parse_formula(body, base, gates)
+    if not gates:
+        return QuantifiedFormula(tuple(prefix), matrix)
+    _check_prefix(prefix)
+    return _with_prefix(matrix, tuple(prefix))
 
 
 def print_qbf(q: QuantifiedFormula) -> str:
@@ -71,10 +81,13 @@ def print_qbf(q: QuantifiedFormula) -> str:
     return f"{head} : {matrix}"
 
 
+def _with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:
+    bound = {j for _, j in prefix}
+    return replace(m, dim=len(set(m.inputs) - bound), prefix=prefix)
+
+
 def lower_qbf(q: QuantifiedFormula, base: BaseSet) -> GateList:
-    m = lower_formula(q.matrix, base)
-    free = len(set(m.inputs) - q.bound_vars())
-    return GateList(m.inputs, m.gates, m.output, free, q.prefix)
+    return _with_prefix(lower_formula(q.matrix, base), q.prefix)
 
 
 def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:

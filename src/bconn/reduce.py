@@ -117,16 +117,9 @@ def shift_to_one_reproducing(phi: CnfFormula, s: BitVector) -> CnfFormula:
         raise UsageError(f"assignment has {s.n} bits, CNF has {phi.n} variables")
     if phi.evaluate(s) != 1:
         raise NotASolution(f"{s.text} does not satisfy the CNF")
-    clauses = []
-    for clause in phi.clauses:
-        new = []
-        for lit in clause:
-            if s.bit(abs(lit)) == 0:
-                new.append(-lit)
-            else:
-                new.append(lit)
-        clauses.append(tuple(new))
-    return CnfFormula(phi.n, tuple(clauses))
+    return CnfFormula(phi.n, tuple(
+        tuple(lit if s.bit(abs(lit)) else -lit for lit in clause) for clause in phi.clauses
+    ))
 
 
 def _and(a: FormulaAst, b: FormulaAst) -> FormulaAst:
@@ -142,17 +135,11 @@ def _not(a: FormulaAst) -> FormulaAst:
 
 
 def _conj(parts: list[FormulaAst]) -> FormulaAst:
-    out = parts[0]
-    for p in parts[1:]:
-        out = _and(out, p)
-    return out
+    return functools.reduce(_and, parts)
 
 
 def _disj(parts: list[FormulaAst]) -> FormulaAst:
-    out = parts[0]
-    for p in parts[1:]:
-        out = _or(out, p)
-    return out
+    return functools.reduce(_or, parts)
 
 
 def _pattern(indices: list[int], bits: str) -> FormulaAst:
@@ -347,11 +334,7 @@ def synth_bformula(
 
 
 def _clause_formula(clause: tuple[int, ...], positions: dict[int, int]) -> FormulaAst:
-    lits = []
-    for lit in clause:
-        v = Var(positions[abs(lit)])
-        lits.append(v if lit > 0 else _not(v))
-    return _disj(lits)
+    return _disj([Var(positions[lit]) if lit > 0 else _not(Var(positions[-lit])) for lit in clause])
 
 
 def tr_combine(

@@ -5,7 +5,8 @@ circuits.py: formulas by an explicit-stack walk, circuits through a
 name-to-node map, CNFs through their not/and/or rendering, a truth table
 as one gate over x_1..x_k, and a quantified formula as its lowered matrix
 with the prefix kept beside it.  Lowering an already lowered object
-returns it unchanged, so a caller that lowers first pays for it once.
+returns it unchanged, so a caller that lowers first pays for it once;
+the CLI parses formula and quantified-formula text straight into gates.
 
 Point values come from one loop over the gates.  Tables come from one
 loop of whole-table bit masks: a variable is a periodic 2^n-bit pattern

@@ -132,22 +132,15 @@ def threshold_tt(n: int, k: int, dualize: bool = False) -> TruthTable:
     """T^n_k: 1 iff the assignment has at least k ones (dual on request)."""
     if not 0 <= k <= n + 1:
         raise BadThreshold(f"threshold {k} outside [0, {n + 1}]")
-    bits = 0
-    for i in range(1 << n):
-        if i.bit_count() >= k:
-            bits |= 1 << i
-    f = TruthTable(n, bits)
+    f = TruthTable(n, sum(1 << i for i in range(1 << n) if i.bit_count() >= k))
     return dual(f) if dualize else f
 
 
 def dual(f: TruthTable) -> TruthTable:
     """dual(f)(x_1..x_n) = NOT f(NOT x_1, .., NOT x_n)."""
     # complementing every input reverses the row order; then negate
-    bits = 0
-    for i in range(f.size):
-        if not f.value(f.size - 1 - i):
-            bits |= 1 << i
-    return TruthTable(f.n, bits)
+    reversed_rows = int(format(f.bits, f"0{f.size}b")[::-1], 2)
+    return TruthTable(f.n, reversed_rows ^ ((1 << f.size) - 1))
 
 
 def mask_rows(bits: int) -> list[int]:
@@ -216,13 +209,9 @@ class LinearForm:
     def truth_table(self, n: int) -> TruthTable:
         if self.support and max(self.support) > n:
             raise ArityMismatch("support exceeds requested arity")
-        mask = 0
+        bits = (1 << (1 << n)) - 1 if self.c else 0
         for j in self.support:
-            mask |= 1 << (n - j)
-        bits = 0
-        for i in range(1 << n):
-            if ((i & mask).bit_count() & 1) ^ self.c:
-                bits |= 1 << i
+            bits ^= var_mask(n, j)
         return TruthTable(n, bits)
 
     def __str__(self) -> str:

@@ -18,6 +18,7 @@ from bconn import (
     truth_table_of,
 )
 from bconn.cli import run_cli
+from bconn.properties import property_report
 
 from conftest import STD_BASE
 
@@ -60,6 +61,16 @@ def test_classify_monotone_base(capsys, files):
     assert payload["quantified_dispatch"]["describe"] == "EASY(MONOTONE)"
     code, out, _ = run(capsys, "classify", "--base", base)
     assert code == 0 and "clone: M2" in out
+
+
+def test_classify_builds_each_table_report_once(capsys, files):
+    # dup repeats and's table; clone_identify and both dispatches share reports
+    base = files("b.tt", MONO_TT + "dup 2 0001\n")
+    property_report.cache_clear()
+    code, payload, _ = jrun(capsys, "classify", "--base", base)
+    assert code == 0 and payload["clone"] == "M2"
+    info = property_report.cache_info()
+    assert (info.misses, info.hits) == (2, 7)
 
 
 def test_classify_complete_base_is_hard(capsys, files):
@@ -267,6 +278,17 @@ def test_components_rejects_a_bad_relation_header(capsys, files, header):
     assert error["code"] == "UsageError" and "line 1" in error["message"]
 
 
+@pytest.mark.parametrize("header", ["n 31", "n 99999999999"])
+def test_components_rejects_a_relation_header_past_n_max(capsys, files, header):
+    rel = files("r.rel", header + "\n")
+    t0 = time.perf_counter()
+    code, payload, err = jrun(capsys, "components", "--rel", rel)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and payload is None
+    error = json.loads(err)["error"]
+    assert error["code"] == "UsageError" and "exceeds 30" in error["message"]
+
+
 @pytest.mark.parametrize("kind, head", [("--formula", ""), ("--qbf", "E x2 : ")])
 def test_components_of_a_deeply_nested_formula(capsys, files, kind, head):
     base = files("std.tt", STD_TT)
@@ -277,12 +299,14 @@ def test_components_of_a_deeply_nested_formula(capsys, files, kind, head):
 
 
 @pytest.mark.parametrize("kind, head", [("--formula", ""), ("--qbf", "E x2 : ")])
-def test_nesting_past_the_recursion_limit_is_a_syntax_error(capsys, files, kind, head):
+def test_components_of_a_formula_nested_past_the_recursion_limit(capsys, files, kind, head):
+    # the parser and every walk after it keep their own stacks, so depth
+    # is bounded by memory, not by the interpreter's recursion limit
     base = files("std.tt", STD_TT)
-    deep = files("deep.txt", head + "not(" * 1500 + "x1" + ")" * 1500)
+    deep = files("deep.txt", head + "not(" * 100_000 + "x1" + ")" * 100_000)
     code, payload, err = jrun(capsys, "components", kind, deep, "--base", base)
-    assert code == 2 and payload is None
-    assert json.loads(err)["error"]["code"] == "FormulaSyntaxError"
+    assert code == 0 and err == ""
+    assert payload == {"components": 1, "count": 1, "representatives": ["1"]}
 
 
 # ---------------------------------------------------------------------------
