@@ -53,6 +53,7 @@ from .errors import (
     NotRealizable,
     SizeOverflow,
     TooLarge,
+    UnknownClass,
     UnknownFunction,
     UsageError,
     WitnessBudgetExceeded,

@@ -1,28 +1,47 @@
 """Named bases, closed-class identification, and the tractability dispatch.
 
-The class table lists every closed class of Boolean functions as a
-conjunction of the property predicates from properties.py; the families
-parameterized by a separation degree are instantiated up to the degree
-bound.  Inclusion between classes is decided by saturating a class's
-property set under implication rules (each rule is a fact about the
-predicates, e.g. any 0-separating function is 1-reproducing); a class A
-is contained in B exactly when A's saturated set covers B's properties.
+Post's lattice is kept as data: a generator base for each of the 38
+fixed closed classes, and the degree families S{c}{tail}^k, each the
+join of S{c}{tail} with the threshold T^{k+1}_k (dualized for c = 0).
+The atoms are the property predicates of properties.py: reproducing,
+monotone, self-dual, affine, separating (also of degree k), and so on.
+Every atom is closed under composition, so a set of functions lies in
+an atom exactly when the clone it generates does.  Hence the atoms a
+class's generators share are the atoms every member of the class has,
+its signature; and the atoms a base's functions share are the signature
+of the clone they generate.  clone_identify looks that set up in a
+{signature: class} table, with no inclusion rules to keep in step.
+
+Separation degrees are tracked up to dmax = min(degree bound, largest
+arity in the base).  An a-ary function's finite separation degree is at
+most a - 1, since some cover of its coordinates uses at most a masks,
+so no family class of degree above the largest arity is ever the answer.
+A family whose degree exceeds the degree bound is reported at the bound.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, product
 
-from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UsageError
+from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UnknownClass, UsageError
 from .properties import (
     ALL,
     DEFAULT_DEGREE_BOUND,
     PropertyReport,
     property_report,
 )
-from .truthtable import N_MAX, TruthTable, tt_parse, tt_print, var_mask
+from .truthtable import (
+    DEFAULT_ENUM_BUDGET,
+    N_MAX,
+    TruthTable,
+    threshold_tt,
+    tt_parse,
+    tt_print,
+    var_mask,
+)
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -108,139 +127,93 @@ def print_base_file(base: BaseSet) -> str:
     return "".join(f"{n} {f.n} {tt_print(f)}\n" for n, f in base)
 
 
-# --- class table ----------------------------------------------------------
+# --- Post's lattice ----------------------------------------------------------
 
-_FIXED_CLASSES: list[tuple[str, tuple]] = [
-    ("BF", ()),
-    ("R0", ("R0",)),
-    ("R1", ("R1",)),
-    ("R2", ("R0", "R1")),
-    ("M", ("M",)),
-    ("M0", ("M", "R0")),
-    ("M1", ("M", "R1")),
-    ("M2", ("M", "R0", "R1")),
-    ("S0", ("S0",)),
-    ("S02", ("S0", "R0", "R1")),
-    ("S01", ("S0", "M")),
-    ("S00", ("S0", "R0", "R1", "M")),
-    ("S1", ("S1",)),
-    ("S12", ("S1", "R0", "R1")),
-    ("S11", ("S1", "M")),
-    ("S10", ("S1", "R0", "R1", "M")),
-    ("D", ("D",)),
-    ("D1", ("D", "R0", "R1")),
-    ("D2", ("D", "M")),
-    ("L", ("L",)),
-    ("L0", ("L", "R0")),
-    ("L1", ("L", "R1")),
-    ("L2", ("L", "R0", "R1")),
-    ("L3", ("L", "D")),
-    ("E", ("E",)),
-    ("E0", ("E", "R0")),
-    ("E1", ("E", "R1")),
-    ("E2", ("E", "R0", "R1")),
-    ("V", ("V",)),
-    ("V0", ("V", "R0")),
-    ("V1", ("V", "R1")),
-    ("V2", ("V", "R0", "R1")),
-    ("N", ("N",)),
-    ("N2", ("N", "D")),
-    ("I", ("I",)),
-    ("I0", ("I", "R0")),
-    ("I1", ("I", "R1")),
-    ("I2", ("I", "R0", "R1")),
-]
+# A generator base per closed class (Boehler, Creignou, Reith & Vollmer,
+# "Playing with Boolean Blocks, Part I", 2003), as row text.
+_GENERATORS: dict[str, tuple[str, ...]] = {
+    "BF": ("0001", "10"),
+    "R0": ("0001", "0110"),
+    "R1": ("0111", "1001"),
+    "R2": ("0111", "00001001"),
+    "M": ("0001", "0111", "0", "1"),
+    "M0": ("0001", "0111", "0"),
+    "M1": ("0001", "0111", "1"),
+    "M2": ("0001", "0111"),
+    "S0": ("1101",),
+    "S02": ("00101111",),
+    "S01": ("00011111", "1"),
+    "S00": ("00011111",),
+    "S1": ("0010",),
+    "S12": ("00001011",),
+    "S11": ("00000111", "0"),
+    "S10": ("00000111",),
+    "D": ("10001110",),
+    "D1": ("00101011",),
+    "D2": ("00010111",),
+    "L": ("0110", "1"),
+    "L0": ("0110",),
+    "L1": ("1001",),
+    "L2": ("01101001",),
+    "L3": ("10010110",),
+    "E": ("0001", "0", "1"),
+    "E0": ("0001", "0"),
+    "E1": ("0001", "1"),
+    "E2": ("0001",),
+    "V": ("0111", "0", "1"),
+    "V0": ("0111", "0"),
+    "V1": ("0111", "1"),
+    "V2": ("0111",),
+    "N": ("10", "0", "1"),
+    "N2": ("10",),
+    "I": ("01", "0", "1"),
+    "I0": ("01", "0"),
+    "I1": ("01", "1"),
+    "I2": ("01",),
+}
 
-
-def _class_table(dmax: int) -> list[tuple[str, frozenset]]:
-    table = [(name, frozenset(atoms)) for name, atoms in _FIXED_CLASSES]
-    for k, c in product(range(2, dmax + 1), "01"):  # S0^k, S02^k, S01^k, S00^k, S1^k, ...
-        for tail, atoms in (("", ()), ("2", ("R0", "R1")), ("1", ("M",)), ("0", ("R0", "R1", "M"))):
-            table.append((f"S{c}{tail}^{k}", frozenset({(f"S{c}d", k), *atoms})))
-    return table
+# generator reports bypass the report cache: _signatures keeps them per
+# dmax, and base tables would otherwise share the cache with them
+_uncached_report = property_report.__wrapped__
 
 
-def _saturate(atoms: frozenset, dmax: int) -> frozenset:
-    s = set(atoms)
-    changed = True
-    while changed:
-        changed = False
+@lru_cache(maxsize=32)
+def _signatures(dmax: int) -> dict[frozenset, str]:
+    """{atoms shared by a class's generators: class name} at degree cap dmax."""
+    classes = {
+        name: [tt_parse(t, len(t).bit_length() - 1) for t in gens]
+        for name, gens in _GENERATORS.items()
+    }
+    # S{c}{tail}^k is the join of S{c}{tail} and T^{k+1}_k (dualized for c = 0)
+    for k, c in product(range(2, dmax + 1), "01"):
+        threshold = threshold_tt(k + 1, k, dualize=c == "0")
+        for tail in ("", "2", "1", "0"):
+            classes[f"S{c}{tail}^{k}"] = classes[f"S{c}{tail}"] + [threshold]
+    atoms = {
+        f: _function_atoms(_uncached_report(f, max(dmax, 2)), dmax)
+        for f in set().union(*classes.values())
+    }
+    return {
+        frozenset.intersection(*(atoms[f] for f in gens)): name
+        for name, gens in classes.items()
+    }
 
-        def add(*items):
-            nonlocal changed
-            for a in items:
-                if a not in s:
-                    s.add(a)
-                    changed = True
 
-        if "S0" in s:
-            add("R1", *(("S0d", k) for k in range(2, dmax + 1)))
-        if "S1" in s:
-            add("R0", *(("S1d", k) for k in range(2, dmax + 1)))
-        for k in range(2, dmax + 1):
-            if ("S0d", k) in s:
-                add("R1", *(("S0d", j) for j in range(2, k)))
-            if ("S1d", k) in s:
-                add("R0", *(("S1d", j) for j in range(2, k)))
-        if "E" in s or "V" in s:
-            add("M")
-        if "N" in s:
-            add("L")
-        if "I" in s:
-            add("N", "E", "V")
-        if "D" in s and "M" in s:
-            add("R0", "R1")
-            if dmax >= 2:
-                add(("S0d", 2), ("S1d", 2))
-        if "D" in s and "R0" in s:
-            add("R1")
-        if "D" in s and "R1" in s:
-            add("R0")
-        if "E" in s and "R0" in s:
-            add("S1")
-        if "V" in s and "R1" in s:
-            add("S0")
-        if "L" in s and ("M" in s or "E" in s or "V" in s):
-            add("I")
-        if "L" in s and "R0" in s and "R1" in s:
-            add("D")
-        if "I" in s and "R0" in s and "R1" in s:
-            add("D")
-        if "D" in s and ("E" in s or "V" in s):
-            add("I")
-    return frozenset(s)
+# each atom is a closed class, decided by one flag of the property report
+_FLAG_ATOMS = {
+    "R0": "reproducing0", "R1": "reproducing1", "M": "monotone", "D": "self_dual",
+    "L": "affine", "S0": "separating0", "S1": "separating1", "E": "conjunction_like",
+    "V": "disjunction_like", "N": "essentially_unary", "I": "projection_or_constant",
+}
 
 
 def _function_atoms(rep: PropertyReport, dmax: int) -> frozenset:
-    atoms = set()
-    if rep.reproducing0:
-        atoms.add("R0")
-    if rep.reproducing1:
-        atoms.add("R1")
-    if rep.monotone:
-        atoms.add("M")
-    if rep.self_dual:
-        atoms.add("D")
-    if rep.affine:
-        atoms.add("L")
-    if rep.separating0:
-        atoms.add("S0")
-    if rep.separating1:
-        atoms.add("S1")
-    for k in range(2, dmax + 1):
-        if rep.separating_of_degree(0, k):
-            atoms.add(("S0d", k))
-        if rep.separating_of_degree(1, k):
-            atoms.add(("S1d", k))
-    if rep.conjunction_like:
-        atoms.add("E")
-    if rep.disjunction_like:
-        atoms.add("V")
-    if rep.essentially_unary:
-        atoms.add("N")
-    if rep.projection_or_constant:
-        atoms.add("I")
-    return frozenset(atoms)
+    """The atoms holding of one function, with separation degrees up to dmax."""
+    degrees = product((0, 1), range(2, dmax + 1))
+    return frozenset(
+        [atom for atom, flag in _FLAG_ATOMS.items() if getattr(rep, flag)]
+        + [(f"S{c}d", k) for c, k in degrees if rep.separating_of_degree(c, k)]
+    )
 
 
 def _check_arities(base: BaseSet):
@@ -252,25 +225,15 @@ def _check_arities(base: BaseSet):
 def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> str:
     """Name of the minimal closed class containing the base."""
     _check_arities(base)
-    max_arity = max(f.n for f in base.tables)
-    dmax = min(degree_bound, 1 << max_arity)
+    # an a-ary function's finite separation degree is at most a - 1
+    dmax = min(degree_bound, max(f.n for f in base.tables))
     # atoms read degrees up to dmax only, so dispatch's reports serve here
     reports = [property_report(f, max(degree_bound, 2)) for f in base.tables]
-    common = frozenset.intersection(
-        *(_function_atoms(r, dmax) for r in reports)
-    )
-    table = _class_table(dmax)
-    satisfied = [(name, atoms) for name, atoms in table if atoms <= common]
-    best = []
-    for name, atoms in satisfied:
-        closure = _saturate(atoms, dmax)
-        if all(other <= closure for _, other in satisfied):
-            best.append(name)
-    if len(best) != 1:
-        raise AssertionError(
-            f"class inclusion rules ambiguous: candidates {best or [s[0] for s in satisfied]}"
-        )
-    return best[0]
+    atoms = frozenset.intersection(*(_function_atoms(r, dmax) for r in reports))
+    try:
+        return _signatures(dmax)[atoms]
+    except KeyError:
+        raise UnknownClass(f"no closed class has the atoms {sorted(map(str, atoms))}") from None
 
 
 @dataclass(frozen=True)
@@ -392,6 +355,8 @@ def clone_closure(
     _check_arities(base)
     if max_arity < 0:
         raise UsageError("max_arity must be >= 0")
+    if max_arity > DEFAULT_ENUM_BUDGET:  # an m-ary table is a 2^m-bit mask
+        raise BudgetExceeded(f"closure arity {max_arity} exceeds {DEFAULT_ENUM_BUDGET}")
     result: set[TruthTable] = set()
     total = 0
     for m in range(max_arity + 1):

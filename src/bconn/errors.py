@@ -47,6 +47,10 @@ class BudgetExceeded(BudgetError):
     pass
 
 
+class UnknownClass(BconnError):
+    """A base's common atoms match no class of the generator table."""
+
+
 # --- parsing ---
 
 class FormulaSyntaxError(UsageError):

@@ -414,6 +414,8 @@ def export_dot(s: SolutionSet, labeling: ComponentLabeling | None = None) -> str
 def random_relation(n: int, size: int, seed: int) -> SolutionSet:
     if n < 0:
         raise UsageError("dimension must be >= 0")
+    if n > N_MAX:
+        raise UsageError(f"dimension {n} exceeds {N_MAX}")
     if size > (1 << n) or size < 0:
         raise SizeOverflow(f"cannot pick {size} distinct words in {n} bits")
     rng = random.Random(seed)

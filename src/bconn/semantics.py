@@ -24,9 +24,7 @@ from .cnf import CnfFormula, lower_cnf
 from .errors import BudgetExceeded, MissingVariable, UsageError
 from .formulas import Apply, Var, lower_formula
 from .qbf import QuantifiedFormula, lower_qbf, quantified_table, quantified_value
-from .truthtable import BitVector, TruthTable, var_mask
-
-DEFAULT_ENUM_BUDGET = 24
+from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, TruthTable, var_mask
 
 
 def lower(obj, base: BaseSet) -> GateList:

@@ -23,6 +23,8 @@ from .errors import (
 )
 
 N_MAX = 30
+# the most variables an exact table is built over by default
+DEFAULT_ENUM_BUDGET = 24
 
 
 @dataclass(frozen=True, order=True)

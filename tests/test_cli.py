@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: queries, generators, exit codes."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bconn import (
     TVariant,
@@ -71,6 +74,42 @@ def test_classify_builds_each_table_report_once(capsys, files):
     assert code == 0 and payload["clone"] == "M2"
     info = property_report.cache_info()
     assert (info.misses, info.hits) == (2, 7)
+
+
+_FAULTS = [  # a malformed name, arity or table field
+    st.text("az09_A-", max_size=3),
+    st.sampled_from(["-1", "x", "4"]),
+    st.text("01a2", max_size=9),
+]
+
+
+@st.composite
+def _base_line(draw):
+    """`name arity table`, with one field made malformed half the time."""
+    arity = draw(st.integers(0, 3))
+    fields = [
+        draw(st.sampled_from(["f", "g", "h", "and"])),
+        str(arity),
+        draw(st.text("01", min_size=1 << arity, max_size=1 << arity)),
+    ]
+    fault = draw(st.integers(0, 5))
+    if fault < len(_FAULTS):
+        fields[fault] = draw(_FAULTS[fault])
+    return " ".join(fields) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_base_line(), max_size=3), st.integers(-2, 12))
+def test_classify_answers_or_reports_on_any_base_file(tmp_path_factory, lines, bound):
+    path = tmp_path_factory.mktemp("fuzz") / "b.tt"
+    path.write_text("".join(lines), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["classify", "--base", str(path), "--degree-bound", str(bound), "--json"])
+    if code == 0:
+        assert "clone" in json.loads(out.getvalue())
+    else:
+        assert code in (2, 3) and "error" in json.loads(err.getvalue())
 
 
 def test_classify_complete_base_is_hard(capsys, files):
@@ -421,6 +460,25 @@ def test_gen_random_is_seed_deterministic(capsys):
     assert len(parse_relation(out1)) == 5
     code, _, _ = run(capsys, "gen-random", "--vars", "3", "--count", "100")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["31", "99999999999"])
+def test_gen_random_rejects_a_dimension_past_n_max(capsys, n):
+    t0 = time.perf_counter()
+    code, payload, err = jrun(capsys, "gen-random", "--vars", n, "--count", "1")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and payload is None
+    error = json.loads(err)["error"]
+    assert error["code"] == "UsageError" and "exceeds 30" in error["message"]
+
+
+def test_closure_refuses_an_arity_past_the_table_limit(capsys, files):
+    base = files("xor.tt", XOR_TT)
+    t0 = time.perf_counter()
+    code, payload, err = jrun(capsys, "closure", "--base", base, "--vars", "40")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3 and payload is None
+    assert json.loads(err)["error"]["code"] == "BudgetExceeded"
 
 
 def test_closure_lists_xor_tables(capsys, files):

@@ -278,3 +278,56 @@ def test_standard_base_is_complete():
     assert clone_identify(STANDARD_BASE) == "BF"
     names = dict(STANDARD_BASE)
     assert "and" in names and "or" in names and "not" in names
+
+
+# --- the lattice order, through clone_identify ------------------------------
+
+CLASS_BASES = {
+    name: {fn: tt_of(t) if isinstance(t, str) else t for fn, t in entries.items()}
+    for name, entries in NAMED_BASES + degree_family_bases(2) + degree_family_bases(3)
+}
+
+
+def included(a, b):
+    """A is a subclass of B: joining A's generators to B's stays in B."""
+    merged = {f"a_{fn}": t for fn, t in CLASS_BASES[a].items()}
+    merged.update((f"b_{fn}", t) for fn, t in CLASS_BASES[b].items())
+    return clone_identify(BaseSet(merged)) == b
+
+
+def test_the_classes_maximal_below_bf_are_posts_five():
+    below = [a for a in CLASS_BASES if a != "BF"]
+    maximal = {a for a in below if not any(b != a and included(a, b) for b in below)}
+    assert maximal == {"R0", "R1", "M", "D", "L"}
+
+
+def test_the_classes_covering_i2_are_the_seven_minimal_clones():
+    above = [a for a in CLASS_BASES if a != "I2"]
+    assert all(included("I2", a) for a in above)
+    minimal = {a for a in above if not any(b != a and included(b, a) for b in above)}
+    assert minimal == {"I0", "I1", "N2", "E2", "V2", "D2", "L2"}
+
+
+@pytest.mark.parametrize("quantified", [False, True])
+def test_dispatch_is_easy_exactly_below_m_l_or_unquantified_s0(quantified):
+    for name, entries in CLASS_BASES.items():
+        easy = included(name, "M") or included(name, "L")
+        easy = easy or (not quantified and included(name, "S0"))
+        side = dispatch(BaseSet(entries), quantified=quantified).side
+        assert (side == "EASY") == easy, name
+
+
+TERNARY_GENERATORS = dict.fromkeys(
+    t for _, entries in NAMED_BASES for t in entries.values() if len(t) == 8
+)
+ORACLE_BASES = [{"f": format(i, "04b")} for i in range(16)] + [
+    {"f": t} for t in TERNARY_GENERATORS
+]
+
+
+@pytest.mark.parametrize("entries", ORACLE_BASES)
+def test_identify_agrees_with_the_closure_to_arity_three(entries):
+    base = mk_base(entries)
+    closure = sorted(clone_closure(base, 3), key=lambda f: (f.n, f.bits))
+    closed = BaseSet({f"f{i}": f for i, f in enumerate(closure)})
+    assert clone_identify(closed) == clone_identify(base)
