@@ -22,17 +22,26 @@ words than that can have no thick frontier, so it never gets a mask: an
 enumerated set keeps the table it came from, and a relation's mask is
 built from its words only when it is at least that dense.  On the mask
 side one pass over the coordinates finds the isolated vertices, which
-`components` labels without a search, and the coordinates along which
-some edge runs, the only ones a search probes or shifts.
+the sweep counts without a search, and the coordinates along which some
+edge runs, the only ones a search probes or shifts.
 
-`components` and the lower-bound `diameter` search each component once
-from its smallest word; the lower bound searches again from the smallest
-word at the greatest distance (the double sweep).  `shortest_path` walks
-back from the goal, each step to its smallest neighbour in the layer
-before.  The exact `diameter` runs `_bfs_depths` over `_adjacency`: twice
-per tree component (|E| = |V| - 1), where the double sweep is exact, and
-once from every vertex of a component with a cycle.  Its budget counts
-that work.
+A set pays for one component sweep (`_sweep`), cached on it like its
+`_Cube`.  It searches each component once from its smallest word and
+keeps O(1) ints per component: that word, the component's size and, if
+the component has more than one vertex, its far word, the smallest word
+at the greatest distance e from the first, with the cap min(2e, size - 1)
+on any vertex's eccentricity there.  `components` reads the words and
+sizes; its per-word `labels`, which only `export_dot` reads, are a
+second sweep run on first access.  The lower-bound `diameter` searches
+once more from far words (the double sweep), largest cap first, until
+no cap left exceeds the bound.  Those searches share one set of
+unvisited words, since a search run to its end takes exactly its own
+component out of it.  `shortest_path` walks back from the goal,
+each step to its smallest neighbour in the layer before.  The exact
+`diameter` sweeps again to collect each component's words, then runs
+`_bfs_depths` over `_adjacency`: twice per tree component (|E| = |V| - 1),
+where the double sweep is exact, and once from every vertex of a
+component with a cycle.  Its budget counts that work.
 """
 
 from __future__ import annotations
@@ -40,10 +49,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product, starmap
-from operator import xor
+from itertools import chain, product, starmap
+from operator import lt, xor
 
 from .clones import BaseSet
 from .errors import (
@@ -75,17 +84,17 @@ class SolutionSet:
     def __post_init__(self):
         if self.n < 0:
             raise UsageError("dimension must be >= 0")
-        prev = -1
-        for w in self.words:
-            if w <= prev:
-                raise UsageError("words must be strictly increasing")
-            prev = w
-        if self.words and prev.bit_length() > self.n:
-            raise UsageError(f"word {prev} does not fit {self.n} bits")
+        if not _increasing(self.words):
+            raise UsageError("words must be strictly increasing")
+        if self.words and self.words[-1].bit_length() > self.n:
+            raise UsageError(f"word {self.words[-1]} does not fit {self.n} bits")
 
     @classmethod
     def from_words(cls, n: int, words) -> "SolutionSet":
-        return cls(n, tuple(sorted(set(words))))
+        words = tuple(words)
+        if not _increasing(words):  # a relation file is usually sorted already
+            words = tuple(sorted(set(words)))
+        return cls(n, words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -99,6 +108,11 @@ class SolutionSet:
 
     def texts(self) -> list[str]:
         return [format(w, f"0{self.n}b") for w in self.words]
+
+
+def _increasing(words: tuple[int, ...]) -> bool:
+    """True iff the words are nonnegative and strictly increasing."""
+    return all(map(lt, chain((-1,), words), words))
 
 
 def enumerate_solutions(
@@ -203,40 +217,78 @@ def _layers(cube: _Cube, frontier, unseen: set[int]):
 
 
 def _sweeps(cube: _Cube, words):
-    """Each component once, by ascending smallest word: its words, that
-    word first, and the smallest word at the greatest distance from it."""
+    """Each component once, by ascending smallest word: that word and its
+    BFS layers after it (none for an isolated vertex), which the caller
+    must run to their end before it takes the next component."""
     unseen = set(words)
     alone = set(mask_rows(cube.alone))
     for w in words:
         if w in alone:
-            yield [w], w
+            yield w, ()
         elif w in unseen:
             unseen.remove(w)
-            found, thick, last = [w], 0, (w,)
-            for last in _layers(cube, (w,), unseen):
-                if isinstance(last, int):
-                    thick |= last
-                else:
-                    found.extend(last)
-            found += mask_rows(thick)
-            yield found, min(mask_rows(last) if isinstance(last, int) else last)
+            yield w, _layers(cube, (w,), unseen)
+
+
+def _members(w: int, layers) -> list[int]:
+    """The words of a component from its `_sweeps` entry, `w` first."""
+    found, thick = [w], 0
+    for layer in layers:
+        if isinstance(layer, int):
+            thick |= layer
+        else:
+            found.extend(layer)
+    return found + mask_rows(thick)
+
+
+def _sweep(s: SolutionSet) -> tuple[tuple[int, ...], ...]:
+    """The one component sweep of `s`, cached on it like `_cube`: the
+    smallest word and the size of each component, by ascending smallest
+    word, and the caps and far words of the components with more than
+    one vertex.
+
+    The far word is the smallest word at the greatest distance e from the
+    smallest; cap = min(2e, size - 1) bounds the eccentricity of any
+    vertex of the component."""
+    got = s.__dict__.get("_sweep")
+    if got is None:
+        reps, sizes, caps, fars = [], [], [], []
+        for w, layers in _sweeps(_cube(s), s.words):
+            size, ecc, last = 1, 0, None
+            for last in layers:
+                size += last.bit_count() if isinstance(last, int) else len(last)
+                ecc += 1
+            reps.append(w)
+            sizes.append(size)
+            if last is not None:
+                caps.append(min(2 * ecc, size - 1))
+                fars.append((last & -last).bit_length() - 1 if isinstance(last, int) else min(last))
+        got = (tuple(reps), tuple(sizes), tuple(caps), tuple(fars))
+        object.__setattr__(s, "_sweep", got)
+    return got
 
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    labels: tuple[int, ...]
     count: int
     representatives: tuple[int, ...]  # smallest word per component, in label order
+    sizes: tuple[int, ...]  # vertices per component, in label order
+    solutions: SolutionSet = field(repr=False)
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """Each word's component, in word order; a second sweep, run on first read."""
+        s = self.solutions
+        label: dict[int, int] = {}
+        for k, (w, layers) in enumerate(_sweeps(_cube(s), s.words)):
+            for u in _members(w, layers):
+                label[u] = k
+        return tuple(map(label.__getitem__, s.words))
 
 
 def components(s: SolutionSet) -> ComponentLabeling:
-    reps: list[int] = []
-    label: dict[int, int] = {}
-    for k, (found, _) in enumerate(_sweeps(_cube(s), s.words)):
-        reps.append(found[0])
-        for w in found:
-            label[w] = k
-    return ComponentLabeling(tuple(map(label.__getitem__, s.words)), len(reps), tuple(reps))
+    reps, sizes = _sweep(s)[:2]
+    return ComponentLabeling(len(reps), reps, sizes, s)
 
 
 def is_connected(s: SolutionSet) -> bool:
@@ -323,16 +375,17 @@ def diameter(
     best = 0
     cube = _cube(s)
     if mode == LOWER_BOUND:
-        for found, far in _sweeps(cube, s.words):
-            if len(found) == 1:
-                continue
-            rest = set(found)
-            rest.remove(far)
-            best = max(best, sum(1 for _ in _layers(cube, (far,), rest)))
+        unseen = set(s.words)  # each search takes its own component out
+        for cap, far in sorted(zip(*_sweep(s)[2:]), reverse=True):
+            if cap <= best:  # no component left can raise the bound
+                break
+            unseen.remove(far)
+            best = max(best, sum(1 for _ in _layers(cube, (far,), unseen)))
         return best
     members = set(s.words)
     work, parts = 0, []
-    for found, _ in _sweeps(cube, s.words):
+    for w, layers in _sweeps(cube, s.words):
+        found = _members(w, layers)
         if len(found) > 1:
             ends = sum(map(members.__contains__, starmap(xor, product(found, cube.flips))))
             tree = ends == 2 * (len(found) - 1)
@@ -418,6 +471,8 @@ def random_relation(n: int, size: int, seed: int) -> SolutionSet:
         raise UsageError(f"dimension {n} exceeds {N_MAX}")
     if size > (1 << n) or size < 0:
         raise SizeOverflow(f"cannot pick {size} distinct words in {n} bits")
+    if size > (1 << DEFAULT_ENUM_BUDGET):
+        raise BudgetExceeded(f"{size} words exceed the budget of 2^{DEFAULT_ENUM_BUDGET}")
     rng = random.Random(seed)
     words = rng.sample(range(1 << n), size)
     return SolutionSet(n, tuple(sorted(words)))
@@ -443,7 +498,7 @@ def parse_relation(text: str) -> SolutionSet:
             if n > N_MAX:
                 raise UsageError(f"line {lineno}: dimension {n} exceeds {N_MAX}")
             continue
-        if len(line) != n or any(c not in "01" for c in line):
+        if len(line) != n or line.strip("01"):
             raise UsageError(f"line {lineno}: expected {n} bits")
         words.append(int(line, 2))
     if n is None:

@@ -121,7 +121,8 @@ def tt_parse(text: str, n: int) -> TruthTable:
 
 
 def tt_print(f: TruthTable) -> str:
-    return "".join("1" if f.value(i) else "0" for i in range(f.size))
+    # row i is character i, so the binary numeral read backwards
+    return format(f.bits, f"0{f.size}b")[::-1]
 
 
 def tt_eval(f: TruthTable, a: BitVector) -> int:
@@ -141,7 +142,7 @@ def threshold_tt(n: int, k: int, dualize: bool = False) -> TruthTable:
 def dual(f: TruthTable) -> TruthTable:
     """dual(f)(x_1..x_n) = NOT f(NOT x_1, .., NOT x_n)."""
     # complementing every input reverses the row order; then negate
-    reversed_rows = int(format(f.bits, f"0{f.size}b")[::-1], 2)
+    reversed_rows = int(tt_print(f), 2)
     return TruthTable(f.n, reversed_rows ^ ((1 << f.size) - 1))
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -300,6 +301,22 @@ def test_exact_diameter_budget_trips_before_searching(capsys, files):
     assert json.loads(err)["error"]["code"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_diameter_reports_the_components_that_components_does(capsys, files, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    count = rng.randint(0, 1 << n)
+    code, text, _ = run(capsys, "gen-random", "--vars", str(n), "--count", str(count))
+    assert code == 0
+    rel = files("r.rel", text)
+    code, comp, _ = jrun(capsys, "components", "--rel", rel)
+    assert code == 0
+    for mode in ("exact", "lower-bound"):
+        code, payload, _ = jrun(capsys, "diameter", "--rel", rel, "--diameter-mode", mode)
+        assert code == 0
+        assert (payload["count"], payload["components"]) == (comp["count"], comp["components"])
+
+
 def test_components_lists_representatives(capsys, files):
     rel = files("r.rel", "n 2\n00\n11\n")
     code, payload, _ = jrun(capsys, "components", "--rel", rel)
@@ -470,6 +487,14 @@ def test_gen_random_rejects_a_dimension_past_n_max(capsys, n):
     assert code == 2 and payload is None
     error = json.loads(err)["error"]
     assert error["code"] == "UsageError" and "exceeds 30" in error["message"]
+
+
+def test_gen_random_refuses_a_count_past_the_enumeration_budget(capsys):
+    t0 = time.perf_counter()
+    code, payload, err = jrun(capsys, "gen-random", "--vars", "30", "--count", str((1 << 24) + 1))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3 and payload is None
+    assert json.loads(err)["error"]["code"] == "BudgetExceeded"
 
 
 def test_closure_refuses_an_arity_past_the_table_limit(capsys, files):

@@ -1,8 +1,12 @@
 """Solution sets, components, paths, diameter, relation files."""
 
+import io
 import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bconn import (
     BitVector,
@@ -26,8 +30,9 @@ from bconn import (
 )
 from bconn import TruthTable, gen_expdiam, var_mask
 from bconn import graph
+from bconn.cli import run_cli
 from bconn.graph import EXACT, LOWER_BOUND
-from bconn.truthtable import mask_rows
+from bconn.truthtable import DEFAULT_ENUM_BUDGET, N_MAX, mask_rows
 
 from conftest import (
     STD_BASE,
@@ -57,6 +62,8 @@ def test_solution_set_invariants():
     with pytest.raises(UsageError):
         SolutionSet(2, (5,))
     with pytest.raises(UsageError):
+        SolutionSet(2, (-1, 1))
+    with pytest.raises(UsageError):
         SolutionSet(-1, ())
 
 
@@ -76,20 +83,40 @@ def test_enumerate_budget():
         enumerate_solutions(parse_formula("x1", STD_BASE), STD_BASE, 26, budget=24)
 
 
-def test_components_match_bfs_oracle():
+def _count_sweeps(monkeypatch):
+    calls = []
+    real = graph._sweeps
+
+    def counted(cube, words):
+        calls.append(len(words))
+        return real(cube, words)
+
+    monkeypatch.setattr(graph, "_sweeps", counted)
+    return calls
+
+
+def test_components_match_bfs_oracle(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
     rng = random.Random(8080)
     for _ in range(40):
         n = rng.randint(1, 8)
         size = rng.randint(0, 1 << n)
         s = random_relation(n, size, rng.randrange(1 << 30))
+        calls.clear()
         lab = components(s)
+        assert "labels" not in lab.__dict__ and len(calls) == 1  # not built until read
         oracle = cube_labels(s.words, n)
         mine = {w: lab.labels[i] for i, w in enumerate(s.words)}
         assert same_partition(mine, oracle)
+        assert lab.labels == tuple(oracle[w] for w in s.words) and len(calls) == 2
         assert lab.count == len(set(oracle.values()))
         assert set(lab.representatives) == {
             min(w for w in oracle if oracle[w] == c) for c in set(oracle.values())
         }
+        assert sum(lab.sizes) == len(s) and len(lab.sizes) == lab.count
+        for rep, size in zip(lab.representatives, lab.sizes):
+            part = [w for w in s.words if oracle[w] == oracle[rep]]
+            assert rep == min(part) and size == len(part)
 
 
 def test_component_representatives_are_in_label_order():
@@ -98,6 +125,7 @@ def test_component_representatives_are_in_label_order():
     assert lab.count == 2
     assert lab.representatives == (0b000, 0b011)
     assert lab.labels == (0, 1, 1)
+    assert lab.sizes == (1, 2)
 
 
 def test_empty_set_is_connected():
@@ -215,6 +243,15 @@ def test_random_relation_is_seeded_and_guarded():
         random_relation(3, 9, 1)
 
 
+def test_random_relation_bounds_the_count_before_sampling(monkeypatch):
+    def sample(*args):
+        raise AssertionError("sampled before the count was checked")
+
+    monkeypatch.setattr(random.Random, "sample", sample)
+    with pytest.raises(BudgetExceeded):
+        random_relation(N_MAX, (1 << DEFAULT_ENUM_BUDGET) + 1, 0)
+
+
 def test_relation_file_round_trip():
     s = random_relation(4, 7, 99)
     text = print_relation(s)
@@ -224,6 +261,66 @@ def test_relation_file_round_trip():
         parse_relation("01\n11\n")
     with pytest.raises(UsageError):
         parse_relation("n 2\n011\n")
+
+
+def _reference_relation(text):
+    """The words of a relation file, or None if it is malformed."""
+    rows = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    rows = [r for r in rows if r]
+    head = re.fullmatch(r"n\s+(-?[0-9]+)", rows[0]) if rows else None
+    if head is None or not 0 <= int(head[1]) <= N_MAX:
+        return None
+    n = int(head[1])
+    if any(len(r) != n or set(r) - {"0", "1"} for r in rows[1:]):
+        return None
+    return SolutionSet(n, tuple(sorted({int(r, 2) for r in rows[1:]})))
+
+
+_REL_CHARS = "01 _+-x\t"
+
+
+@st.composite
+def _relation_texts(draw):
+    """Relation files with and without a header, comments and blank lines,
+    and word lines of the right and wrong lengths and characters."""
+    n = draw(st.integers(-1, N_MAX + 1))
+    width = max(n, 0)
+    lines = []
+    if draw(st.integers(0, 3)):  # a header three times in four
+        lines.append(f"n {n}" + draw(st.sampled_from(["", "  ", "\t# dim"])))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            line = draw(st.sampled_from(["", "  ", "# note"]))
+        elif kind == 1:
+            line = draw(st.text(_REL_CHARS, min_size=max(width - 1, 0), max_size=width + 1))
+        else:
+            size = width + draw(st.sampled_from([0] * 6 + [-1, 1]))
+            line = draw(st.text("01", min_size=max(size, 0), max_size=max(size, 0)))
+        if draw(st.booleans()):
+            line = " " + line + " # c"
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relation_texts())
+@example("n 4\n1_01\n")
+@example("n 4\n+101\n")
+@example("n 4\n-101\n")
+@example("n 4\n0101 # ok\n\n10\t1\n")
+def test_relation_parser_matches_a_reference_or_reports(tmp_path_factory, text):
+    want = _reference_relation(text)
+    try:
+        got = parse_relation(text)
+    except UsageError:
+        got = None
+    assert got == want
+    path = tmp_path_factory.mktemp("rel") / "r.rel"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run_cli(["components", "--rel", str(path), "--json"])
+    assert code == (2 if want is None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +429,48 @@ def test_sparse_sets_stay_on_words(monkeypatch, shift):
         s = gen_expdiam(12)
         assert diameter(s, mode=LOWER_BOUND) == (1 << 13) - 2
         assert graph._cube(s).mask == 0  # 8191 words at n = 24: no whole-cube mask
+
+
+def _double_sweep(words, n, reps):
+    """The double sweep's value: the eccentricity of the smallest word at
+    the greatest distance from each component's smallest word."""
+    best = 0
+    for r in reps:
+        dist = cube_dist_from(words, n, r)
+        top = max(dist.values())
+        far = min(w for w, d in dist.items() if d == top)
+        best = max(best, max(cube_dist_from(words, n, far).values()))
+    return best
+
+
+@pytest.mark.parametrize("shift", (0, 6, SHIPPED_SHIFT))
+def test_components_and_lower_bound_diameter_share_one_sweep(monkeypatch, shift):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    calls = _count_sweeps(monkeypatch)
+    for name, n, bits in SHAPED:
+        for s in _both_backings(n, bits):
+            calls.clear()
+            lab = components(s)
+            lower = diameter(s, mode=LOWER_BOUND)
+            assert components(s) == lab
+            assert len(calls) == 1, name
+            assert lower == _double_sweep(s.words, n, lab.representatives), name
+    s = gen_expdiam(6)  # sweep cached by diameter first, then read by components
+    calls.clear()
+    assert diameter(s, mode=LOWER_BOUND) == (1 << 7) - 2
+    assert components(s).sizes == (len(s),) and len(calls) == 1
+    # a path whose smallest word is its middle (eccentricity 3, far end 6)
+    # beside one whose smallest word is an end (4 both ways): capping a
+    # component at its smallest word's eccentricity alone would answer 4
+    middle = [0b111, 0b11, 0b1, 0, 0b10000, 0b110000, 0b1110000]
+    s = rel(10, middle + [1023, 1022, 1020, 1016, 1008])
+    assert components(s).count == 2 and diameter(s, mode=LOWER_BOUND) == 6
+    rng = random.Random(shift)  # many components of mixed sizes and shapes
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        s = random_relation(n, rng.randint(1, 1 << (n - 1)), rng.randrange(1 << 30))
+        lab = components(s)
+        assert diameter(s, mode=LOWER_BOUND) == _double_sweep(s.words, n, lab.representatives)
 
 
 # ---------------------------------------------------------------------------

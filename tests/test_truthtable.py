@@ -85,6 +85,15 @@ def test_tt_parse_rejects_bad_text():
 def test_tt_print_round_trip():
     for text in TABLES.values():
         assert tt_print(tt_of(text)) == text
+    assert tt_print(TruthTable(0, 0)) == "0" and tt_print(TruthTable(0, 1)) == "1"
+
+
+@given(st.integers(min_value=0, max_value=10), st.data())
+def test_tt_print_parse_round_trip(n, data):
+    f = TruthTable(n, data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
+    text = tt_print(f)
+    assert text == "".join(str(f.value(i)) for i in range(f.size))
+    assert tt_parse(text, n) == f
 
 
 def test_one_rows_ascending():
