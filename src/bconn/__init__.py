@@ -8,7 +8,7 @@ dichotomy, enumerates exhaustively otherwise, and generates the
 hard-side reduction instances and exponential-diameter witnesses.
 """
 
-from .circuits import CircuitDag, Gate, evaluate_circuit, parse_circuit, print_circuit
+from .circuits import parse_circuit, print_circuit
 from .clones import (
     STANDARD_BASE,
     BaseSet,
@@ -63,9 +63,7 @@ from .formulas import (
     Apply,
     FormulaAst,
     Var,
-    evaluate_formula,
     formula_size,
-    formula_to_circuit,
     formula_vars,
     parse_formula,
     print_formula,
@@ -100,7 +98,7 @@ from .properties import (
     property_report,
     separating_coordinate,
 )
-from .qbf import EXISTS, FORALL, QuantifiedFormula, eval_qbf, parse_qbf, print_qbf
+from .qbf import EXISTS, FORALL, QuantifiedFormula, parse_qbf, print_qbf
 from .reduce import (
     SynthBudget,
     TVariant,

@@ -6,9 +6,11 @@ File format, one statement per line ('#' comments, blank lines ignored):
     gate NAME fn arg ...     # args are earlier inputs or gates
     output NAME
 
-Every input kind lowers to a GateList; the three loops at the end of
-this module are the package's only point evaluator, mask tabulator and
-GF(2) propagator.
+A circuit has no type of its own: parse_circuit reads the file straight
+into a GateList, hash-consing each gate as it is read, and print_circuit
+writes a GateList back out.  Every input kind lowers to a GateList; the
+three loops at the end of this module are the package's only point
+evaluator, mask tabulator and GF(2) propagator.
 """
 
 from __future__ import annotations
@@ -30,30 +32,16 @@ from .errors import (
 from .properties import affine_form_of
 from .truthtable import BitVector, LinearForm, TruthTable, apply_masks, tt_print
 
-_VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
+VAR_NAME = re.compile(r"x[1-9][0-9]*\Z")  # a variable x_j in every text format
 
 
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    fn: str
-    args: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CircuitDag:
-    """Acyclic gate list in topological order with one designated output."""
-
-    inputs: tuple[int, ...]  # variable indices, file order
-    gates: tuple[Gate, ...]
-    output: str
-
-
-def parse_circuit(text: str, base: BaseSet) -> CircuitDag:
+def parse_circuit(text: str, base: BaseSet) -> GateList:
+    """The circuit as a hash-consed gate list.  The builder starts at the
+    first line that is not an input, so every later input is an error."""
     inputs: list[int] = []
-    gates: list[Gate] = []
-    defined: set[str] = set()
-    output: str | None = None
+    node: dict[str, int] = {}  # wire name -> node
+    b: GateBuilder | None = None
+    output: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,21 +51,22 @@ def parse_circuit(text: str, base: BaseSet) -> CircuitDag:
         if kind == "input":
             if len(parts) != 2:
                 raise UsageError(f"line {lineno}: expected `input xN`")
-            m = _VAR_RE.match(parts[1])
-            if not m:
+            if not VAR_NAME.match(parts[1]):
                 raise UsageError(f"line {lineno}: bad input name {parts[1]!r}")
-            if parts[1] in defined:
+            if parts[1] in node:
                 raise DuplicateName(f"line {lineno}: duplicate input {parts[1]!r}")
-            if gates or output is not None:
+            if b is not None:
                 raise UsageError(f"line {lineno}: inputs must come first")
-            inputs.append(int(m.group(1)))
-            defined.add(parts[1])
-        elif kind == "gate":
+            node[parts[1]] = len(inputs)
+            inputs.append(int(parts[1][1:]))
+            continue
+        if b is None:
+            b = GateBuilder(base, tuple(inputs))
+        if kind == "gate":
             if len(parts) < 3:
                 raise UsageError(f"line {lineno}: expected `gate NAME fn arg...`")
-            name, fn = parts[1], parts[2]
-            args = tuple(parts[3:])
-            if name in defined:
+            name, fn, args = parts[1], parts[2], parts[3:]
+            if name in node:
                 raise DuplicateName(f"line {lineno}: duplicate gate {name!r}")
             if fn not in base:
                 raise UnknownFunction(f"line {lineno}: unknown function {fn!r}")
@@ -87,29 +76,35 @@ def parse_circuit(text: str, base: BaseSet) -> CircuitDag:
                     f"line {lineno}: {fn} takes {want} args, got {len(args)}"
                 )
             for a in args:
-                if a not in defined:
+                if a not in node:
                     raise ForwardReference(f"line {lineno}: {a!r} not yet defined")
-            gates.append(Gate(name, fn, args))
-            defined.add(name)
+            node[name] = b.app(fn, tuple([node[a] for a in args]))
         elif kind == "output":
             if len(parts) != 2:
                 raise UsageError(f"line {lineno}: expected `output NAME`")
-            if parts[1] not in defined:
+            if parts[1] not in node:
                 raise ForwardReference(f"line {lineno}: output {parts[1]!r} undefined")
             if output is not None:
                 raise UsageError(f"line {lineno}: second output")
-            output = parts[1]
+            output = node[parts[1]]
         else:
             raise UsageError(f"line {lineno}: unknown statement {kind!r}")
     if output is None:
         raise MissingOutput("no output line")
-    return CircuitDag(tuple(inputs), tuple(gates), output)
+    return b.finish(output)
 
 
-def print_circuit(c: CircuitDag) -> str:
-    lines = [f"input x{i}" for i in c.inputs]
-    lines += [f"gate {g.name} {g.fn} {' '.join(g.args)}" for g in c.gates]
-    lines.append(f"output {c.output}")
+def print_circuit(gl: GateList, base: BaseSet) -> str:
+    """The list in the file format, parse_circuit's inverse: inputs x_j,
+    gates g1..gN, each table named by the first base function that has it."""
+    names: dict[TruthTable, str] = {}
+    for name, f in base:
+        names.setdefault(f, name)
+    wires = [f"x{j}" for j in gl.inputs] + [f"g{g}" for g in range(1, len(gl.gates) + 1)]
+    lines = [f"input {w}" for w in wires[: len(gl.inputs)]]
+    for w, (f, args) in zip(wires[len(gl.inputs):], gl.gates):
+        lines.append(" ".join(["gate", w, names[f], *[wires[a] for a in args]]))
+    lines.append(f"output {wires[gl.output]}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,18 +161,6 @@ class GateBuilder:
             (t, args), g = self.cons.popitem()
             gates[g - k] = (tables[t], args)
         return GateList(self.inputs, tuple(gates), output, max(self.inputs, default=0))
-
-
-def lower_circuit(c: CircuitDag, base: BaseSet) -> GateList:
-    b = GateBuilder(base, c.inputs)
-    node = {f"x{i}": p for p, i in enumerate(c.inputs)}
-    for g in c.gates:
-        node[g.name] = b.app(g.fn, tuple([node[a] for a in g.args]))
-    return b.finish(node[c.output])
-
-
-def evaluate_circuit(c: CircuitDag, base: BaseSet, a: BitVector) -> int:
-    return point_value(lower_circuit(c, base), a)
 
 
 def point_value(gl: GateList, a: BitVector) -> int:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 
-from .circuits import lower_circuit, parse_circuit
+from .circuits import parse_circuit
 from .clones import (
     STANDARD_BASE,
     BaseSet,
@@ -115,7 +116,7 @@ def _load_object(args, base: BaseSet | None):
     if kind == "formula":
         return parse_formula(text.strip(), base, gates=True)
     if kind == "circuit":
-        return lower_circuit(parse_circuit(text, base), base)
+        return parse_circuit(text, base)
     if kind == "cnf":
         return lower_cnf(parse_dimacs(text))
     if kind == "qbf":
@@ -330,7 +331,7 @@ def _cmd_components(args) -> int:
     base, obj, n = _load(args)
     sol = _brute_guarded(obj, base, n)
     lab = components(sol)
-    reps = [format(w, f"0{max(n, 1)}b") for w in lab.representatives]
+    reps = list(map(format, lab.representatives, repeat(f"0{max(n, 1)}b")))
     _emit(
         args,
         f"components: {lab.count} (count={len(sol)})",

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuits import GateList, point_value
+from .circuits import GateList
 from .clones import STANDARD_BASE
 from .errors import EmptyClause, HeaderMismatch, LiteralOutOfRange
 from .formulas import Apply, FormulaAst, Var, lower_formula
-from .truthtable import BitVector
 
 
 @dataclass(frozen=True)
@@ -23,9 +22,6 @@ class CnfFormula:
     @property
     def is_three_cnf(self) -> bool:
         return all(len(c) <= 3 for c in self.clauses)
-
-    def evaluate(self, a: BitVector) -> int:
-        return point_value(lower_cnf(self), a)
 
     def is_one_reproducing(self) -> bool:
         """All-ones satisfies, i.e. every clause has a positive literal."""

@@ -25,12 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .circuits import CircuitDag, Gate, GateBuilder, GateList, point_value
+from .circuits import VAR_NAME, GateBuilder, GateList
 from .clones import BaseSet
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownFunction
-from .truthtable import BitVector
 
-_VAR_TOKEN = re.compile(r"x[1-9][0-9]*\Z")
 _TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
 
 
@@ -90,7 +88,7 @@ def _parse(text: str, toks: list[str], base: BaseSet, var, app):
 def _head(text: str, toks: list[str], k: int, base: BaseSet, var, heads: dict) -> tuple:
     """Classify token k, which starts an expression, and remember it."""
     tok = toks[k]
-    if _VAR_TOKEN.match(tok):
+    if VAR_NAME.match(tok):
         heads[tok] = (None, var(int(tok[1:])))
     elif not tok[:1].isalnum() and tok[:1] != "_":
         raise FormulaSyntaxError("expected identifier", _at(text, k))
@@ -115,7 +113,7 @@ def parse_formula(text: str, base: BaseSet, gates: bool = False) -> FormulaAst |
     toks = _TOKEN.findall(text) + [""]  # "" ends the input
     if not gates:
         return _parse(text, toks, base, Var, Apply)
-    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if _VAR_TOKEN.match(t))))
+    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if VAR_NAME.match(t))))
     return b.finish(_parse(text, toks, base, b.node.__getitem__, b.app))
 
 
@@ -187,19 +185,3 @@ def lower_formula(ast: FormulaAst, base: BaseSet) -> GateList:
     """The formula as a gate list; a shared subterm object lowers once."""
     b = GateBuilder(base, tuple(sorted(formula_vars(ast))))
     return b.finish(_fold(ast, lambda v: b.node[v.index], lambda t, args: b.app(t.name, args)))
-
-
-def evaluate_formula(ast: FormulaAst, base: BaseSet, a: BitVector) -> int:
-    return point_value(lower_formula(ast, base), a)
-
-
-def formula_to_circuit(ast: FormulaAst) -> CircuitDag:
-    """One gate per distinct application object; inputs are the distinct variables."""
-    gates: list[Gate] = []
-
-    def app(t: Apply, args: tuple[str, ...]) -> str:
-        gates.append(Gate(f"g{len(gates) + 1}", t.name, args))
-        return gates[-1].name
-
-    output = _fold(ast, lambda v: f"x{v.index}", app)
-    return CircuitDag(tuple(sorted(formula_vars(ast))), tuple(gates), output)

@@ -51,7 +51,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, starmap
+from itertools import chain, product, repeat, starmap
 from operator import lt, xor
 
 from .clones import BaseSet
@@ -107,7 +107,7 @@ class SolutionSet:
         return [BitVector(self.n, w) for w in self.words]
 
     def texts(self) -> list[str]:
-        return [format(w, f"0{self.n}b") for w in self.words]
+        return list(map(format, self.words, repeat(f"0{self.n}b")))
 
 
 def _increasing(words: tuple[int, ...]) -> bool:
@@ -446,20 +446,18 @@ def export_dot(s: SolutionSet, labeling: ComponentLabeling | None = None) -> str
         "lightsalmon", "lightcyan", "plum", "wheat",
     ]
     lines = ["graph solutions {"]
-    for i, w in enumerate(s.words):
-        name = format(w, f"0{s.n}b")
+    spec, names = f"0{s.n}b", s.texts()
+    for i, name in enumerate(names):
         if labeling is not None:
             color = palette[labeling.labels[i] % len(palette)]
             lines.append(f'  "{name}" [style=filled, fillcolor={color}];')
         else:
             lines.append(f'  "{name}";')
-    for w in s.words:
+    for w, name in zip(s.words, names):
         for b in range(s.n):
             other = w ^ (1 << b)
             if other > w and other in s:
-                a = format(w, f"0{s.n}b")
-                btxt = format(other, f"0{s.n}b")
-                lines.append(f'  "{a}" -- "{btxt}";')
+                lines.append(f'  "{name}" -- "{format(other, spec)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

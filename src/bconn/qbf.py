@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuits import GateList, tabulate
+from .circuits import VAR_NAME, GateList, tabulate
 from .clones import BaseSet
 from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
 from .formulas import FormulaAst, formula_vars, lower_formula, parse_formula, print_formula
@@ -63,7 +63,7 @@ def parse_qbf(text: str, base: BaseSet, gates: bool = False) -> QuantifiedFormul
     for q, v in zip(toks[::2], toks[1::2]):
         if q not in (EXISTS, FORALL):
             raise FormulaSyntaxError(f"bad quantifier {q!r}")
-        if not (v.startswith("x") and v[1:].isdigit() and v[1] != "0"):
+        if not VAR_NAME.match(v):
             raise FormulaSyntaxError(f"bad quantified variable {v!r}")
         prefix.append((q, int(v[1:])))
     matrix = parse_formula(body, base, gates)
@@ -138,12 +138,3 @@ def quantified_table(q: GateList, n: int, budget: int) -> TruthTable:
     b = len(q.prefix)
     masks = {j: var_mask(m, b + p) for p, j in enumerate(free, start=1)}
     return TruthTable(n, _quantified_mask(q, m, masks) & ((1 << (1 << n)) - 1))
-
-
-def eval_qbf(
-    q: QuantifiedFormula,
-    base: BaseSet,
-    free_assignment: BitVector | None = None,
-    budget: int = DEFAULT_EXPANSION_BUDGET,
-) -> int:
-    return quantified_value(lower_qbf(q, base), free_assignment, budget)

@@ -115,7 +115,7 @@ def shift_to_one_reproducing(phi: CnfFormula, s: BitVector) -> CnfFormula:
     under the same coordinate-wise XOR."""
     if s.n != phi.n:
         raise UsageError(f"assignment has {s.n} bits, CNF has {phi.n} variables")
-    if phi.evaluate(s) != 1:
+    if evaluate(phi, STANDARD_BASE, s) != 1:
         raise NotASolution(f"{s.text} does not satisfy the CNF")
     return CnfFormula(phi.n, tuple(
         tuple(lit if s.bit(abs(lit)) else -lit for lit in clause) for clause in phi.clauses

@@ -1,24 +1,24 @@
 """Uniform evaluation and truth-table extraction for every object kind.
 
 Every kind lowers once, in `lower`, to the hash-consed gate list of
-circuits.py: formulas by an explicit-stack walk, circuits through a
-name-to-node map, CNFs through their not/and/or rendering, a truth table
-as one gate over x_1..x_k, and a quantified formula as its lowered matrix
-with the prefix kept beside it.  Lowering an already lowered object
-returns it unchanged, so a caller that lowers first pays for it once;
-the CLI parses formula and quantified-formula text straight into gates.
+circuits.py: formulas by an explicit-stack walk, CNFs through their
+not/and/or rendering, a truth table as one gate over x_1..x_k, and a
+quantified formula as its lowered matrix with the prefix kept beside it.
+Circuit text, and in the CLI formula and quantified-formula text, parses
+straight into gates.  Lowering a gate list returns it unchanged.
 
-Point values come from one loop over the gates.  Tables come from one
-loop of whole-table bit masks: a variable is a periodic 2^n-bit pattern
-and a gate ORs the row sets on which its function is 1, so extraction is
-a handful of bigint operations per node instead of 2^n walks.
+`evaluate` is the one point evaluator, for every kind: one loop over the
+gates.  Tables come from one loop of whole-table bit masks: a variable
+is a periodic 2^n-bit pattern and a gate ORs the row sets on which its
+function is 1, so extraction is a handful of bigint operations per node
+instead of 2^n walks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .circuits import CircuitDag, GateList, lower_circuit, point_value, tabulate
+from .circuits import GateList, point_value, tabulate
 from .clones import BaseSet
 from .cnf import CnfFormula, lower_cnf
 from .errors import BudgetExceeded, MissingVariable, UsageError
@@ -33,8 +33,6 @@ def lower(obj, base: BaseSet) -> GateList:
         return obj
     if isinstance(obj, (Var, Apply)):
         return lower_formula(obj, base)
-    if isinstance(obj, CircuitDag):
-        return lower_circuit(obj, base)
     if isinstance(obj, CnfFormula):
         return lower_cnf(obj)
     if isinstance(obj, QuantifiedFormula):

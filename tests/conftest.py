@@ -14,11 +14,9 @@ from collections import deque
 from bconn import (
     Apply,
     BaseSet,
-    CircuitDag,
     CnfFormula,
     EXISTS,
     FORALL,
-    Gate,
     QuantifiedFormula,
     Var,
     formula_vars,
@@ -78,14 +76,20 @@ def eval_ast_slow(ast, tables: dict[str, str], env: dict[int, int]) -> int:
     return int(tables[ast.name][row])
 
 
-def eval_circuit_slow(dag: CircuitDag, tables: dict[str, str], env: dict[int, int]) -> int:
-    val = {f"x{j}": env[j] for j in dag.inputs}
-    for g in dag.gates:
-        row = 0
-        for a in g.args:
-            row = row * 2 + val[a]
-        val[g.name] = int(tables[g.fn][row])
-    return val[dag.output]
+def eval_circuit_slow(text: str, tables: dict[str, str], env: dict[int, int]) -> int:
+    """Read a well-formed circuit file line by line, keeping each wire's value by name."""
+    val: dict[str, int] = {}
+    for line in text.splitlines():
+        kind, name, *rest = line.split()
+        if kind == "input":
+            val[name] = env[int(name[1:])]
+        elif kind == "gate":
+            row = 0
+            for a in rest[1:]:
+                row = row * 2 + val[a]
+            val[name] = int(tables[rest[0]][row])
+        else:
+            return val[name]
 
 
 def eval_cnf_slow(cnf: CnfFormula, env: dict[int, int]) -> int:
@@ -111,8 +115,8 @@ def ast_solutions_slow(ast, tables: dict[str, str], n: int) -> set[int]:
     return {w for w in range(1 << n) if eval_ast_slow(ast, tables, env_of(w, n))}
 
 
-def circuit_solutions_slow(dag: CircuitDag, tables: dict[str, str], n: int) -> set[int]:
-    return {w for w in range(1 << n) if eval_circuit_slow(dag, tables, env_of(w, n))}
+def circuit_solutions_slow(text: str, tables: dict[str, str], n: int) -> set[int]:
+    return {w for w in range(1 << n) if eval_circuit_slow(text, tables, env_of(w, n))}
 
 
 def qbf_solutions_slow(q: QuantifiedFormula, tables: dict[str, str]) -> set[int]:
@@ -229,17 +233,18 @@ def rand_ast(rng: random.Random, ops, n: int, budget: int):
     return go(budget)[0]
 
 
-def rand_linear_circuit(rng: random.Random, n: int, gate_count: int) -> CircuitDag:
+def rand_linear_circuit(rng: random.Random, n: int, gate_count: int) -> str:
+    """Circuit text over xor/eqv/not on inputs x1..xn, the last gate the output."""
     wires = [f"x{j}" for j in range(1, n + 1)]
-    gates = []
+    lines = [f"input {w}" for w in wires]
     for g in range(gate_count):
         fn = ("xor", "eqv", "not")[rng.randrange(3)]
         ar = 1 if fn == "not" else 2
-        args = tuple(wires[rng.randrange(len(wires))] for _ in range(ar))
-        gates.append(Gate(f"g{g}", fn, args))
+        args = [wires[rng.randrange(len(wires))] for _ in range(ar)]
+        lines.append(" ".join(["gate", f"g{g}", fn, *args]))
         wires.append(f"g{g}")
-    output = wires[-1] if gates else "x1"
-    return CircuitDag(tuple(range(1, n + 1)), tuple(gates), output)
+    lines.append(f"output {wires[-1] if gate_count else 'x1'}")
+    return "\n".join(lines) + "\n"
 
 
 def compact_cnf(phi: CnfFormula) -> CnfFormula:

@@ -36,6 +36,7 @@ from bconn import (
     linear_decide,
     linear_form_of,
     monotone_decide,
+    parse_circuit,
     parse_dimacs,
     parse_formula,
     print_formula,
@@ -267,7 +268,7 @@ def test_criterion_05_linear_structure():
     rng = random.Random(50505)
     for _ in range(100):
         n = rng.randint(1, 12)
-        circ = rand_linear_circuit(rng, n, rng.randint(0, 18))
+        circ = parse_circuit(rand_linear_circuit(rng, n, rng.randint(0, 18)), LIN_BASE)
         form = linear_form_of(circ, LIN_BASE)
         tt = truth_table_of(circ, LIN_BASE, n)
         assert set(form.support) == _nonfictive_from_table(tt)

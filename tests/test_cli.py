@@ -365,6 +365,19 @@ def test_components_of_a_formula_nested_past_the_recursion_limit(capsys, files, 
     assert payload == {"components": 1, "count": 1, "representatives": ["1"]}
 
 
+@pytest.mark.parametrize("var", ["x\u00b2", "x\u0661", "x0", "x01"])
+def test_conn_rejects_a_quantified_variable_that_is_not_xN(capsys, files, var):
+    # superscript two and Arabic-Indic one are digits to str.isdigit, not to the
+    # variable pattern: the one raised a traceback, the other quantified x1
+    base = files("std.tt", STD_TT)
+    q = files("q.txt", f"E {var} : and(x1,x2)")
+    code, payload, err = jrun(capsys, "conn", "--qbf", q, "--base", base)
+    assert code == 2 and payload is None
+    assert json.loads(err)["error"] == {
+        "code": "FormulaSyntaxError", "message": f"bad quantified variable {var!r}",
+    }
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

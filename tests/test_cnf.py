@@ -11,7 +11,7 @@ from bconn import (
     HeaderMismatch,
     LiteralOutOfRange,
     cnf_to_formula,
-    evaluate_formula,
+    evaluate,
     parse_dimacs,
     print_dimacs,
 )
@@ -59,9 +59,9 @@ def test_parse_errors():
 
 def test_evaluate_by_clause_scan():
     cnf = parse_dimacs(SAMPLE)
-    assert cnf.evaluate(BitVector.parse("101")) == 1
-    assert cnf.evaluate(BitVector.parse("010")) == 0
-    assert cnf.evaluate(BitVector.parse("111")) == 1
+    assert evaluate(cnf, STD_BASE, BitVector.parse("101")) == 1
+    assert evaluate(cnf, STD_BASE, BitVector.parse("010")) == 0
+    assert evaluate(cnf, STD_BASE, BitVector.parse("111")) == 1
 
 
 def test_satlib_trailer_ends_the_clause_list():
@@ -85,11 +85,11 @@ def test_cnf_to_formula_is_equivalent():
         ast = cnf_to_formula(cnf)
         for w in range(1 << n):
             a = BitVector(n, w)
-            assert evaluate_formula(ast, STD_BASE, a) == cnf.evaluate(a)
+            assert evaluate(ast, STD_BASE, a) == evaluate(cnf, STD_BASE, a)
 
 
 def test_empty_cnf_is_the_constant_one():
     cnf = CnfFormula(2, ())
-    assert cnf.evaluate(BitVector.parse("00")) == 1
+    assert evaluate(cnf, STD_BASE, BitVector.parse("00")) == 1
     ast = cnf_to_formula(cnf)
-    assert evaluate_formula(ast, STD_BASE, BitVector.parse("00")) == 1
+    assert evaluate(ast, STD_BASE, BitVector.parse("00")) == 1

@@ -12,10 +12,10 @@ from bconn import (
     UsageError,
     WrongClass,
     enumerate_solutions,
-    formula_to_circuit,
     linear_decide,
     linear_form_of,
     monotone_decide,
+    parse_circuit,
     parse_formula,
     parse_qbf,
     qbf_easy_decide,
@@ -102,7 +102,8 @@ def test_monotone_paths_are_geodesics():
 
 
 def test_monotone_accepts_circuits_and_tables():
-    dag = formula_to_circuit(parse_formula("or(x1,and(x2,x3))", MONO_BASE))
+    text = "input x1\ninput x2\ninput x3\ngate a and x2 x3\ngate b or x1 a\noutput b\n"
+    dag = parse_circuit(text, MONO_BASE)
     ans = monotone_decide(dag, MONO_BASE, bv("100"), bv("011"))
     assert ans.st_connected
     ans = monotone_decide(tt_of("00010111"), mk_base(["maj"]), bv("011"), bv("110"))
@@ -209,7 +210,7 @@ def test_linear_form_of_matches_truth_tables():
     rng = random.Random(14)
     for _ in range(30):
         n = rng.randint(1, 7)
-        dag = rand_linear_circuit(rng, n, rng.randint(1, 10))
+        dag = parse_circuit(rand_linear_circuit(rng, n, rng.randint(1, 10)), LIN_BASE)
         form = linear_form_of(dag, LIN_BASE)
         assert form.truth_table(n) == truth_table_of(dag, LIN_BASE, n)
 
@@ -231,7 +232,7 @@ def test_linear_verdicts_match_brute_force():
     rng = random.Random(15)
     for _ in range(25):
         n = rng.randint(1, 7)
-        dag = rand_linear_circuit(rng, n, rng.randint(1, 9))
+        dag = parse_circuit(rand_linear_circuit(rng, n, rng.randint(1, 9)), LIN_BASE)
         sols = enumerate_solutions(dag, LIN_BASE, n)
         labels = cube_labels(sols.words, n)
         comp_count = len(set(labels.values()))

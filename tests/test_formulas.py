@@ -1,4 +1,4 @@
-"""Formula text format, AST helpers, and circuit lowering."""
+"""Formula text format, AST helpers, and lowering to gate lists."""
 
 import random
 
@@ -12,13 +12,13 @@ from bconn import (
     FormulaSyntaxError,
     UnknownFunction,
     Var,
-    evaluate_circuit,
-    evaluate_formula,
+    evaluate,
     formula_size,
-    formula_to_circuit,
     formula_vars,
+    parse_circuit,
     parse_formula,
     parse_qbf,
+    print_circuit,
     print_formula,
     substitute,
     truth_table_of,
@@ -59,7 +59,7 @@ def test_parse_zero_ary_application():
     base = mk_base(["and", "c1"])
     ast = parse_formula("and(x1,c1)", base)
     assert print_formula(ast) == "and(x1,c1)"
-    assert evaluate_formula(ast, base, BitVector.parse("1")) == 1
+    assert evaluate(ast, base, BitVector.parse("1")) == 1
     # the parenthesized spelling parses to the same tree
     assert parse_formula("and(x1,c1())", base) == ast
 
@@ -102,7 +102,7 @@ def test_evaluate_formula_matches_row_oracle():
         n = rng.randint(1, 6)
         ast = rand_ast(rng, ops, n, rng.randint(1, 25))
         for w in range(1 << n):
-            got = evaluate_formula(ast, STD_BASE, BitVector(n, w))
+            got = evaluate(ast, STD_BASE, BitVector(n, w))
             assert got == eval_ast_slow(ast, texts, env_of(w, n))
 
 
@@ -111,16 +111,18 @@ def test_formula_to_circuit_preserves_semantics():
     for _ in range(30):
         n = rng.randint(1, 5)
         ast = rand_ast(rng, MONO_OPS, n, 15)
-        dag = formula_to_circuit(ast)
+        circ = parse_circuit(print_circuit(lower_formula(ast, STD_BASE), STD_BASE), STD_BASE)
         for w in range(1 << n):
             a = BitVector(n, w)
-            assert evaluate_circuit(dag, STD_BASE, a) == evaluate_formula(ast, STD_BASE, a)
+            assert evaluate(circ, STD_BASE, a) == evaluate(ast, STD_BASE, a)
 
 
 def test_formula_to_circuit_of_a_variable():
-    dag = formula_to_circuit(Var(2))
-    assert evaluate_circuit(dag, STD_BASE, BitVector.parse("01")) == 1
-    assert evaluate_circuit(dag, STD_BASE, BitVector.parse("10")) == 0
+    text = print_circuit(lower_formula(Var(2), STD_BASE), STD_BASE)
+    assert text == "input x2\noutput x2\n"
+    circ = parse_circuit(text, STD_BASE)
+    assert evaluate(circ, STD_BASE, BitVector.parse("01")) == 1
+    assert evaluate(circ, STD_BASE, BitVector.parse("10")) == 0
 
 
 def test_deep_chain_folds_without_recursion():
@@ -142,7 +144,7 @@ def test_shared_subterms_are_walked_once():
     out = substitute(f, {1: Var(3)})
     assert out.args[0] is out.args[1]
     assert formula_vars(out) == {3}
-    assert len(formula_to_circuit(f).gates) == 40
+    assert len(lower_formula(f, STD_BASE).gates) == 40
 
 
 def test_apply_normalizes_args_to_tuple():

@@ -10,11 +10,12 @@ from bconn import (
     FormulaSyntaxError,
     QuantifiedFormula,
     UsageError,
-    eval_qbf,
+    evaluate,
     parse_formula,
     parse_qbf,
     print_qbf,
 )
+from bconn.qbf import lower_qbf, quantified_value
 
 from conftest import (
     LIN_BASE,
@@ -62,31 +63,32 @@ def test_parse_errors():
 def test_quantifier_order_matters():
     outer_forall = parse_qbf("A x1 E x2 : or(and(x1,x2),and(not(x1),not(x2)))", STD_BASE)
     outer_exists = parse_qbf("E x2 A x1 : or(and(x1,x2),and(not(x1),not(x2)))", STD_BASE)
-    assert eval_qbf(outer_forall, STD_BASE) == 1
-    assert eval_qbf(outer_exists, STD_BASE) == 0
+    assert evaluate(outer_forall, STD_BASE, None) == 1
+    assert evaluate(outer_exists, STD_BASE, None) == 0
 
 
 def test_eval_requires_matching_free_assignment():
     q = parse_qbf("E x2 : and(x1,x2)", STD_BASE)
     with pytest.raises(UsageError):
-        eval_qbf(q, STD_BASE)
+        evaluate(q, STD_BASE, None)
     with pytest.raises(UsageError):
-        eval_qbf(q, STD_BASE, BitVector.parse("00"))
-    assert eval_qbf(q, STD_BASE, BitVector.parse("1")) == 1
-    assert eval_qbf(q, STD_BASE, BitVector.parse("0")) == 0
+        evaluate(q, STD_BASE, BitVector.parse("00"))
+    assert evaluate(q, STD_BASE, BitVector.parse("1")) == 1
+    assert evaluate(q, STD_BASE, BitVector.parse("0")) == 0
 
 
 def test_quantifying_a_fictive_variable_is_allowed():
     q = parse_qbf("A x9 : x1", STD_BASE)
     assert q.free_vars() == [1]
-    assert eval_qbf(q, STD_BASE, BitVector.parse("1")) == 1
+    assert evaluate(q, STD_BASE, BitVector.parse("1")) == 1
 
 
 def test_prefix_budget():
     matrix = parse_formula("x1", STD_BASE)
     prefix = tuple(("E", j) for j in range(2, 30))
     with pytest.raises(BudgetExceeded):
-        eval_qbf(QuantifiedFormula(prefix, matrix), STD_BASE, BitVector.parse("1"), budget=5)
+        q = lower_qbf(QuantifiedFormula(prefix, matrix), STD_BASE)
+        quantified_value(q, BitVector.parse("1"), budget=5)
 
 
 def test_eval_matches_naive_expansion():
@@ -100,8 +102,5 @@ def test_eval_matches_naive_expansion():
             for w in range(1 << len(free)):
                 env = {j: (w >> (len(free) - 1 - p)) & 1 for p, j in enumerate(free)}
                 expect = eval_qbf_slow(q, texts, env)
-                if free:
-                    got = eval_qbf(q, base, BitVector(len(free), w))
-                else:
-                    got = eval_qbf(q, base)
-                assert got == expect
+                a = BitVector(len(free), w) if free else None
+                assert evaluate(q, base, a) == expect

@@ -13,12 +13,12 @@ from bconn import (
     TruthTable,
     UsageError,
     evaluate,
-    formula_to_circuit,
     linear_form_of,
     min_dimension,
     parse_circuit,
     parse_formula,
     parse_qbf,
+    print_circuit,
     truth_table_of,
     tt_print,
 )
@@ -66,9 +66,9 @@ def test_circuit_tables_match_row_oracle():
     texts = base_texts(LIN_BASE)
     for _ in range(40):
         n = rng.randint(1, 6)
-        dag = rand_linear_circuit(rng, n, rng.randint(1, 9))
-        f = truth_table_of(dag, LIN_BASE, n)
-        assert one_rows_set(f) == circuit_solutions_slow(dag, texts, n)
+        text = rand_linear_circuit(rng, n, rng.randint(1, 9))
+        f = truth_table_of(parse_circuit(text, LIN_BASE), LIN_BASE, n)
+        assert one_rows_set(f) == circuit_solutions_slow(text, texts, n)
 
 
 def test_cnf_tables_match_clause_scan():
@@ -77,7 +77,7 @@ def test_cnf_tables_match_clause_scan():
         n = rng.randint(1, 7)
         cnf = rand_three_cnf(rng, n, rng.randint(0, 9))
         f = truth_table_of(cnf, STD_BASE, n)
-        assert one_rows_set(f) == {w for w in range(1 << n) if cnf.evaluate(BitVector(n, w))}
+        assert one_rows_set(f) == {w for w in range(1 << n) if eval_cnf_slow(cnf, env_of(w, n))}
 
 
 def test_qbf_tables_match_naive_expansion():
@@ -154,9 +154,10 @@ def _random_objects(rng):
     for _ in range(25):
         n = rng.randint(1, 6)
         yield STD_BASE, n, rand_ast(rng, STD_OPS, n, rng.randint(1, 30))
-        yield STD_BASE, n, formula_to_circuit(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)))
+        gl = lower(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)), STD_BASE)
+        yield STD_BASE, n, parse_circuit(print_circuit(gl, STD_BASE), STD_BASE)
         yield LIN_BASE, n, rand_ast(rng, LIN_OPS, n, rng.randint(1, 30))
-        yield LIN_BASE, n, rand_linear_circuit(rng, n, rng.randint(0, 9))
+        yield LIN_BASE, n, parse_circuit(rand_linear_circuit(rng, n, rng.randint(0, 9)), LIN_BASE)
         yield STD_BASE, n, rand_three_cnf(rng, n, rng.randint(0, 9))
         k = rng.randint(0, n)
         yield STD_BASE, n, TruthTable(k, rng.getrandbits(1 << k))
@@ -188,8 +189,7 @@ def test_lowering_shares_equal_gates():
 
 
 def test_lowering_a_circuit_whose_output_is_an_input():
-    dag = parse_circuit("input x1\ninput x3\ngate g and x1 x3\noutput x3\n", STD_BASE)
-    gl = lower(dag, STD_BASE)
+    gl = parse_circuit("input x1\ninput x3\ngate g and x1 x3\noutput x3\n", STD_BASE)
     assert gl.inputs == (1, 3) and gl.output == 1 and gl.dim == 3
     assert tt_print(truth_table_of(gl, STD_BASE, 3)) == "01010101"
     assert evaluate(gl, STD_BASE, BitVector.parse("001")) == 1
