@@ -16,7 +16,6 @@ evaluator, mask tabulator and GF(2) propagator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .clones import BaseSet
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     WrongClass,
 )
 from .properties import affine_form_of
-from .truthtable import BitVector, LinearForm, TruthTable, apply_masks, tt_print
+from .truthtable import BitVector, LinearForm, Record, TruthTable, _set, apply_masks, tt_print
 
 VAR_NAME = re.compile(r"x[1-9][0-9]*\Z")  # a variable x_j in every text format
 
@@ -108,8 +107,7 @@ def print_circuit(gl: GateList, base: BaseSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GateList:
+class GateList(Record):
     """An input lowered to gates in topological order.
 
     Node i < len(inputs) is the variable x_{inputs[i]}; node
@@ -122,11 +120,21 @@ class GateList:
     matrix and dim counts its free variables.
     """
 
-    inputs: tuple[int, ...]
-    gates: tuple[tuple[TruthTable, tuple[int, ...]], ...]
-    output: int
-    dim: int
-    prefix: tuple[tuple[str, int], ...] | None = None
+    __slots__ = ("inputs", "gates", "output", "dim", "prefix")
+
+    def __init__(
+        self,
+        inputs: tuple[int, ...],
+        gates: tuple[tuple[TruthTable, tuple[int, ...]], ...],
+        output: int,
+        dim: int,
+        prefix: tuple[tuple[str, int], ...] | None = None,
+    ):
+        _set(self, "inputs", inputs)
+        _set(self, "gates", gates)
+        _set(self, "output", output)
+        _set(self, "dim", dim)
+        _set(self, "prefix", prefix)
 
     def free_vars(self) -> list[int]:
         bound = {j for _, j in self.prefix or ()}

@@ -7,6 +7,11 @@ is set; 2 = usage error (including --mode poly on an intractable base);
 AUTO mode runs the polynomial algorithms whenever the base dispatches
 as tractable, falls back to exhaustive enumeration otherwise, and
 refuses (exit 3) when enumeration would blow the budget.
+
+Only the error, graph and truth-table layers load with this module.  Every
+other function the commands call is a stand-in that loads its module on
+first call, and constants and classes are imported in the command that
+uses them, so a query compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -16,23 +21,7 @@ import json
 import sys
 from itertools import repeat
 
-from .circuits import parse_circuit
-from .clones import (
-    STANDARD_BASE,
-    BaseSet,
-    clone_closure,
-    clone_identify,
-    dispatch,
-    parse_base_file,
-)
-from .cnf import lower_cnf, parse_dimacs
-from .easy import (
-    EasyAnswer,
-    linear_decide,
-    monotone_decide,
-    qbf_easy_decide,
-    zerosep_decide,
-)
+from . import _later
 from .errors import (
     BconnError,
     BudgetError,
@@ -42,7 +31,6 @@ from .errors import (
     WitnessBudgetExceeded,
     WrongClass,
 )
-from .formulas import parse_formula, print_formula
 from .graph import (
     EXACT,
     LOWER_BOUND,
@@ -56,17 +44,33 @@ from .graph import (
     random_relation,
     shortest_path,
 )
-from .qbf import FORALL, QuantifiedFormula, parse_qbf, print_qbf
-from .reduce import (
-    S02K,
-    S02Q,
-    TVariant,
-    apply_t_relation,
-    gen_expdiam,
-    shift_to_one_reproducing,
-    tr_combine,
-)
 from .truthtable import BitVector, tt_print
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .clones import BaseSet
+    from .easy import EasyAnswer
+    from .reduce import TVariant
+
+parse_circuit = _later("circuits", "parse_circuit")
+clone_closure = _later("clones", "clone_closure")
+clone_identify = _later("clones", "clone_identify")
+dispatch = _later("clones", "dispatch")
+parse_base_file = _later("clones", "parse_base_file")
+lower_cnf = _later("cnf", "lower_cnf")
+parse_dimacs = _later("cnf", "parse_dimacs")
+linear_decide = _later("easy", "linear_decide")
+monotone_decide = _later("easy", "monotone_decide")
+qbf_easy_decide = _later("easy", "qbf_easy_decide")
+zerosep_decide = _later("easy", "zerosep_decide")
+parse_formula = _later("formulas", "parse_formula")
+print_formula = _later("formulas", "print_formula")
+parse_qbf = _later("qbf", "parse_qbf")
+print_qbf = _later("qbf", "print_qbf")
+apply_t_relation = _later("reduce", "apply_t_relation")
+gen_expdiam = _later("reduce", "gen_expdiam")
+shift_to_one_reproducing = _later("reduce", "shift_to_one_reproducing")
+tr_combine = _later("reduce", "tr_combine")
 
 _DEFAULT_CLOSURE_BUDGET = 200_000
 
@@ -94,6 +98,8 @@ def _load_base(args, required: bool) -> BaseSet | None:
     if getattr(args, "base", None):
         return parse_base_file(_read(args.base))
     if getattr(args, "cnf", None):
+        from .clones import STANDARD_BASE
+
         return STANDARD_BASE
     if required:
         raise UsageError("--base FILE is required for this input")
@@ -341,6 +347,8 @@ def _cmd_components(args) -> int:
 
 
 def _variant_from(args) -> TVariant:
+    from .reduce import S02K, S02Q, TVariant
+
     kinds = {"s12": "S12", "d1": "D1", "s02k": S02K, "s02q": S02Q}
     kind = kinds[args.variant]
     if kind == S02K:
@@ -351,6 +359,10 @@ def _variant_from(args) -> TVariant:
 
 
 def _cmd_reduce(args) -> int:
+    from .clones import STANDARD_BASE
+    from .qbf import FORALL, QuantifiedFormula
+    from .reduce import S02Q
+
     variant = _variant_from(args)
     if args.rel:
         rel = parse_relation(_read(args.rel))

@@ -22,7 +22,6 @@ A family whose degree exceeds the degree bound is reported at the bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
@@ -36,7 +35,9 @@ from .properties import (
 from .truthtable import (
     DEFAULT_ENUM_BUDGET,
     N_MAX,
+    Record,
     TruthTable,
+    _set,
     threshold_tt,
     tt_parse,
     tt_print,
@@ -236,15 +237,24 @@ def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> s
         raise UnknownClass(f"no closed class has the atoms {sorted(map(str, atoms))}") from None
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(Record):
     """Which side of the tractability frontier a base falls on."""
 
-    side: str  # EASY | HARD
-    easy_class: str | None = None  # MONOTONE | LINEAR | ZERO_SEPARATING
-    hard_variant: str | None = None  # S12 | D1 | S02K
-    hard_k: int | None = None
-    quantified: bool = False
+    __slots__ = ("side", "easy_class", "hard_variant", "hard_k", "quantified")
+
+    def __init__(
+        self,
+        side: str,  # EASY | HARD
+        easy_class: str | None = None,  # MONOTONE | LINEAR | ZERO_SEPARATING
+        hard_variant: str | None = None,  # S12 | D1 | S02K
+        hard_k: int | None = None,
+        quantified: bool = False,
+    ):
+        _set(self, "side", side)
+        _set(self, "easy_class", easy_class)
+        _set(self, "hard_variant", hard_variant)
+        _set(self, "hard_k", hard_k)
+        _set(self, "quantified", quantified)
 
     def describe(self) -> str:
         if self.side == "EASY":

@@ -6,18 +6,19 @@ uf*/uuf* files end with (`%` then `0`); whatever follows it is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .circuits import GateList
 from .clones import STANDARD_BASE
 from .errors import EmptyClause, HeaderMismatch, LiteralOutOfRange
 from .formulas import Apply, FormulaAst, Var, lower_formula
+from .truthtable import Record, _set, replace
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    n: int
-    clauses: tuple[tuple[int, ...], ...]
+class CnfFormula(Record):
+    __slots__ = ("n", "clauses")
+
+    def __init__(self, n: int, clauses: tuple[tuple[int, ...], ...]):
+        _set(self, "n", n)
+        _set(self, "clauses", clauses)
 
     @property
     def is_three_cnf(self) -> bool:
@@ -67,9 +68,11 @@ def parse_dimacs(text: str) -> CnfFormula:
                 if abs(lit) > n:
                     raise LiteralOutOfRange(f"line {lineno}: literal {lit} exceeds {n} vars")
                 pending.append(lit)
+    if n is None:
+        raise HeaderMismatch("no problem line")
     if pending:
         clauses.append(tuple(pending))
-    if declared is not None and declared != len(clauses):
+    if declared != len(clauses):
         raise HeaderMismatch(f"header declares {declared} clauses, found {len(clauses)}")
     return CnfFormula(n, tuple(clauses))
 

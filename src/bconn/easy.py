@@ -10,8 +10,6 @@ the monotone and affine cases only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuits import GateList, linear_form
 from .clones import BaseSet
 from .errors import (
@@ -28,19 +26,27 @@ from .properties import (
 )
 from .qbf import EXISTS, QuantifiedFormula
 from .semantics import evaluate, lower, truth_table_of
-from .truthtable import BitVector, LinearForm, var_mask
+from .truthtable import BitVector, LinearForm, Record, _set, var_mask
 
 DEFAULT_SEARCH_BUDGET = 20
 
 
-@dataclass(frozen=True)
-class EasyAnswer:
+class EasyAnswer(Record):
     """Connectivity verdicts plus an optional eval-verified witness path."""
 
-    connected: bool
-    st_connected: bool | None
-    witness_path: list[BitVector] | None
-    rationale: str
+    __slots__ = ("connected", "st_connected", "witness_path", "rationale")
+
+    def __init__(
+        self,
+        connected: bool,
+        st_connected: bool | None,
+        witness_path: list[BitVector] | None,
+        rationale: str,
+    ):
+        _set(self, "connected", connected)
+        _set(self, "st_connected", st_connected)
+        _set(self, "witness_path", witness_path)
+        _set(self, "rationale", rationale)
 
 
 def _check_pair(obj, base: BaseSet, s: BitVector | None, t: BitVector | None):

@@ -23,27 +23,28 @@ explicit-stack fold that visits each distinct subterm object once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .circuits import VAR_NAME, GateBuilder, GateList
 from .clones import BaseSet
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownFunction
+from .truthtable import Record, _set
 
 _TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Apply:
-    name: str
-    args: tuple
+class Apply(Record):
+    __slots__ = ("name", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, args: tuple):
+        _set(self, "name", name)
+        _set(self, "args", tuple(args))
 
 
 FormulaAst = Var | Apply

@@ -38,23 +38,22 @@ no cap left exceeds the bound.  Those searches share one set of
 unvisited words, since a search run to its end takes exactly its own
 component out of it.  `shortest_path` walks back from the goal,
 each step to its smallest neighbour in the layer before.  The exact
-`diameter` sweeps again to collect each component's words, then runs
-`_bfs_depths` over `_adjacency`: twice per tree component (|E| = |V| - 1),
-where the double sweep is exact, and once from every vertex of a
-component with a cycle.  Its budget counts that work.
+`diameter` runs `_bfs_depths` over `_adjacency` from each component's
+smallest word, which gives the component's words and edges, then once
+more from the far end of a tree component (|E| = |V| - 1), where the
+double sweep is exact, and from every other vertex of a component with
+a cycle.  Its budget counts that work.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product, repeat, starmap
 from operator import lt, xor
 
-from .clones import BaseSet
+from . import _later
 from .errors import (
     BudgetExceeded,
     NotASolution,
@@ -62,8 +61,22 @@ from .errors import (
     TooLarge,
     UsageError,
 )
-from .semantics import DEFAULT_ENUM_BUDGET, truth_table_of
-from .truthtable import N_MAX, BitVector, mask_rows, var_mask
+from .truthtable import (
+    DEFAULT_ENUM_BUDGET,
+    N_MAX,
+    BitVector,
+    Record,
+    _set,
+    mask_rows,
+    var_mask,
+)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .clones import BaseSet
+
+# tabulation loads the semantics layer on first use; a relation never does
+truth_table_of = _later("semantics", "truth_table_of")
 
 # BFS steps (sources x (vertices + edges)) of an exact diameter, summed over
 # the components with a cycle; trees cost two searches and are not counted
@@ -76,18 +89,20 @@ EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    n: int
-    words: tuple[int, ...]
+class SolutionSet(Record):
+    """The solutions as increasing words; the search state is cached in __dict__."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "words", "__dict__")
+
+    def __init__(self, n: int, words: tuple[int, ...]):
+        if n < 0:
             raise UsageError("dimension must be >= 0")
-        if not _increasing(self.words):
+        if not _increasing(words):
             raise UsageError("words must be strictly increasing")
-        if self.words and self.words[-1].bit_length() > self.n:
-            raise UsageError(f"word {self.words[-1]} does not fit {self.n} bits")
+        if words and words[-1].bit_length() > n:
+            raise UsageError(f"word {words[-1]} does not fit {n} bits")
+        _set(self, "n", n)
+        _set(self, "words", words)
 
     @classmethod
     def from_words(cls, n: int, words) -> "SolutionSet":
@@ -121,7 +136,7 @@ def enumerate_solutions(
     """Exactly the assignments the object maps to 1, sorted."""
     table = truth_table_of(obj, base, n, budget)
     s = SolutionSet(n, tuple(table.one_rows()))
-    object.__setattr__(s, "_table", table.bits)  # the mask, should the search want it
+    s.__dict__["_table"] = table.bits  # the mask, should the search want it
     return s
 
 
@@ -158,8 +173,7 @@ class _Cube:
 def _cube(s: SolutionSet) -> _Cube:
     cube = s.__dict__.get("_cube")
     if cube is None:
-        cube = _Cube(s)
-        object.__setattr__(s, "_cube", cube)
+        cube = s.__dict__["_cube"] = _Cube(s)
     return cube
 
 
@@ -263,17 +277,25 @@ def _sweep(s: SolutionSet) -> tuple[tuple[int, ...], ...]:
             if last is not None:
                 caps.append(min(2 * ecc, size - 1))
                 fars.append((last & -last).bit_length() - 1 if isinstance(last, int) else min(last))
-        got = (tuple(reps), tuple(sizes), tuple(caps), tuple(fars))
-        object.__setattr__(s, "_sweep", got)
+        got = s.__dict__["_sweep"] = (tuple(reps), tuple(sizes), tuple(caps), tuple(fars))
     return got
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    count: int
-    representatives: tuple[int, ...]  # smallest word per component, in label order
-    sizes: tuple[int, ...]  # vertices per component, in label order
-    solutions: SolutionSet = field(repr=False)
+class ComponentLabeling(Record):
+    __slots__ = ("count", "representatives", "sizes", "solutions", "__dict__")
+    _hidden = ("solutions",)
+
+    def __init__(
+        self,
+        count: int,
+        representatives: tuple[int, ...],  # smallest word per component, in label order
+        sizes: tuple[int, ...],  # vertices per component, in label order
+        solutions: SolutionSet,
+    ):
+        _set(self, "count", count)
+        _set(self, "representatives", representatives)
+        _set(self, "sizes", sizes)
+        _set(self, "solutions", solutions)
 
     @cached_property
     def labels(self) -> tuple[int, ...]:
@@ -366,15 +388,15 @@ def diameter(
 
     LOWER_BOUND gives the double sweep's value, which lies between the
     eccentricity of each component's smallest word and the diameter.
-    EXACT raises BudgetExceeded, before any search, when the components
-    with a cycle need more than `budget` BFS steps (sources x (vertices +
-    edges)).
+    EXACT raises BudgetExceeded, before a second search in any component,
+    when the components with a cycle need more than `budget` BFS steps
+    (sources x (vertices + edges)).
     """
     if mode not in (EXACT, LOWER_BOUND):
         raise UsageError(f"bad diameter mode {mode!r}")
     best = 0
-    cube = _cube(s)
     if mode == LOWER_BOUND:
+        cube = _cube(s)
         unseen = set(s.words)  # each search takes its own component out
         for cap, far in sorted(zip(*_sweep(s)[2:]), reverse=True):
             if cap <= best:  # no component left can raise the bound
@@ -382,25 +404,23 @@ def diameter(
             unseen.remove(far)
             best = max(best, sum(1 for _ in _layers(cube, (far,), unseen)))
         return best
-    members = set(s.words)
+    adj = _adjacency(s)
     work, parts = 0, []
-    for w, layers in _sweeps(cube, s.words):
-        found = _members(w, layers)
-        if len(found) > 1:
-            ends = sum(map(members.__contains__, starmap(xor, product(found, cube.flips))))
-            tree = ends == 2 * (len(found) - 1)
+    for w, size in zip(*_sweep(s)[:2]):
+        if size > 1:  # the first search finds the component's words and edges
+            first = bisect_left(s.words, w)
+            depth = _bfs_depths(adj, first)
+            ends = sum(len(adj[i]) for i in depth)
+            tree = ends == 2 * (size - 1)
             if not tree:
-                work += len(found) * (len(found) + ends // 2)
-            parts.append((found, tree))
+                work += size * (size + ends // 2)
+            parts.append((first, depth, tree))
     if work > budget:
         raise BudgetExceeded(f"exact diameter needs {work} BFS steps, over the budget of {budget}")
-    adj = _adjacency(s)
-    for found, tree in parts:
-        if tree:  # the double sweep is exact on a tree
-            sources = [_far(_bfs_depths(adj, bisect_left(s.words, found[0])))]
-        else:
-            sources = [bisect_left(s.words, w) for w in found]
-        for i in sources:
+    for first, depth, tree in parts:
+        best = max(best, max(depth.values()))
+        # the double sweep is exact on a tree; elsewhere every vertex is a source
+        for i in [_far(depth)] if tree else [i for i in depth if i != first]:
             best = max(best, max(_bfs_depths(adj, i).values()))
     return best
 
@@ -471,6 +491,8 @@ def random_relation(n: int, size: int, seed: int) -> SolutionSet:
         raise SizeOverflow(f"cannot pick {size} distinct words in {n} bits")
     if size > (1 << DEFAULT_ENUM_BUDGET):
         raise BudgetExceeded(f"{size} words exceed the budget of 2^{DEFAULT_ENUM_BUDGET}")
+    import random  # only gen-random samples
+
     rng = random.Random(seed)
     words = rng.sample(range(1 << n), size)
     return SolutionSet(n, tuple(sorted(words)))

@@ -12,12 +12,11 @@ and separation at every degree is equivalent to no cover existing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .errors import BudgetExceeded, DegreeBoundTooSmall
-from .truthtable import LinearForm, TruthTable, dual, mask_rows, var_mask
+from .truthtable import LinearForm, Record, TruthTable, _set, dual, mask_rows, var_mask
 
 # sep_degree sentinel: separation holds at every finite degree
 ALL = "ALL"
@@ -174,24 +173,20 @@ def max_separation_degree(f: TruthTable, c: int) -> int | str:
     return max(kappa, 1) - 1
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Exact per-function property flags driving classification."""
+class PropertyReport(Record):
+    """Exact per-function property flags driving classification.  Every
+    field is a bool but linear_form (LinearForm | None) and the separation
+    degrees (int | ALL | None)."""
 
-    reproducing0: bool
-    reproducing1: bool
-    monotone: bool
-    self_dual: bool
-    affine: bool
-    linear_form: LinearForm | None
-    separating0: bool
-    separating1: bool
-    sep_degree0: int | str | None
-    sep_degree1: int | str | None
-    conjunction_like: bool
-    disjunction_like: bool
-    essentially_unary: bool
-    projection_or_constant: bool
+    __slots__ = (
+        "reproducing0", "reproducing1", "monotone", "self_dual", "affine", "linear_form",
+        "separating0", "separating1", "sep_degree0", "sep_degree1", "conjunction_like",
+        "disjunction_like", "essentially_unary", "projection_or_constant",
+    )
+
+    def __init__(self, **fields):  # every field, by name
+        for f in self._fields:
+            _set(self, f, fields[f])
 
     def separating_of_degree(self, c: int, m: int) -> bool:
         d = self.sep_degree0 if c == 0 else self.sep_degree1

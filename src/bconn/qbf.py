@@ -11,13 +11,11 @@ in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .circuits import VAR_NAME, GateList, tabulate
 from .clones import BaseSet
 from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
 from .formulas import FormulaAst, formula_vars, lower_formula, parse_formula, print_formula
-from .truthtable import BitVector, TruthTable, var_mask
+from .truthtable import BitVector, Record, TruthTable, _set, replace, var_mask
 
 DEFAULT_EXPANSION_BUDGET = 20
 
@@ -35,13 +33,13 @@ def _check_prefix(prefix: tuple[tuple[str, int], ...]):
         seen.add(j)
 
 
-@dataclass(frozen=True)
-class QuantifiedFormula:
-    prefix: tuple[tuple[str, int], ...]  # (quantifier, variable index)
-    matrix: FormulaAst
+class QuantifiedFormula(Record):
+    __slots__ = ("prefix", "matrix")
 
-    def __post_init__(self):
-        _check_prefix(self.prefix)
+    def __init__(self, prefix: tuple[tuple[str, int], ...], matrix: FormulaAst):
+        _check_prefix(prefix)  # (quantifier, variable index) pairs
+        _set(self, "prefix", prefix)
+        _set(self, "matrix", matrix)
 
     def bound_vars(self) -> set[int]:
         return {j for _, j in self.prefix}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .clones import STANDARD_BASE, BaseSet, closure_rounds
 from .cnf import CnfFormula
@@ -41,7 +40,7 @@ from .formulas import (
 from .graph import SolutionSet
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
-from .truthtable import BitVector, TruthTable, tt_parse, var_mask
+from .truthtable import BitVector, Record, TruthTable, _set, tt_parse, var_mask
 
 S12 = "S12"
 D1 = "D1"
@@ -51,21 +50,21 @@ S02Q = "S02Q"
 _EXPDIAM_K_MAX = 14
 
 
-@dataclass(frozen=True)
-class TVariant:
+class TVariant(Record):
     """Target class of a transform; S02K carries its separation degree."""
 
-    kind: str
-    k: int | None = None
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in (S12, D1, S02K, S02Q):
-            raise UsageError(f"unknown transform variant {self.kind!r}")
-        if self.kind == S02K:
-            if self.k is None or self.k < 2:
+    def __init__(self, kind: str, k: int | None = None):
+        if kind not in (S12, D1, S02K, S02Q):
+            raise UsageError(f"unknown transform variant {kind!r}")
+        if kind == S02K:
+            if k is None or k < 2:
                 raise UsageError("S02K needs a degree parameter k >= 2")
-        elif self.k is not None:
-            raise UsageError(f"{self.kind} takes no degree parameter")
+        elif k is not None:
+            raise UsageError(f"{kind} takes no degree parameter")
+        _set(self, "kind", kind)
+        _set(self, "k", k)
 
     @property
     def new_var_count(self) -> int:
@@ -91,19 +90,19 @@ class TVariant:
         return f"S02K({self.k})" if self.kind == S02K else self.kind
 
 
-@dataclass(frozen=True)
-class SynthBudget:
+class SynthBudget(Record):
     """Caps for the bottom-up synthesizer.  An application is one argument
     tuple containing at least one table new in the previous round
     (clones.closure_rounds); every one counts, realized or duplicate, and
     a round that would pass max_applications is refused whole."""
 
-    max_size: int = 100_000
-    max_applications: int = 120_000
+    __slots__ = ("max_size", "max_applications")
 
-    def __post_init__(self):
-        if self.max_size <= 0 or self.max_applications <= 0:
+    def __init__(self, max_size: int = 100_000, max_applications: int = 120_000):
+        if max_size <= 0 or max_applications <= 0:
             raise UsageError("synthesis budget fields must be positive")
+        _set(self, "max_size", max_size)
+        _set(self, "max_applications", max_applications)
 
 
 DEFAULT_SYNTH_BUDGET = SynthBudget()

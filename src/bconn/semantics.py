@@ -12,6 +12,9 @@ gates.  Tables come from one loop of whole-table bit masks: a variable
 is a periodic 2^n-bit pattern and a gate ORs the row sets on which its
 function is 1, so extraction is a handful of bigint operations per node
 instead of 2^n walks.
+
+Only the gate layer loads with this module: the formula, CNF and
+quantified-formula layers load when an object of their kind comes in.
 """
 
 from __future__ import annotations
@@ -19,26 +22,33 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .circuits import GateList, point_value, tabulate
-from .clones import BaseSet
-from .cnf import CnfFormula, lower_cnf
 from .errors import BudgetExceeded, MissingVariable, UsageError
-from .formulas import Apply, Var, lower_formula
-from .qbf import QuantifiedFormula, lower_qbf, quantified_table, quantified_value
 from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, TruthTable, var_mask
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .clones import BaseSet
 
 
 def lower(obj, base: BaseSet) -> GateList:
     """The object as a gate list over the base's tables."""
     if isinstance(obj, GateList):
         return obj
-    if isinstance(obj, (Var, Apply)):
-        return lower_formula(obj, base)
-    if isinstance(obj, CnfFormula):
-        return lower_cnf(obj)
-    if isinstance(obj, QuantifiedFormula):
-        return lower_qbf(obj, base)
     if isinstance(obj, TruthTable):  # one gate over x_1..x_k
         return GateList(tuple(range(1, obj.n + 1)), ((obj, tuple(range(obj.n))),), obj.n, obj.n)
+    # an object of a kind below exists only once its module is loaded
+    from .formulas import Apply, Var, lower_formula
+
+    if isinstance(obj, (Var, Apply)):
+        return lower_formula(obj, base)
+    from .cnf import CnfFormula, lower_cnf
+
+    if isinstance(obj, CnfFormula):
+        return lower_cnf(obj)
+    from .qbf import QuantifiedFormula, lower_qbf
+
+    if isinstance(obj, QuantifiedFormula):
+        return lower_qbf(obj, base)
     raise UsageError(f"cannot lower {type(obj).__name__}")
 
 
@@ -47,6 +57,8 @@ def evaluate(obj, base: BaseSet, a: BitVector) -> int:
     gl = lower(obj, base)
     if gl.prefix is None:
         return point_value(gl, a)
+    from .qbf import quantified_value
+
     return quantified_value(gl, a)
 
 
@@ -69,6 +81,8 @@ def truth_table_of(
         raise BudgetExceeded(f"dimension {n} exceeds budget {budget}")
     gl = lower(obj, base)
     if gl.prefix is not None:
+        from .qbf import quantified_table
+
         return quantified_table(gl, n, budget)
     if gl.dim > n:
         raise MissingVariable(f"x{gl.dim} exceeds dimension {n}")

@@ -12,7 +12,7 @@ Conventions pinned here and used everywhere else:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from operator import attrgetter, eq, ge, gt, le, lt
 
 from .errors import (
     ArityMismatch,
@@ -26,19 +26,78 @@ N_MAX = 30
 # the most variables an exact table is built over by default
 DEFAULT_ENUM_BUDGET = 24
 
+_set = object.__setattr__  # how a record's __init__ sets its fields
 
-@dataclass(frozen=True, order=True)
-class BitVector:
-    """An assignment a_1..a_n, stored in row-index encoding."""
 
-    n: int
-    word: int
+def _compare(op):
+    def method(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return op(key(self), key(other))
 
-    def __post_init__(self):
-        if not 1 <= self.n <= N_MAX:
-            raise ArityMismatch(f"dimension {self.n} outside [1, {N_MAX}]")
-        if not 0 <= self.word < (1 << self.n):
-            raise ArityMismatch(f"word {self.word} does not fit {self.n} bits")
+    return method
+
+
+class Record:
+    """A frozen record of the fields a subclass names in `__slots__` (all
+    but a `__dict__`, which a record that caches on itself keeps).  Records
+    are equal and hash alike when their field tuples are, never across
+    classes; the repr lists the fields but those in `_hidden`; assigning
+    or deleting a field raises AttributeError.  Each subclass's `__init__`
+    makes its checks and sets its fields with `_set`."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._key = attrgetter(*cls._fields)
+
+    __eq__ = _compare(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = [f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._hidden]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle set the fields, skipping __init__
+        return _rebuild, (type(self), tuple(getattr(self, f) for f in self._fields))
+
+
+def _rebuild(cls, values):
+    r = object.__new__(cls)
+    for f, v in zip(cls._fields, values):
+        _set(r, f, v)
+    return r
+
+
+def replace(r: Record, **changes) -> Record:
+    """r with the given fields changed, built (and checked) by its __init__."""
+    return type(r)(**{f: getattr(r, f) for f in r._fields} | changes)
+
+
+class BitVector(Record):
+    """An assignment a_1..a_n, stored in row-index encoding; ordered by (n, word)."""
+
+    __slots__ = ("n", "word")
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
+
+    def __init__(self, n: int, word: int):
+        if not 1 <= n <= N_MAX:
+            raise ArityMismatch(f"dimension {n} outside [1, {N_MAX}]")
+        if not 0 <= word < (1 << n):
+            raise ArityMismatch(f"word {word} does not fit {n} bits")
+        _set(self, "n", n)
+        _set(self, "word", word)
 
     @classmethod
     def parse(cls, text: str) -> "BitVector":
@@ -74,18 +133,21 @@ class BitVector:
         return self.text
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """Complete semantics of an n-ary Boolean function."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, bits: int):
+        if n < 0:
             raise ArityMismatch("arity must be >= 0")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
-            raise LengthMismatch(f"table does not fit 2^{self.n} rows")
+        if not 0 <= bits < (1 << (1 << n)):
+            raise LengthMismatch(f"table does not fit 2^{n} rows")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
+
+    def __hash__(self) -> int:  # once per gate in some loops: the generic key is slower
+        return hash((self.n, self.bits))
 
     @property
     def size(self) -> int:
@@ -202,12 +264,14 @@ def apply_masks(f: TruthTable, children: list[int], n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """x_{i1} XOR ... XOR x_{im} XOR c."""
 
-    support: frozenset[int]
-    c: int
+    __slots__ = ("support", "c")
+
+    def __init__(self, support: frozenset[int], c: int):
+        _set(self, "support", support)
+        _set(self, "c", c)
 
     def truth_table(self, n: int) -> TruthTable:
         if self.support and max(self.support) > n:

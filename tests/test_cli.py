@@ -301,6 +301,17 @@ def test_exact_diameter_budget_trips_before_searching(capsys, files):
     assert json.loads(err)["error"]["code"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("text", ["", "c only a comment\n"])
+@pytest.mark.parametrize("sub", ["conn", "components"])
+def test_cnf_without_problem_line_is_a_usage_error(capsys, files, text, sub):
+    cnf = files("empty.cnf", text)
+    code, out, err = run(capsys, sub, "--cnf", cnf)
+    assert (code, out, err) == (2, "", "error [HeaderMismatch]: no problem line\n")
+    code, out, err = run(capsys, sub, "--cnf", cnf, "--json")
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": {"code": "HeaderMismatch", "message": "no problem line"}}
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_diameter_reports_the_components_that_components_does(capsys, files, seed):
     rng = random.Random(seed)

@@ -57,6 +57,12 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n0\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "c only a comment\n", "c a\n\nc b\n", "%\n0\n"])
+def test_a_file_without_problem_line_is_a_header_error(text):
+    with pytest.raises(HeaderMismatch, match="no problem line"):
+        parse_dimacs(text)
+
+
 def test_evaluate_by_clause_scan():
     cnf = parse_dimacs(SAMPLE)
     assert evaluate(cnf, STD_BASE, BitVector.parse("101")) == 1

@@ -452,6 +452,8 @@ def test_components_and_lower_bound_diameter_share_one_sweep(monkeypatch, shift)
             calls.clear()
             lab = components(s)
             lower = diameter(s, mode=LOWER_BOUND)
+            if len(s) <= 600:  # the exact mode searches from every vertex of a cycle
+                assert diameter(s, mode=EXACT) >= lower, name
             assert components(s) == lab
             assert len(calls) == 1, name
             assert lower == _double_sweep(s.words, n, lab.representatives), name
@@ -459,6 +461,10 @@ def test_components_and_lower_bound_diameter_share_one_sweep(monkeypatch, shift)
     calls.clear()
     assert diameter(s, mode=LOWER_BOUND) == (1 << 7) - 2
     assert components(s).sizes == (len(s),) and len(calls) == 1
+    s = gen_expdiam(6)  # components, then the exact diameter, as the CLI runs them
+    calls.clear()
+    assert components(s).count == 1
+    assert diameter(s, mode=EXACT) == (1 << 7) - 2 and len(calls) == 1
     # a path whose smallest word is its middle (eccentricity 3, far end 6)
     # beside one whose smallest word is an end (4 both ways): capping a
     # component at its smallest word's eccentricity alone would answer 4
