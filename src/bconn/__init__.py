@@ -37,10 +37,7 @@ _NAMES = {
         "NotRealizable SizeOverflow TooLarge UnknownClass UnknownFunction "
         "UsageError WitnessBudgetExceeded WrongClass"
     ),
-    "formulas": (
-        "Apply FormulaAst Var formula_size formula_vars parse_formula "
-        "print_formula substitute"
-    ),
+    "formulas": "formula_size parse_formula print_formula",
     "graph": (
         "EXACT LOWER_BOUND ComponentLabeling SolutionSet components diameter "
         "enumerate_solutions export_dot is_connected is_induced_path "

@@ -161,6 +161,15 @@ class GateBuilder:
             t = self.numbers[name] = self.tables.setdefault(self.base[name], len(self.tables))
         return self.cons.setdefault((t, args), len(self.inputs) + len(self.cons))
 
+    def paste(self, gl: GateList, leaves) -> int:
+        """The node of gl's output with gl's input p read as node leaves[p]."""
+        nodes = list(leaves)
+        for f, args in gl.gates:
+            t = self.tables.setdefault(f, len(self.tables))
+            key = (t, tuple([nodes[a] for a in args]))
+            nodes.append(self.cons.setdefault(key, len(self.inputs) + len(self.cons)))
+        return nodes[gl.output]
+
     def finish(self, output: int) -> GateList:
         """The list (dim: the highest input), emptying the builder key by key."""
         tables, k = list(self.tables), len(self.inputs)

@@ -57,7 +57,7 @@ clone_closure = _later("clones", "clone_closure")
 clone_identify = _later("clones", "clone_identify")
 dispatch = _later("clones", "dispatch")
 parse_base_file = _later("clones", "parse_base_file")
-lower_cnf = _later("cnf", "lower_cnf")
+cnf_to_formula = _later("cnf", "cnf_to_formula")
 parse_dimacs = _later("cnf", "parse_dimacs")
 linear_decide = _later("easy", "linear_decide")
 monotone_decide = _later("easy", "monotone_decide")
@@ -120,13 +120,13 @@ def _load_object(args, base: BaseSet | None):
     kind, path = picked[0]
     text = _read(path)
     if kind == "formula":
-        return parse_formula(text.strip(), base, gates=True)
+        return parse_formula(text.strip(), base)
     if kind == "circuit":
         return parse_circuit(text, base)
     if kind == "cnf":
-        return lower_cnf(parse_dimacs(text))
+        return cnf_to_formula(parse_dimacs(text))
     if kind == "qbf":
-        return parse_qbf(text.strip(), base, gates=True)
+        return parse_qbf(text.strip(), base)
     return parse_relation(text)
 
 
@@ -360,7 +360,7 @@ def _variant_from(args) -> TVariant:
 
 def _cmd_reduce(args) -> int:
     from .clones import STANDARD_BASE
-    from .qbf import FORALL, QuantifiedFormula
+    from .qbf import FORALL, with_prefix
     from .reduce import S02Q
 
     variant = _variant_from(args)
@@ -391,11 +391,9 @@ def _cmd_reduce(args) -> int:
     stats: dict = {}
     matrix = tr_combine(phi, variant, base, stats=stats)
     if variant.kind == S02Q:
-        result = print_qbf(
-            QuantifiedFormula(((FORALL, phi.n + 2),), matrix)
-        )
+        result = print_qbf(with_prefix(matrix, ((FORALL, phi.n + 2),)), base)
     else:
-        result = print_formula(matrix)
+        result = print_formula(matrix, base)
     sidecar = {
         "variant": str(variant),
         "new_variable_indices": list(

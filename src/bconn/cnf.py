@@ -1,4 +1,4 @@
-"""DIMACS CNF parsing and rendering into the standard connectives.
+"""DIMACS CNF parsing, and rendering as gates over the standard connectives.
 
 Reading stops at a line that is exactly `%`, the trailer SATLIB's
 uf*/uuf* files end with (`%` then `0`); whatever follows it is ignored.
@@ -6,10 +6,9 @@ uf*/uuf* files end with (`%` then `0`); whatever follows it is ignored.
 
 from __future__ import annotations
 
-from .circuits import GateList
+from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE
 from .errors import EmptyClause, HeaderMismatch, LiteralOutOfRange
-from .formulas import Apply, FormulaAst, Var, lower_formula
 from .truthtable import Record, _set, replace
 
 
@@ -84,31 +83,25 @@ def print_dimacs(cnf: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _literal_ast(lit: int) -> FormulaAst:
-    v = Var(abs(lit))
-    return v if lit > 0 else Apply("not", (v,))
+def cnf_to_formula(cnf: CnfFormula) -> GateList:
+    """The balanced and/or/not rendering as a gate list over the standard
+    base, declaring all n variables.  Each clause folds its literals with
+    or, and the clauses fold with and, split at the middle; the last
+    argument of each gate is built first.  An empty clause list renders
+    as the tautology x1 or not(x1)."""
+    b = GateBuilder(STANDARD_BASE, tuple(sorted({abs(lit) for c in cnf.clauses for lit in c} or {1})))
 
+    def literal(lit: int) -> int:
+        return b.node[lit] if lit > 0 else b.app("not", (b.node[-lit],))
 
-def _fold(name: str, parts: list[FormulaAst]) -> FormulaAst:
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return Apply(name, (_fold(name, parts[:mid]), _fold(name, parts[mid:])))
+    def fold(name: str, parts: list, leaf) -> int:
+        if len(parts) == 1:
+            return leaf(parts[0])
+        mid = len(parts) // 2
+        right = fold(name, parts[mid:], leaf)
+        return b.app(name, (fold(name, parts[:mid], leaf), right))
 
-
-def cnf_to_formula(cnf: CnfFormula) -> FormulaAst:
-    """Balanced and/or/not rendering over the standard base.
-
-    An empty clause list renders as the tautology x1 or not(x1).
-    """
     if not cnf.clauses:
-        return Apply("or", (Var(1), Apply("not", (Var(1),))))
-    clause_asts = [
-        _fold("or", [_literal_ast(lit) for lit in clause]) for clause in cnf.clauses
-    ]
-    return _fold("and", clause_asts)
-
-
-def lower_cnf(cnf: CnfFormula) -> GateList:
-    """The not/and/or rendering as a gate list, declaring all n variables."""
-    return replace(lower_formula(cnf_to_formula(cnf), STANDARD_BASE), dim=cnf.n)
+        return replace(b.finish(b.app("or", (0, b.app("not", (0,))))), dim=cnf.n)
+    out = fold("and", cnf.clauses, lambda clause: fold("or", clause, literal))
+    return replace(b.finish(out), dim=cnf.n)

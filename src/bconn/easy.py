@@ -24,7 +24,7 @@ from .properties import (
     is_separating,
     separating_coordinate,
 )
-from .qbf import EXISTS, QuantifiedFormula
+from .qbf import EXISTS
 from .semantics import evaluate, lower, truth_table_of
 from .truthtable import BitVector, LinearForm, Record, _set, var_mask
 
@@ -113,7 +113,7 @@ def monotone_decide(
     """
     if not all(is_monotone(f) for f in base.tables):
         raise WrongClass("base contains a non-monotone function")
-    obj = lower(obj, base)
+    obj = lower(obj)
     _check_pair(obj, base, s, t)
     rationale = (
         "monotone base: the solution graph is connected; witness flips "
@@ -170,7 +170,7 @@ def zerosep_decide(
     """
     if not all(is_separating(f, 0) for f in base.tables):
         raise WrongClass("base contains a function that is not 0-separating")
-    obj = lower(obj, base)
+    obj = lower(obj)
     _check_pair(obj, base, s, t)
     rationale = (
         "0-separating base: the solution graph is connected; solutions "
@@ -214,7 +214,7 @@ def linear_form_of(obj, base: BaseSet) -> LinearForm:
     for name, f in base:
         if not is_affine(f):
             raise NonAffineBaseFunction(f"base function {name} is not affine")
-    gl = lower(obj, base)
+    gl = lower(obj)
     if gl.prefix is not None:
         raise UsageError("no linear form for a quantified formula")
     return linear_form(gl)
@@ -246,7 +246,7 @@ def linear_decide(
     """
     if not all(is_affine(f) for f in base.tables):
         raise WrongClass("base contains a non-affine function")
-    obj = lower(obj, base)
+    obj = lower(obj)
     if obj.prefix is not None:
         raise UsageError("use qbf_easy_decide for quantified formulas")
     _check_pair(obj, base, s, t)
@@ -259,7 +259,7 @@ def linear_decide(
 
 
 def qbf_easy_decide(
-    q: QuantifiedFormula,
+    q: GateList,
     base: BaseSet,
     s: BitVector | None = None,
     t: BitVector | None = None,
@@ -273,7 +273,7 @@ def qbf_easy_decide(
     quantifier existential) or unsatisfiable (universal); otherwise the
     matrix form restricted to the free variables decides as usual.
     """
-    q = lower(q, base)
+    q = lower(q)
     if q.prefix is None:
         raise UsageError("qbf_easy_decide needs a quantified formula")
     if all(is_monotone(f) for f in base.tables):

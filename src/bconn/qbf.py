@@ -6,7 +6,9 @@ Concrete syntax puts the prefix before a ':', e.g.
 
 All variables share the xN namespace; a variable is bound iff it appears
 in the prefix.  The solution graph ranges over the free variables taken
-in index order.
+in index order.  A quantified formula is its matrix's gate list with the
+prefix kept beside it (GateList.prefix); QuantifiedFormula only pairs a
+prefix with a matrix for the S02Q transform to return.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from .circuits import VAR_NAME, GateList, tabulate
 from .clones import BaseSet
 from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
-from .formulas import FormulaAst, formula_vars, lower_formula, parse_formula, print_formula
+from .formulas import parse_formula, print_formula
 from .truthtable import BitVector, Record, TruthTable, _set, replace, var_mask
 
 DEFAULT_EXPANSION_BUDGET = 20
@@ -34,23 +36,18 @@ def _check_prefix(prefix: tuple[tuple[str, int], ...]):
 
 
 class QuantifiedFormula(Record):
+    """A prefix over a gate-list matrix, as the S02Q transform returns it."""
+
     __slots__ = ("prefix", "matrix")
 
-    def __init__(self, prefix: tuple[tuple[str, int], ...], matrix: FormulaAst):
+    def __init__(self, prefix: tuple[tuple[str, int], ...], matrix: GateList):
         _check_prefix(prefix)  # (quantifier, variable index) pairs
         _set(self, "prefix", prefix)
         _set(self, "matrix", matrix)
 
-    def bound_vars(self) -> set[int]:
-        return {j for _, j in self.prefix}
 
-    def free_vars(self) -> list[int]:
-        return sorted(formula_vars(self.matrix) - self.bound_vars())
-
-
-def parse_qbf(text: str, base: BaseSet, gates: bool = False) -> QuantifiedFormula | GateList:
-    """The quantified formula, or with gates=True its matrix parsed straight
-    into a gate list that carries the prefix (see lower_qbf)."""
+def parse_qbf(text: str, base: BaseSet) -> GateList:
+    """The matrix parsed straight into a gate list that carries the prefix."""
     head, sep, body = text.partition(":")
     if not sep:
         head, body = "", text
@@ -64,28 +61,24 @@ def parse_qbf(text: str, base: BaseSet, gates: bool = False) -> QuantifiedFormul
         if not VAR_NAME.match(v):
             raise FormulaSyntaxError(f"bad quantified variable {v!r}")
         prefix.append((q, int(v[1:])))
-    matrix = parse_formula(body, base, gates)
-    if not gates:
-        return QuantifiedFormula(tuple(prefix), matrix)
+    matrix = parse_formula(body, base)
     _check_prefix(prefix)
-    return _with_prefix(matrix, tuple(prefix))
+    return with_prefix(matrix, tuple(prefix))
 
 
-def print_qbf(q: QuantifiedFormula) -> str:
-    matrix = print_formula(q.matrix)
+def print_qbf(q: GateList, base: BaseSet) -> str:
+    """The prefix, then the matrix as print_formula spells it."""
+    matrix = print_formula(q, base)
     if not q.prefix:
         return matrix
     head = " ".join(f"{quant} x{j}" for quant, j in q.prefix)
     return f"{head} : {matrix}"
 
 
-def _with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:
+def with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:
+    """The matrix's gates under the prefix; dim counts the free variables."""
     bound = {j for _, j in prefix}
     return replace(m, dim=len(set(m.inputs) - bound), prefix=prefix)
-
-
-def lower_qbf(q: QuantifiedFormula, base: BaseSet) -> GateList:
-    return _with_prefix(lower_formula(q.matrix, base), q.prefix)
 
 
 def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:

@@ -12,6 +12,13 @@ by adding fresh variables after the inputs (y first, then any z block):
 
 Tr splits a CNF in half, transforms recursively, and joins the halves
 with a synthesized two-input combiner, giving depth ceil(log2 m).
+
+Every construction builds gates: the transforms emit into a GateBuilder
+over the standard base, synthesis records each table's best candidate
+and builds the target's gates once, and Tr pastes synthesized gate lists
+over the nodes of one builder.  Equal (table, args) pairs share a node,
+so an output that unfolds to millions of formula nodes is a few hundred
+gates; print_formula spells it out.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE, BaseSet, closure_rounds
 from .cnf import CnfFormula
 from .errors import (
@@ -29,18 +37,11 @@ from .errors import (
     NotRealizable,
     UsageError,
 )
-from .formulas import (
-    Apply,
-    FormulaAst,
-    Var,
-    formula_size,
-    formula_vars,
-    substitute,
-)
+from .formulas import formula_size, parse_formula
 from .graph import SolutionSet
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
-from .truthtable import BitVector, Record, TruthTable, _set, tt_parse, var_mask
+from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, tt_parse, var_mask
 
 S12 = "S12"
 D1 = "D1"
@@ -121,116 +122,99 @@ def shift_to_one_reproducing(phi: CnfFormula, s: BitVector) -> CnfFormula:
     ))
 
 
-def _and(a: FormulaAst, b: FormulaAst) -> FormulaAst:
-    return Apply("and", (a, b))
+def _and(b: GateBuilder, *parts: int) -> int:
+    return functools.reduce(lambda x, y: b.app("and", (x, y)), parts)
 
 
-def _or(a: FormulaAst, b: FormulaAst) -> FormulaAst:
-    return Apply("or", (a, b))
+def _or(b: GateBuilder, *parts: int) -> int:
+    return functools.reduce(lambda x, y: b.app("or", (x, y)), parts)
 
 
-def _not(a: FormulaAst) -> FormulaAst:
-    return Apply("not", (a,))
+def _not(b: GateBuilder, x: int) -> int:
+    return b.app("not", (x,))
 
 
-def _conj(parts: list[FormulaAst]) -> FormulaAst:
-    return functools.reduce(_and, parts)
-
-
-def _disj(parts: list[FormulaAst]) -> FormulaAst:
-    return functools.reduce(_or, parts)
-
-
-def _pattern(indices: list[int], bits: str) -> FormulaAst:
+def _pattern(b: GateBuilder, indices: list[int], bits: str) -> int:
     """Conjunction pinning each variable to the corresponding bit.
 
     An empty pattern is the constant 1 (spelled over x1 so no base
     constants are needed)."""
-    parts = [
-        Var(j) if b == "1" else _not(Var(j)) for j, b in zip(indices, bits)
-    ]
+    parts = [b.node[j] if c == "1" else _not(b, b.node[j]) for j, c in zip(indices, bits)]
     if not parts:
-        return _or(Var(1), _not(Var(1)))
-    return _conj(parts)
+        return _or(b, b.node[1], _not(b, b.node[1]))
+    return _and(b, *parts)
 
 
 def t_transform(
-    psi: FormulaAst, variant: TVariant, n0: int | None = None
-) -> FormulaAst | QuantifiedFormula:
-    """The standard-connective rendering of T_psi.
+    psi: GateList, variant: TVariant, n0: int | None = None
+) -> GateList | QuantifiedFormula:
+    """The standard-connective rendering of T_psi, as gates.
 
     n0 fixes where the new variables start (input variables occupy
-    x_1..x_{n0}); it defaults to the highest variable in psi.  For
+    x_1..x_{n0}); it defaults to the highest input of psi.  For
     S12/D1/S02K psi must be 1-reproducing.  The all-zero / all-one
-    guard patterns range over the variables that actually appear in
-    psi, so transforming clause by clause and combining agrees with
-    transforming the whole formula at once.
+    guard patterns range over the inputs of psi, so transforming clause
+    by clause and combining agrees with transforming the whole formula
+    at once.
     """
-    used = formula_vars(psi)
+    ps = sorted(psi.inputs)
     if n0 is None:
-        n0 = max(used, default=1)
-    if n0 < 1 or (used and max(used) > n0):
+        n0 = max(ps, default=1)
+    if n0 < 1 or (ps and ps[-1] > n0):
         raise UsageError(f"n0 = {n0} does not cover the variables of psi")
-    ps = sorted(used)
     if variant.kind != S02Q:
         ones = BitVector(n0, (1 << n0) - 1)
         if evaluate(psi, STANDARD_BASE, ones) != 1:
             raise NotOneReproducing("psi is not satisfied by the all-ones assignment")
     y = n0 + 1
+    news = list(range(y, y + variant.new_var_count))
+    b = GateBuilder(STANDARD_BASE, tuple((ps or [1]) + news))
+    x = b.node
+    p = b.paste(psi, [x[j] for j in psi.inputs])
     if variant.kind == S12:
-        return _and(psi, Var(y))
+        return b.finish(_and(b, p, x[y]))
     if variant.kind == D1:
-        y1, y2, y3 = y, y + 1, y + 2
-        ys = [y1, y2, y3]
-        neg_psi_neg = _not(substitute(psi, {j: _not(Var(j)) for j in ps}))
-        one_hot = _disj([_pattern(ys, p) for p in ("100", "010", "001")])
-        blocked = _and(_pattern(ps, "0" * len(ps)), _pattern(ys, "001"))
-        return _disj(
-            [
-                _and(psi, _pattern(ys, "111")),
-                _and(neg_psi_neg, _pattern(ys, "000")),
-                _and(one_hot, _not(blocked)),
-                _and(_pattern(ps, "1" * len(ps)), _pattern(ys, "110")),
-            ]
-        )
+        ys = news
+        neg_psi_neg = _not(b, b.paste(psi, [_not(b, x[j]) for j in psi.inputs]))
+        one_hot = _or(b, *[_pattern(b, ys, bits) for bits in ("100", "010", "001")])
+        blocked = _and(b, _pattern(b, ps, "0" * len(ps)), _pattern(b, ys, "001"))
+        return b.finish(_or(
+            b,
+            _and(b, p, _pattern(b, ys, "111")),
+            _and(b, neg_psi_neg, _pattern(b, ys, "000")),
+            _and(b, one_hot, _not(b, blocked)),
+            _and(b, _pattern(b, ps, "1" * len(ps)), _pattern(b, ys, "110")),
+        ))
     if variant.kind == S02K:
-        zs = list(range(y + 1, y + 2 + variant.k))  # z_1..z_{k+1}
-        pairs = [
-            _and(Var(a), Var(b)) for a, b in itertools.combinations(zs, 2)
-        ]
-        return _disj(
-            [
-                _conj([psi, Var(y), _pattern(zs, "0" * len(zs))]),
-                _disj(pairs),
-                _conj(
-                    [
-                        _pattern(ps, "1" * len(ps)),
-                        Var(y),
-                        _pattern(zs, "1" + "0" * (len(zs) - 1)),
-                    ]
-                ),
-            ]
-        )
+        zs = news[1:]  # z_1..z_{k+1}
+        pairs = [_and(b, x[i], x[j]) for i, j in itertools.combinations(zs, 2)]
+        return b.finish(_or(
+            b,
+            _and(b, p, x[y], _pattern(b, zs, "0" * len(zs))),
+            _or(b, *pairs),
+            _and(b, _pattern(b, ps, "1" * len(ps)), x[y], _pattern(b, zs, "1" + "0" * (len(zs) - 1))),
+        ))
     z = y + 1
-    matrix = _or(_and(psi, Var(y)), Var(z))
+    matrix = b.finish(_or(b, _and(b, p, x[y]), x[z]))
     return QuantifiedFormula(((FORALL, z),), matrix)
 
 
-def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> FormulaAst:
+def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> GateList:
     """Bottom-up closure rounds (clones.closure_rounds) seeded with the
     projections, with observational-equivalence memoing: each table keeps
-    the (size, print text, formula) of the smallest, then first printed,
-    candidate of the round that first produced it; a candidate's text is
-    built only when it could win.  Reaching a fixpoint without any
-    budget-forced skip certifies the target unrealizable at this arity.
+    the (size, print text, name, args) of the smallest, then first
+    printed, candidate of the round that first produced it; a candidate's
+    text is built only when it could win.  The target's gates are built
+    once, at the end.  Reaching a fixpoint without any budget-forced skip
+    certifies the target unrealizable at this arity.
     """
     n = target.n
-    known = {var_mask(n, j): (1, f"x{j}", Var(j)) for j in range(1, n + 1)}
+    known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
     applications = 0
     skipped = False
     for count, tuples in closure_rounds(base, n, known):
         if target.bits in known:
-            return known[target.bits][2]
+            return _gates_of(known, target.bits, base, n)
         applications += count
         if applications > budget.max_applications:
             raise BudgetExceeded(
@@ -252,8 +236,7 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> For
             text = f"{name}({','.join(known[a][1] for _, a in args)})" if args else name
             if best is None or (size, text) < best[:2]:
                 fresh[out] = (size, text, name, args)
-        for out, (size, text, name, args) in fresh.items():
-            known[out] = (size, text, Apply(name, tuple(known[a][2] for _, a in args)))
+        known.update(fresh)
     if skipped:
         raise BudgetExceeded("synthesis size cap pruned the search")
     raise NotRealizable(
@@ -262,43 +245,59 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> For
     )
 
 
+def _gates_of(known: dict, bits: int, base: BaseSet, n: int) -> GateList:
+    """The gate list over x_1..x_n that the search recorded for table bits,
+    each argument built before its application, on an explicit stack."""
+    b = GateBuilder(base, tuple(range(1, n + 1)))
+    node = {var_mask(n, j): j - 1 for j in range(1, n + 1)}
+    stack = [bits]
+    while stack:
+        t = stack[-1]
+        if t in node:
+            stack.pop()
+            continue
+        _, _, name, args = known[t]
+        todo = [a for _, a in args if a not in node]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        node[t] = b.app(name, tuple([node[a] for _, a in args]))
+    return b.finish(node[bits])
+
+
 def _shannon(
-    target: TruthTable,
-    ops: dict[str, FormulaAst],
-    memo: dict[tuple[int, int], FormulaAst],
-) -> FormulaAst:
-    """Expansion over x_1: target = (NOT x1 AND f0) OR (x1 AND f1),
-    with the connectives spelled in base terms via substitution."""
+    target: TruthTable, ops: dict[str, GateList], b: GateBuilder, memo: dict[tuple[int, int], int]
+) -> int:
+    """Expansion over the target's first variable: target = (NOT x1 AND
+    f0) OR (x1 AND f1), with the connectives spelled in base terms by
+    pasting their synthesized gates.  b's inputs are x_1..x_N; a target of
+    arity m >= 1 ranges over its last m, and a constant (arity 0) is
+    spelled over x_N, so a memo entry is a node for every caller."""
     key = (target.n, target.bits)
     got = memo.get(key)
     if got is not None:
         return got
     n = target.n
     full = (1 << (1 << n)) - 1
+    x = len(b.inputs) - max(n, 1)  # the node of the target's first variable
 
-    def inst(op: str, *args: FormulaAst) -> FormulaAst:
-        return substitute(ops[op], dict(enumerate(args, start=1)))
+    def inst(op: str, *args: int) -> int:
+        return b.paste(ops[op], args)
 
     if target.bits == 0:
-        out = inst("and", Var(1), inst("not", Var(1)))
+        out = inst("and", x, inst("not", x))
     elif target.bits == full:
-        out = inst("or", Var(1), inst("not", Var(1)))
+        out = inst("or", x, inst("not", x))
     else:
         for j in range(1, n + 1):
             if target.bits == var_mask(n, j):
-                memo[key] = Var(j)
-                return Var(j)
+                memo[key] = x + j - 1
+                return x + j - 1
         stride = 1 << (n - 1)
-        low = target.bits & ((1 << stride) - 1)
-        high = target.bits >> stride
-        sub0 = _shannon(TruthTable(n - 1, low), ops, memo)
-        sub1 = _shannon(TruthTable(n - 1, high), ops, memo)
-        shift = {j: Var(j + 1) for j in range(1, n)}
-        f0 = substitute(sub0, shift)
-        f1 = substitute(sub1, shift)
-        out = inst(
-            "or", inst("and", inst("not", Var(1)), f0), inst("and", Var(1), f1)
-        )
+        f0 = _shannon(TruthTable(n - 1, target.bits & ((1 << stride) - 1)), ops, b, memo)
+        f1 = _shannon(TruthTable(n - 1, target.bits >> stride), ops, b, memo)
+        out = inst("or", inst("and", inst("not", x), f0), inst("and", x, f1))
     memo[key] = out
     return out
 
@@ -306,8 +305,8 @@ def _shannon(
 @functools.lru_cache(maxsize=256)
 def synth_bformula(
     target: TruthTable, base: BaseSet, budget: SynthBudget = DEFAULT_SYNTH_BUDGET
-) -> FormulaAst:
-    """A formula over the base whose truth table equals the target.
+) -> GateList:
+    """A gate list over the base and x_1..x_n whose table equals the target.
 
     Exhaustive bottom-up search first; if its budget trips and the base
     can express not/and/or, fall back to Shannon expansion built from
@@ -329,11 +328,8 @@ def synth_bformula(
                 "synthesis budget exceeded and the base does not yield "
                 "not/and/or for a structural fallback"
             ) from None
-        return _shannon(target, ops, {})
-
-
-def _clause_formula(clause: tuple[int, ...], positions: dict[int, int]) -> FormulaAst:
-    return _disj([Var(positions[lit]) if lit > 0 else _not(Var(positions[-lit])) for lit in clause])
+        b = GateBuilder(base, tuple(range(1, max(target.n, 1) + 1)))
+        return b.finish(_shannon(target, ops, b, {}))
 
 
 def tr_combine(
@@ -342,14 +338,15 @@ def tr_combine(
     base: BaseSet,
     budget: SynthBudget = DEFAULT_SYNTH_BUDGET,
     stats: dict | None = None,
-) -> FormulaAst:
+) -> GateList:
     """Balanced clause-by-clause transform over an arbitrary base.
 
     Leaves synthesize T of a single clause (compacted to its distinct
-    variables); internal nodes synthesize T of x1 AND x2 once and
-    substitute the halves into it, sharing one global block of new
-    variables.  The result's table equals t_transform of the whole CNF
-    (for S02Q, its matrix).
+    variables); internal nodes synthesize T of x1 AND x2 once and paste
+    the halves into it, sharing one global block of new variables.  The
+    result is one gate list over x_1..x_{n + new}, and its table equals
+    t_transform of the whole CNF (for S02Q, its matrix).  stats gets
+    the combining depth and the size of the formula the gates unfold to.
     """
     if not phi.is_three_cnf:
         raise UsageError("Tr expects a 3-CNF")
@@ -359,51 +356,47 @@ def tr_combine(
     if n < 1:
         raise UsageError("Tr needs at least one variable")
     extra = variant.new_var_count
-    new_vars = list(range(n + 1, n + extra + 1))
+    out = GateBuilder(base, tuple(range(1, n + extra + 1)))
+    news = list(range(n, n + extra))  # the nodes of the new variables
 
-    def lift(compact: FormulaAst, arity: int, outer: list[int]) -> FormulaAst:
-        mapping: dict[int, FormulaAst] = {
-            p: Var(o) for p, o in zip(range(1, arity + 1), outer)
-        }
-        for q, g in enumerate(new_vars, start=arity + 1):
-            mapping[q] = Var(g)
-        return substitute(compact, mapping)
-
-    def tee(compact_psi: FormulaAst, arity: int) -> FormulaAst:
+    def tee(compact_psi: GateList, arity: int) -> GateList:
+        if arity + extra > DEFAULT_ENUM_BUDGET:  # refuse before T is built
+            raise BudgetExceeded(f"dimension {arity + extra} exceeds budget {DEFAULT_ENUM_BUDGET}")
         t = t_transform(compact_psi, variant, n0=arity)
         if variant.kind == S02Q:
             t = t.matrix
         table = truth_table_of(t, STANDARD_BASE, arity + extra)
         return synth_bformula(table, base, budget)
 
-    combiner: FormulaAst | None = None
+    combiner: GateList | None = None
 
-    def rec(clauses: tuple[tuple[int, ...], ...]) -> tuple[FormulaAst, int]:
+    def rec(clauses: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         nonlocal combiner
         if len(clauses) == 1:
-            cvars = sorted({abs(lit) for lit in clauses[0]})
-            positions = {v: p for p, v in enumerate(cvars, start=1)}
-            compact = tee(_clause_formula(clauses[0], positions), len(cvars))
-            return lift(compact, len(cvars), cvars), 0
+            clause = clauses[0]
+            cvars = sorted({abs(lit) for lit in clause})
+            b = GateBuilder(STANDARD_BASE, tuple(range(1, len(cvars) + 1)))
+            lits = [cvars.index(abs(lit)) for lit in clause]  # nodes of the compacted variables
+            psi = b.finish(_or(b, *[p if lit > 0 else _not(b, p) for p, lit in zip(lits, clause)]))
+            compact = tee(psi, len(cvars))
+            return out.paste(compact, [v - 1 for v in cvars] + news), 0
         mid = len(clauses) // 2
         left, dl = rec(clauses[:mid])
         right, dr = rec(clauses[mid:])
         if combiner is None:
-            combiner = tee(_and(Var(1), Var(2)), 2)
-        mapping: dict[int, FormulaAst] = {1: left, 2: right}
-        for q, g in enumerate(new_vars, start=3):
-            mapping[q] = Var(g)
-        return substitute(combiner, mapping), 1 + max(dl, dr)
+            combiner = tee(parse_formula("and(x1,x2)", STANDARD_BASE), 2)
+        return out.paste(combiner, [left, right] + news), 1 + max(dl, dr)
 
     if phi.clauses:
-        out, depth = rec(phi.clauses)
+        root, depth = rec(phi.clauses)
     else:
-        compact = tee(_or(Var(1), _not(Var(1))), 1)
-        out, depth = lift(compact, 1, [1]), 0
+        compact = tee(parse_formula("or(x1,not(x1))", STANDARD_BASE), 1)
+        root, depth = out.paste(compact, [0] + news), 0
+    gl = out.finish(root)
     if stats is not None:
         stats["depth"] = depth
-        stats["size"] = formula_size(out)
-    return out
+        stats["size"] = formula_size(gl)
+    return gl
 
 
 def gen_expdiam(k: int) -> SolutionSet:
@@ -434,6 +427,10 @@ def apply_t_relation(r: SolutionSet, variant: TVariant) -> SolutionSet:
     if not r.words:
         raise UsageError("the transform needs a nonempty solution set")
     n = r.n
+    if n + variant.new_var_count > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"dimension {n + variant.new_var_count} exceeds budget {DEFAULT_ENUM_BUDGET}"
+        )
     ones = (1 << n) - 1
     have = set(r.words)
     if ones not in have:

@@ -1,25 +1,24 @@
 """Shared oracles and instance generators for the test suite.
 
-The oracles here deliberately avoid the library's bigint mask pipeline:
-formulas and circuits are evaluated row by row against printed truth-table
-text, quantifiers by naive recursion, and graphs by plain BFS over word
-sets.  Agreement between these and the library is what the tests check.
+The oracles here deliberately avoid the library's bigint mask pipeline
+and its parsers: formula, quantified-formula and circuit text is read
+here and evaluated row by row against printed truth-table text,
+quantifiers by naive recursion, and graphs by plain BFS over word sets.
+Agreement between these and the library is what the tests check.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import re
 from collections import deque
 
 from bconn import (
-    Apply,
     BaseSet,
     CnfFormula,
     EXISTS,
     FORALL,
-    QuantifiedFormula,
-    Var,
-    formula_vars,
     tt_parse,
 )
 
@@ -67,13 +66,46 @@ def env_of(word: int, n: int) -> dict[int, int]:
     return {j: (word >> (n - j)) & 1 for j in range(1, n + 1)}
 
 
-def eval_ast_slow(ast, tables: dict[str, str], env: dict[int, int]) -> int:
-    if isinstance(ast, Var):
-        return env[ast.index]
-    row = 0
-    for arg in ast.args:
-        row = row * 2 + eval_ast_slow(arg, tables, env)
-    return int(tables[ast.name][row])
+@functools.lru_cache(maxsize=None)
+def read_formula(text: str):
+    """Well-formed formula text as nested tuples: an int j for x_j, else
+    (name, argument trees)."""
+    toks = re.findall(r"\w+|\S", text)
+    pos = 0
+
+    def expr():
+        nonlocal pos
+        tok = toks[pos]
+        pos += 1
+        if re.fullmatch(r"x[1-9][0-9]*", tok):
+            return int(tok[1:])
+        args = []
+        if pos < len(toks) and toks[pos] == "(":
+            pos += 1
+            while toks[pos] != ")":
+                args.append(expr())
+                if toks[pos] == ",":
+                    pos += 1
+            pos += 1
+        return (tok, tuple(args))
+
+    return expr()
+
+
+def text_vars(text: str) -> set[int]:
+    return {int(m) for m in re.findall(r"\bx([1-9][0-9]*)\b", text)}
+
+
+def eval_ast_slow(text: str, tables: dict[str, str], env: dict[int, int]) -> int:
+    def ev(t) -> int:
+        if isinstance(t, int):
+            return env[t]
+        row = 0
+        for arg in t[1]:
+            row = row * 2 + ev(arg)
+        return int(tables[t[0]][row])
+
+    return ev(read_formula(text))
 
 
 def eval_circuit_slow(text: str, tables: dict[str, str], env: dict[int, int]) -> int:
@@ -96,11 +128,25 @@ def eval_cnf_slow(cnf: CnfFormula, env: dict[int, int]) -> int:
     return int(all(any(env[abs(lit)] == (lit > 0) for lit in c) for c in cnf.clauses))
 
 
-def eval_qbf_slow(q: QuantifiedFormula, tables: dict[str, str], free_env: dict[int, int]) -> int:
+def read_qbf(text: str) -> tuple[list[tuple[str, int]], str]:
+    """Well-formed quantified-formula text as (prefix, matrix text)."""
+    head, _, matrix = text.rpartition(":")
+    toks = head.split()
+    return [(q, int(v[1:])) for q, v in zip(toks[::2], toks[1::2])], matrix
+
+
+def qbf_free_vars(text: str) -> list[int]:
+    prefix, matrix = read_qbf(text)
+    return sorted(text_vars(matrix) - {j for _, j in prefix})
+
+
+def eval_qbf_slow(text: str, tables: dict[str, str], free_env: dict[int, int]) -> int:
+    prefix, matrix = read_qbf(text)
+
     def rec(i: int, env: dict[int, int]) -> int:
-        if i == len(q.prefix):
-            return eval_ast_slow(q.matrix, tables, env)
-        quant, j = q.prefix[i]
+        if i == len(prefix):
+            return eval_ast_slow(matrix, tables, env)
+        quant, j = prefix[i]
         low = rec(i + 1, {**env, j: 0})
         if quant == EXISTS and low:
             return 1
@@ -119,13 +165,13 @@ def circuit_solutions_slow(text: str, tables: dict[str, str], n: int) -> set[int
     return {w for w in range(1 << n) if eval_circuit_slow(text, tables, env_of(w, n))}
 
 
-def qbf_solutions_slow(q: QuantifiedFormula, tables: dict[str, str]) -> set[int]:
-    free = q.free_vars()
+def qbf_solutions_slow(text: str, tables: dict[str, str]) -> set[int]:
+    free = qbf_free_vars(text)
     n = len(free)
     out = set()
     for w in range(1 << n):
         env = {j: (w >> (n - 1 - p)) & 1 for p, j in enumerate(free)}
-        if eval_qbf_slow(q, tables, env):
+        if eval_qbf_slow(text, tables, env):
             out.add(w)
     return out
 
@@ -216,19 +262,21 @@ def check_path_words(path, members: set[int], n: int, s: int, t: int) -> None:
 # Seeded random instance generators.
 
 
-def rand_ast(rng: random.Random, ops, n: int, budget: int):
+def rand_ast(rng: random.Random, ops, n: int, budget: int) -> str:
+    """Random formula text over ops and x1..xn, of about budget nodes."""
+
     def go(room: int):
         if room <= 1 or rng.random() < 0.3:
-            return Var(rng.randint(1, n)), 1
+            return f"x{rng.randint(1, n)}", 1
         name, ar = ops[rng.randrange(len(ops))]
         if ar == 0:
-            return Apply(name, ()), 1
+            return name, 1
         used, args = 1, []
         for i in range(ar):
             child, sz = go(max(1, (room - used) // (ar - i)))
             args.append(child)
             used += sz
-        return Apply(name, tuple(args)), used
+        return f"{name}({','.join(args)})", used
 
     return go(budget)[0]
 
@@ -271,17 +319,11 @@ def rand_three_cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
     return CnfFormula(n, tuple(clauses))
 
 
-def rand_qbf(rng: random.Random, ops, n_total: int, bound_count: int, budget: int) -> QuantifiedFormula:
+def rand_qbf(rng: random.Random, ops, n_total: int, bound_count: int, budget: int) -> str:
+    """Random quantified-formula text: a prefix over some of x1..x_{n_total},
+    then ' : ', then a rand_ast matrix."""
     matrix = rand_ast(rng, ops, n_total, budget)
     bound = rng.sample(range(1, n_total + 1), min(bound_count, n_total))
     rng.shuffle(bound)
-    prefix = tuple((EXISTS if rng.random() < 0.5 else FORALL, j) for j in bound)
-    return QuantifiedFormula(prefix, matrix)
-
-
-def qbf_free_count(q: QuantifiedFormula) -> int:
-    return len(q.free_vars())
-
-
-def ast_vars_sorted(ast) -> list[int]:
-    return sorted(formula_vars(ast))
+    prefix = [(EXISTS if rng.random() < 0.5 else FORALL, j) for j in bound]
+    return " ".join(f"{q} x{j}" for q, j in prefix) + f" : {matrix}"

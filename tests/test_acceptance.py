@@ -15,7 +15,6 @@ import time
 
 from bconn import (
     EXACT,
-    EXISTS,
     FORALL,
     NotRealizable,
     QuantifiedFormula,
@@ -39,6 +38,7 @@ from bconn import (
     parse_circuit,
     parse_dimacs,
     parse_formula,
+    parse_qbf,
     print_formula,
     property_report,
     qbf_easy_decide,
@@ -64,6 +64,7 @@ from conftest import (
     cube_labels,
     eval_ast_slow,
     mk_base,
+    qbf_free_vars,
     qbf_solutions_slow,
     rand_ast,
     rand_linear_circuit,
@@ -90,11 +91,13 @@ def _pairs(rng, words, cap):
     return [tuple(rng.sample(words, 2)) for _ in range(cap)]
 
 
-def _sized_ast(rng, ops, n, cap=100):
+def _sized_ast(rng, ops, n, base, cap=100):
+    """Random formula text of at most cap nodes, and its gate list."""
     while True:
-        ast = rand_ast(rng, ops, n, rng.randint(2, 40))
-        if formula_size(ast) <= cap:
-            return ast
+        text = rand_ast(rng, ops, n, rng.randint(2, 40))
+        gl = parse_formula(text, base)
+        if formula_size(gl) <= cap:
+            return text, gl
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +149,23 @@ def test_criterion_02_easy_vs_oracle():
     for kind, ops, base in classes:
         for _ in range(200):
             n = rng.randint(1, 12)
-            ast = _sized_ast(rng, ops, n)
+            text, ast = _sized_ast(rng, ops, n, base)
             sols = enumerate_solutions(ast, base, n)
             labels = cube_labels(sols.words, n)
             ncomp = len(set(labels.values()))
             ans = _decide(kind, ast, base, n)
-            assert ans.connected == (ncomp <= 1), (kind, print_formula(ast))
+            assert ans.connected == (ncomp <= 1), (kind, text)
             for a, b in _pairs(rng, list(sols.words), 36):
                 got = _decide(
                     kind, ast, base, n, BitVector(n, a), BitVector(n, b)
                 ).st_connected
-                assert got == (labels[a] == labels[b]), (kind, print_formula(ast))
+                assert got == (labels[a] == labels[b]), (kind, text)
             # partition-level check covering every pair at once
             if kind == "linear":
                 support = linear_form_of(ast, base).support
                 smask = sum(1 << (n - j) for j in support)
                 keyed = {w: w & smask for w in sols.words}
-                assert same_partition(labels, keyed), print_formula(ast)
+                assert same_partition(labels, keyed), text
             else:
                 assert ncomp <= 1  # deciders answer True for every pair
     dt = time.monotonic() - t0
@@ -179,7 +182,7 @@ def test_criterion_03_monotone_distance_law():
     rng = random.Random(30303)
     for _ in range(50):
         n = rng.randint(1, 10)
-        ast = _sized_ast(rng, MONO_OPS, n)
+        text, ast = _sized_ast(rng, MONO_OPS, n, MONO_BASE)
         sols = enumerate_solutions(ast, MONO_BASE, n)
         words = list(sols.words)
         members = set(words)
@@ -187,12 +190,12 @@ def test_criterion_03_monotone_distance_law():
         # the solution set for every pair, so BFS distance = Hamming
         for w in words:
             for b in range(n):
-                assert (w | (1 << b)) in members, print_formula(ast)
+                assert (w | (1 << b)) in members, text
         sources = words if len(words) <= 150 else rng.sample(words, 48)
         for src in sources:
             dist = cube_dist_from(words, n, src)
             for tgt in words:
-                assert dist[tgt] == (src ^ tgt).bit_count(), print_formula(ast)
+                assert dist[tgt] == (src ^ tgt).bit_count(), text
         for a, b in _pairs(rng, words, 20):
             ans = monotone_decide(ast, MONO_BASE, BitVector(n, a), BitVector(n, b))
             path = ans.witness_path
@@ -212,7 +215,7 @@ def test_criterion_04_zerosep_detour_bound():
     tables = {"imp": "1101"}
     for _ in range(50):
         n = rng.randint(1, 10)
-        ast = _sized_ast(rng, IMP_OPS, n)
+        text, ast = _sized_ast(rng, IMP_OPS, n, IMP_BASE)
         sols = enumerate_solutions(ast, IMP_BASE, n)
         words = list(sols.words)
         members = set(words)
@@ -223,12 +226,12 @@ def test_criterion_04_zerosep_detour_bound():
         for w in range(1 << n):
             if w not in members:
                 pinnable &= ~w
-        assert pinnable, print_formula(ast)
+        assert pinnable, text
         sources = words if len(words) <= 150 else rng.sample(words, 32)
         for src in sources:
             dist = cube_dist_from(words, n, src)
             for tgt in words:
-                assert dist[tgt] <= (src ^ tgt).bit_count() + 2, print_formula(ast)
+                assert dist[tgt] <= (src ^ tgt).bit_count() + 2, text
         for a, b in _pairs(rng, words, 15):
             ans = zerosep_decide(ast, IMP_BASE, n, BitVector(n, a), BitVector(n, b))
             assert ans.st_connected
@@ -240,7 +243,7 @@ def test_criterion_04_zerosep_detour_bound():
                 assert (u.word ^ v.word).bit_count() == 1
             for v in path:
                 env = {j: v.bit(j) for j in range(1, n + 1)}
-                assert eval_ast_slow(ast, tables, env) == 1
+                assert eval_ast_slow(text, tables, env) == 1
     _report(4, "0-separating detour bound, 50 instances", t0)
 
 
@@ -380,7 +383,7 @@ def test_criterion_08_synthesizer_sanity():
     t0 = time.monotonic()
     base = mk_base({"h": "0010"})  # x and not y
     got = synth_bformula(tt_of("0001"), base)
-    assert print_formula(got) == "h(x1,h(x1,x2))"
+    assert print_formula(got, base) == "h(x1,h(x1,x2))"
     assert truth_table_of(got, base, 2) == tt_of("0001")
     with pytest.raises(NotRealizable):
         synth_bformula(tt_of("0111"), base)
@@ -430,13 +433,8 @@ def _qbf_cases():
                 bound = rng.randint(1, min(8, 12 - free))
             q = rand_qbf(rng, ops, free + bound, bound, rng.randint(2, 25))
             cases.append((kind, base, q))
-    lin = LIN_BASE
-    cases.append(
-        ("linear", lin, QuantifiedFormula(((EXISTS, 2),), parse_formula("xor(x1,x2)", lin)))
-    )
-    cases.append(
-        ("linear", lin, QuantifiedFormula(((FORALL, 2),), parse_formula("xor(x1,x2)", lin)))
-    )
+    cases.append(("linear", LIN_BASE, "E x2 : xor(x1,x2)"))
+    cases.append(("linear", LIN_BASE, "A x2 : xor(x1,x2)"))
     return cases
 
 
@@ -445,17 +443,17 @@ def test_criterion_10_quantified_easy_side():
     rng = random.Random(80808)
     tables = {"and": "0001", "or": "0111", "xor": "0110", "eqv": "1001", "not": "10"}
     checked = 0
-    for kind, base, q in _qbf_cases():
-        free = q.free_vars()
-        n = len(free)
-        words = sorted(qbf_solutions_slow(q, tables))
+    for kind, base, text in _qbf_cases():
+        q = parse_qbf(text, base)
+        n = len(qbf_free_vars(text))
+        words = sorted(qbf_solutions_slow(text, tables))
         labels = cube_labels(words, n)
         ncomp = len(set(labels.values()))
         ans = qbf_easy_decide(q, base)
-        assert ans.connected == (ncomp <= 1), q
+        assert ans.connected == (ncomp <= 1), text
         for a, b in _pairs(rng, words, 20):
             got = qbf_easy_decide(q, base, BitVector(n, a), BitVector(n, b))
-            assert got.st_connected == (labels[a] == labels[b]), q
+            assert got.st_connected == (labels[a] == labels[b]), text
             if got.witness_path is not None and got.st_connected:
                 path = got.witness_path
                 assert path[0].word == a and path[-1].word == b

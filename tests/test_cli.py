@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: queries, generators, exit codes."""
 
+import hashlib
 import io
 import json
 import random
@@ -424,6 +425,62 @@ def test_reduce_writes_out_files(capsys, files, tmp_path):
     assert got == truth_table_of(want, STD_BASE, 3)
 
 
+@pytest.mark.parametrize(
+    "kind, text, k, dimension",
+    [
+        ("--cnf", "p cnf 2 1\n1 -2 0\n", 30, 34),
+        ("--cnf", "p cnf 2 1\n1 -2 0\n", 3000, 3004),
+        ("--rel", "n 2\n11\n", 22, 26),
+    ],
+)
+def test_reduce_refuses_an_oversized_transform_before_building_it(
+    capsys, files, kind, text, k, dimension
+):
+    path = files("in.txt", text)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "reduce", kind, path, "--variant", "s02k", "--k", str(k))
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error [BudgetExceeded]: dimension {dimension} exceeds budget 24\n"
+
+
+# The reduce outputs (stdout, --json stdout, --out file and sidecar) of one
+# 1-reproducing CNF, pinned by digest.  dup.tt names the and and or tables
+# twice each, out of name order: the output spells each by its least name.
+PINNED_CNF = "p cnf 4 3\n1 -2 3 0\n2 -4 0\n-1 4 3 0\n"
+PINNED_BASES = {
+    "nand.tt": "nand 2 1110\n",
+    "dup.tt": "zz 2 0111\nh 2 0001\nor 2 0111\na 2 0001\nnot 1 10\n",
+}
+PINNED_REDUCE = [
+    ("s12", None, "d02eb9c266553c6a04bc6b64e97b87234f6c18ddbe22787a7f167bbe04a43737"),
+    ("d1", None, "7fbb07efcff0a1165b14b812e7bfb035a57fefdc237ea3422db1b18ce9d6cca4"),
+    ("s02k --k 2", None, "ab42e9948c3381aef58627b6eb70f4fcb37b7edab79e7f52908573006222faff"),
+    ("s02k --k 3", None, "5ca910b4fa209d204c02058eaa461402895c8926308e5fe3996b5b71e8f812bc"),
+    ("s02q", None, "f1a3e9e4ae6bb7b1f3b0a9bc98f4328247a2d6668c808bf19826c397b35cb682"),
+    ("s12", "nand.tt", "4bca33bb57562368e2b8b5e0230031c62ff8a0b9e414426733ce2537ae12b41d"),
+    ("s12", "dup.tt", "c464e1b09b64635581a2b53fd41797931031512edc1ce936edcb1f39290491d8"),
+    ("d1", "dup.tt", "5640fb17acf99e9e2ac3299f474a4e93680075e351a21914089fcd666fbc1c2c"),
+]
+
+
+@pytest.mark.parametrize("variant, base, digest", PINNED_REDUCE)
+def test_reduce_output_is_pinned(capsys, files, tmp_path, variant, base, digest):
+    argv = ["reduce", "--cnf", files("p.cnf", PINNED_CNF), "--variant", *variant.split()]
+    if base:
+        argv += ["--base", files(base, PINNED_BASES[base])]
+    h = hashlib.sha256()
+    for more in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *more)
+        assert (code, err) == (0, "")
+        h.update(out.encode())
+    out = tmp_path / "t.bf"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    h.update(out.read_bytes())
+    h.update((tmp_path / "t.bf.json").read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_reduce_shifts_when_needed(capsys, files):
     cnf = files("f.cnf", "p cnf 2 1\n-1 0\n")
     code, payload, _ = jrun(capsys, "reduce", "--cnf", cnf, "--variant", "s12")
@@ -580,7 +637,7 @@ IMP_TT = "imp 2 1101\n"
 def test_poly_and_brute_agree_on_random_easy_queries(capsys, files):
     import random
 
-    from bconn import enumerate_solutions, parse_base_file, print_formula
+    from bconn import enumerate_solutions, parse_base_file, parse_formula
 
     from conftest import IMP_OPS, LIN_OPS, MONO_OPS, rand_ast
 
@@ -595,16 +652,16 @@ def test_poly_and_brute_agree_on_random_easy_queries(capsys, files):
         base = parse_base_file(text)
         for i in range(12):
             n = rng.randint(1, 8)
-            ast = rand_ast(rng, ops, n, rng.randint(2, 16))
-            f = files(f"q{i}.bf", print_formula(ast) + "\n")
+            text = rand_ast(rng, ops, n, rng.randint(2, 16))
+            f = files(f"q{i}.bf", text + "\n")
             argv = ["--base", base_path, "--formula", f, "--vars", str(n)]
             answers = {}
             for mode in ("poly", "brute"):
                 code, payload, _ = jrun(capsys, "conn", *argv, "--mode", mode)
-                assert code == 0, (name, mode, print_formula(ast))
+                assert code == 0, (name, mode, text)
                 answers[mode] = payload["connected"]
-            assert answers["poly"] == answers["brute"], print_formula(ast)
-            words = list(enumerate_solutions(ast, base, n).words)
+            assert answers["poly"] == answers["brute"], text
+            words = list(enumerate_solutions(parse_formula(text, base), base, n).words)
             if len(words) >= 2:
                 a, b = rng.sample(words, 2)
                 sa, sb = format(a, f"0{n}b"), format(b, f"0{n}b")
@@ -613,6 +670,6 @@ def test_poly_and_brute_agree_on_random_easy_queries(capsys, files):
                     code, payload, _ = jrun(
                         capsys, "stconn", *argv, "--s", sa, "--t", sb, "--mode", mode
                     )
-                    assert code == 0, (name, mode, print_formula(ast))
+                    assert code == 0, (name, mode, text)
                     got[mode] = payload["connected"]
-                assert got["poly"] == got["brute"], print_formula(ast)
+                assert got["poly"] == got["brute"], text

@@ -14,9 +14,10 @@ from bconn import (
     evaluate,
     parse_dimacs,
     print_dimacs,
+    print_formula,
 )
 
-from conftest import STD_BASE, rand_three_cnf
+from conftest import STD_BASE, env_of, eval_cnf_slow, rand_three_cnf
 
 SAMPLE = """\
 c two clauses over three variables
@@ -88,14 +89,32 @@ def test_cnf_to_formula_is_equivalent():
     for _ in range(30):
         n = rng.randint(1, 6)
         cnf = rand_three_cnf(rng, n, rng.randint(0, 8))
-        ast = cnf_to_formula(cnf)
+        gl = cnf_to_formula(cnf)
+        assert gl.dim == n
         for w in range(1 << n):
             a = BitVector(n, w)
-            assert evaluate(ast, STD_BASE, a) == evaluate(cnf, STD_BASE, a)
+            assert evaluate(gl, STD_BASE, a) == eval_cnf_slow(cnf, env_of(w, n))
+
+
+def test_cnf_renders_as_a_balanced_fold():
+    cnf = parse_dimacs("p cnf 4 3\n1 -2 3 0\n-1 0\n2 -4 0\n")
+    gl = cnf_to_formula(cnf)
+    assert print_formula(gl, STD_BASE) == (
+        "and(or(x1,or(not(x2),x3)),and(not(x1),or(x2,not(x4))))"
+    )
+    # each gate's last argument is built first; tabulation runs in this
+    # order, so it fixes which row masks are alive at once
+    names = {f: name for name, f in STD_BASE}
+    assert gl.inputs == (1, 2, 3, 4)
+    assert [(names[f], args) for f, args in gl.gates] == [
+        ("not", (3,)), ("or", (1, 4)), ("not", (0,)), ("and", (6, 5)),
+        ("not", (1,)), ("or", (8, 2)), ("or", (0, 9)), ("and", (10, 7)),
+    ]
 
 
 def test_empty_cnf_is_the_constant_one():
     cnf = CnfFormula(2, ())
     assert evaluate(cnf, STD_BASE, BitVector.parse("00")) == 1
-    ast = cnf_to_formula(cnf)
-    assert evaluate(ast, STD_BASE, BitVector.parse("00")) == 1
+    gl = cnf_to_formula(cnf)
+    assert evaluate(gl, STD_BASE, BitVector.parse("00")) == 1
+    assert print_formula(gl, STD_BASE) == "or(x1,not(x1))" and gl.dim == 2

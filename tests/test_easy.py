@@ -86,7 +86,7 @@ def test_monotone_paths_are_geodesics():
     texts = base_texts(MONO_BASE)
     for _ in range(25):
         n = rng.randint(2, 8)
-        ast = rand_ast(rng, MONO_OPS, n, rng.randint(2, 30))
+        ast = parse_formula(rand_ast(rng, MONO_OPS, n, rng.randint(2, 30)), MONO_BASE)
         sols = sorted(enumerate_solutions(ast, MONO_BASE, n).words)
         if len(sols) < 2:
             continue
@@ -139,7 +139,7 @@ def test_zerosep_random_paths_meet_the_detour_bound():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(2, 8)
-        ast = rand_ast(rng, IMP_OPS, n, rng.randint(2, 25))
+        ast = parse_formula(rand_ast(rng, IMP_OPS, n, rng.randint(2, 25)), IMP_BASE)
         sols = sorted(enumerate_solutions(ast, IMP_BASE, n).words)
         members = set(sols)
         if len(sols) < 2:
@@ -304,12 +304,10 @@ def test_qbf_monotone_random_agree_with_expansion():
     texts = base_texts(MONO_BASE)
     for _ in range(15):
         n = rng.randint(2, 5)
-        ast = rand_ast(rng, MONO_OPS, n, rng.randint(2, 14))
+        matrix = rand_ast(rng, MONO_OPS, n, rng.randint(2, 14))
         bound = rng.sample(range(1, n + 1), rng.randint(0, n - 1))
-        prefix = tuple(("E" if rng.random() < 0.5 else "A", j) for j in bound)
-        from bconn import QuantifiedFormula
-
-        q = QuantifiedFormula(prefix, ast)
+        head = " ".join(f"{'E' if rng.random() < 0.5 else 'A'} x{j}" for j in bound)
+        q = parse_qbf(f"{head} : {matrix}", MONO_BASE)
         free = q.free_vars()
         if not free:
             continue

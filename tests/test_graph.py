@@ -73,9 +73,9 @@ def test_enumerate_solutions_matches_row_oracle():
     ops = (("and", 2), ("or", 2), ("not", 1))
     for _ in range(30):
         n = rng.randint(1, 6)
-        ast = rand_ast(rng, ops, n, rng.randint(1, 25))
-        s = enumerate_solutions(ast, STD_BASE, n)
-        assert set(s.words) == ast_solutions_slow(ast, texts, n)
+        text = rand_ast(rng, ops, n, rng.randint(1, 25))
+        s = enumerate_solutions(parse_formula(text, STD_BASE), STD_BASE, n)
+        assert set(s.words) == ast_solutions_slow(text, texts, n)
 
 
 def test_enumerate_budget():

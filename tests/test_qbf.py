@@ -15,7 +15,7 @@ from bconn import (
     parse_qbf,
     print_qbf,
 )
-from bconn.qbf import lower_qbf, quantified_value
+from bconn.qbf import quantified_value, with_prefix
 
 from conftest import (
     LIN_BASE,
@@ -25,6 +25,7 @@ from conftest import (
     STD_BASE,
     base_texts,
     eval_qbf_slow,
+    qbf_free_vars,
     rand_qbf,
 )
 
@@ -32,7 +33,8 @@ from conftest import (
 def test_parse_print_round_trip():
     q = parse_qbf("A x3 E x4 : and(x1,or(x3,x4))", STD_BASE)
     assert q.prefix == (("A", 3), ("E", 4))
-    assert print_qbf(q) == "A x3 E x4 : and(x1,or(x3,x4))"
+    assert print_qbf(q, STD_BASE) == "A x3 E x4 : and(x1,or(x3,x4))"
+    assert print_qbf(parse_qbf("or(x2,x1)", STD_BASE), STD_BASE) == "or(x2,x1)"
 
 
 def test_formula_without_prefix_parses_as_closed_matrix():
@@ -43,8 +45,8 @@ def test_formula_without_prefix_parses_as_closed_matrix():
 
 def test_free_and_bound_variables():
     q = parse_qbf("E x2 : or(x1,and(x2,x5))", STD_BASE)
-    assert q.bound_vars() == {2}
-    assert q.free_vars() == [1, 5]
+    assert q.inputs == (1, 2, 5) and q.prefix == (("E", 2),)
+    assert q.free_vars() == [1, 5] and q.dim == 2
 
 
 def test_parse_errors():
@@ -87,8 +89,7 @@ def test_prefix_budget():
     matrix = parse_formula("x1", STD_BASE)
     prefix = tuple(("E", j) for j in range(2, 30))
     with pytest.raises(BudgetExceeded):
-        q = lower_qbf(QuantifiedFormula(prefix, matrix), STD_BASE)
-        quantified_value(q, BitVector.parse("1"), budget=5)
+        quantified_value(with_prefix(matrix, prefix), BitVector.parse("1"), budget=5)
 
 
 def test_eval_matches_naive_expansion():
@@ -97,10 +98,18 @@ def test_eval_matches_naive_expansion():
     for base, ops in cases:
         texts = base_texts(base)
         for _ in range(30):
-            q = rand_qbf(rng, ops, rng.randint(2, 6), rng.randint(0, 4), rng.randint(1, 20))
-            free = q.free_vars()
+            text = rand_qbf(rng, ops, rng.randint(2, 6), rng.randint(0, 4), rng.randint(1, 20))
+            q = parse_qbf(text, base)
+            free = qbf_free_vars(text)
+            assert q.free_vars() == free
             for w in range(1 << len(free)):
                 env = {j: (w >> (len(free) - 1 - p)) & 1 for p, j in enumerate(free)}
-                expect = eval_qbf_slow(q, texts, env)
+                expect = eval_qbf_slow(text, texts, env)
                 a = BitVector(len(free), w) if free else None
                 assert evaluate(q, base, a) == expect
+
+
+def test_quantified_formula_lowers_to_its_matrix_under_the_prefix():
+    q = QuantifiedFormula((("A", 2),), parse_formula("or(x1,x2)", STD_BASE))
+    assert evaluate(q, STD_BASE, BitVector.parse("1")) == 1
+    assert evaluate(q, STD_BASE, BitVector.parse("0")) == 0

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from bconn import (
-    Apply,
     ArityMismatch,
     BitVector,
     EasyAnswer,
@@ -20,7 +19,7 @@ from bconn import (
     TruthTable,
     TVariant,
     UsageError,
-    Var,
+    cnf_to_formula,
     components,
     dispatch,
     parse_base_file,
@@ -28,7 +27,6 @@ from bconn import (
     parse_formula,
     parse_qbf,
 )
-from bconn.cnf import lower_cnf
 from bconn.properties import property_report
 
 STD = parse_base_file("not 1 10\nand 2 0001\nor 2 0111\n")
@@ -39,16 +37,14 @@ def _instances():
         "BitVector": BitVector(3, 5),
         "TruthTable": TruthTable(2, 6),
         "LinearForm": LinearForm(frozenset({1, 3}), 1),
-        "GateList": parse_formula("or(x2,not(x2))", STD, gates=True),
+        "GateList": parse_formula("or(x2,not(x2))", STD),
         "DichotomyVerdict": dispatch(STD),
         "PropertyReport": property_report(TruthTable(3, 0b11101000)),
         "CnfFormula": parse_dimacs("p cnf 2 1\n1 -2 0\n"),
         "EasyAnswer": EasyAnswer(True, True, [BitVector(1, 1)], "monotone"),
-        "Var": Var(4),
-        "Apply": Apply("not", [Var(1)]),
         "SolutionSet": SolutionSet(2, (0, 1, 3)),
         "ComponentLabeling": components(SolutionSet(2, (0, 3))),
-        "QuantifiedFormula": QuantifiedFormula((("A", 2),), Apply("or", (Var(1), Var(2)))),
+        "QuantifiedFormula": QuantifiedFormula((("A", 2),), parse_formula("not(x2)", STD)),
         "TVariant": TVariant("S02K", 3),
         "SynthBudget": SynthBudget(),
     }
@@ -69,13 +65,11 @@ REPRS = [
     ("CnfFormula", "CnfFormula(n=2, clauses=((1, -2),))"),
     ("EasyAnswer", "EasyAnswer(connected=True, st_connected=True, "
      "witness_path=[BitVector(n=1, word=1)], rationale='monotone')"),
-    ("Var", "Var(index=4)"),
-    ("Apply", "Apply(name='not', args=(Var(index=1),))"),
     ("SolutionSet", "SolutionSet(n=2, words=(0, 1, 3))"),
     # the labeling's solution set is left out
     ("ComponentLabeling", "ComponentLabeling(count=2, representatives=(0, 3), sizes=(1, 1))"),
-    ("QuantifiedFormula", "QuantifiedFormula(prefix=(('A', 2),), "
-     "matrix=Apply(name='or', args=(Var(index=1), Var(index=2))))"),
+    ("QuantifiedFormula", "QuantifiedFormula(prefix=(('A', 2),), matrix=GateList(inputs=(2,), "
+     "gates=((TruthTable(n=1, bits=1), (0,)),), output=1, dim=2, prefix=None))"),
     ("TVariant", "TVariant(kind='S02K', k=3)"),
     ("SynthBudget", "SynthBudget(max_size=100000, max_applications=120000)"),
 ]
@@ -111,7 +105,7 @@ def test_equality_and_hash_follow_the_fields_of_one_class():
     assert TruthTable(3, 6) != BitVector(3, 6)  # the same fields, another class
     assert BitVector(3, 6) != TruthTable(3, 6) and BitVector(2, 3) != (2, 3)
     assert len({TruthTable(1, 2), TruthTable(1, 2), TruthTable(2, 2)}) == 2
-    assert Apply("not", [Var(1)]) == Apply("not", (Var(1),))
+    assert parse_formula("not(x1)", STD) == parse_formula(" not( x1 )", STD)
     assert components(SolutionSet(2, (0, 1))) != components(SolutionSet(2, (0, 2)))
 
 
@@ -140,9 +134,10 @@ def test_bit_vectors_order_by_dimension_then_word():
         (lambda: TVariant("S02K"), UsageError, "S02K needs a degree parameter k >= 2"),
         (lambda: TVariant("D1", 2), UsageError, "D1 takes no degree parameter"),
         (lambda: SynthBudget(max_size=0), UsageError, "synthesis budget fields must be positive"),
-        (lambda: QuantifiedFormula((("A", 1), ("E", 1)), Var(1)), UsageError,
+        (lambda: QuantifiedFormula((("A", 1), ("E", 1)), parse_formula("x1", STD)), UsageError,
          "x1 quantified twice"),
-        (lambda: QuantifiedFormula((("Q", 1),), Var(1)), UsageError, "bad quantifier 'Q'"),
+        (lambda: QuantifiedFormula((("Q", 1),), parse_formula("x1", STD)), UsageError,
+         "bad quantifier 'Q'"),
     ],
 )
 def test_validation_keeps_its_errors(make, error, message):
@@ -154,11 +149,11 @@ def test_validation_keeps_its_errors(make, error, message):
 def test_defaults_and_keywords():
     assert TVariant("S12").k is None and TVariant(kind="S02K", k=2).k == 2
     assert SynthBudget(max_applications=5) == SynthBudget(100_000, 5)
-    assert parse_formula("x1", STD, gates=True).prefix is None
+    assert parse_formula("x1", STD).prefix is None
 
 
 def test_replace_builds_a_changed_record():
-    # lower_cnf declares all n variables; a quantified input counts its free ones
-    assert lower_cnf(parse_dimacs("p cnf 5 1\n1 -2 0\n")).dim == 5
-    q = parse_qbf("A x3 : or(x1,and(x2,x3))", STD, gates=True)
+    # cnf_to_formula declares all n variables; a quantified input counts its free ones
+    assert cnf_to_formula(parse_dimacs("p cnf 5 1\n1 -2 0\n")).dim == 5
+    q = parse_qbf("A x3 : or(x1,and(x2,x3))", STD)
     assert (q.dim, q.prefix) == (2, (("A", 3),))

@@ -198,12 +198,12 @@ def test_transform_ambient_width_override():
 def test_synth_reproduces_and_from_nimp():
     base = mk_base({"h": "0010"})
     got = synth_bformula(tt_of("0001"), base)
-    assert print_formula(got) == "h(x1,h(x1,x2))"
+    assert print_formula(got, base) == "h(x1,h(x1,x2))"
 
 
 def test_synth_identity_is_a_projection():
     base = mk_base({"h": "0010"})
-    assert print_formula(synth_bformula(tt_of("01"), base)) == "x1"
+    assert print_formula(synth_bformula(tt_of("01"), base), base) == "x1"
 
 
 def test_synth_certifies_or_unrealizable():
@@ -237,7 +237,7 @@ def test_synth_is_deterministic():
     base = mk_base({"h": "0010"})
     a = synth_bformula(tt_of("0001"), base)
     b = synth_bformula(tt_of("0001"), base)
-    assert print_formula(a) == print_formula(b)
+    assert print_formula(a, base) == print_formula(b, base)
 
 
 def test_synth_cache_keeps_answers_apart_per_budget():
@@ -245,11 +245,11 @@ def test_synth_cache_keeps_answers_apart_per_budget():
     # fallback; the default budget must still get the searched formula
     xor = tt_of("0110")
     fallback = synth_bformula(xor, STD_BASE, SynthBudget(max_applications=5))
-    assert print_formula(fallback) == (
+    assert print_formula(fallback, STD_BASE) == (
         "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
         "and(x2,and(x2,not(x2))))))"
     )
-    assert print_formula(synth_bformula(xor, STD_BASE)) == "and(not(and(x1,x2)),or(x1,x2))"
+    assert print_formula(synth_bformula(xor, STD_BASE), STD_BASE) == "and(not(and(x1,x2)),or(x1,x2))"
 
 
 @pytest.mark.parametrize(
@@ -271,7 +271,7 @@ def test_synth_search_budget_boundary(bits, base, limit, want):
     # one fewer trips the budget in that round
     target = tt_of(bits)
     got = _synth_search(target, base, SynthBudget(max_applications=limit))
-    assert print_formula(got) == want
+    assert print_formula(got, base) == want
     with pytest.raises(BudgetExceeded, match="applications"):
         _synth_search(target, base, SynthBudget(max_applications=limit - 1))
 
@@ -329,6 +329,21 @@ def test_tr_matches_transform_for_every_variant():
             assert truth_table_of(got, STD_BASE, width) == truth_table_of(
                 want, STD_BASE, width
             ), (phi, str(variant))
+
+
+def test_tr_builds_large_reductions_as_few_gates():
+    # the outputs unfold to millions of formula nodes (the sizes the tree
+    # representation counted) but are a few hundred gates, never printed here
+    phi = rand_three_cnf(random.Random(12), 12, 32)
+    psi = cnf_to_formula(phi)
+    for variant, size in ((D1, 2_578_476), (s02k(3), 5_794_927)):
+        stats = {}
+        got = tr_combine(phi, variant, STD_BASE, stats=stats)
+        assert len(got.gates) < 2000
+        assert stats == {"depth": 5, "size": size}
+        width = 12 + variant.new_var_count
+        want = t_transform(psi, variant, n0=12)
+        assert truth_table_of(got, STD_BASE, width) == truth_table_of(want, STD_BASE, width)
 
 
 def test_tr_guards():

@@ -9,7 +9,6 @@ from bconn import (
     BudgetExceeded,
     CnfFormula,
     MissingVariable,
-    QuantifiedFormula,
     TruthTable,
     UsageError,
     evaluate,
@@ -34,9 +33,9 @@ from conftest import (
     base_texts,
     circuit_solutions_slow,
     env_of,
-    eval_ast_slow,
     eval_cnf_slow,
     mk_base,
+    qbf_free_vars,
     qbf_solutions_slow,
     rand_ast,
     rand_linear_circuit,
@@ -56,9 +55,9 @@ def test_formula_tables_match_row_oracle():
     ops = (("and", 2), ("or", 2), ("not", 1))
     for _ in range(40):
         n = rng.randint(1, 6)
-        ast = rand_ast(rng, ops, n, rng.randint(1, 30))
-        f = truth_table_of(ast, STD_BASE, n)
-        assert one_rows_set(f) == ast_solutions_slow(ast, texts, n)
+        text = rand_ast(rng, ops, n, rng.randint(1, 30))
+        f = truth_table_of(parse_formula(text, STD_BASE), STD_BASE, n)
+        assert one_rows_set(f) == ast_solutions_slow(text, texts, n)
 
 
 def test_circuit_tables_match_row_oracle():
@@ -85,10 +84,10 @@ def test_qbf_tables_match_naive_expansion():
     for base, ops in ((MONO_BASE, MONO_OPS), (LIN_BASE, LIN_OPS)):
         texts = base_texts(base)
         for _ in range(25):
-            q = rand_qbf(rng, ops, rng.randint(2, 6), rng.randint(0, 4), rng.randint(1, 18))
-            n = len(q.free_vars())
-            f = truth_table_of(q, base, n)
-            assert one_rows_set(f) == qbf_solutions_slow(q, texts)
+            text = rand_qbf(rng, ops, rng.randint(2, 6), rng.randint(0, 4), rng.randint(1, 18))
+            n = len(qbf_free_vars(text))
+            f = truth_table_of(parse_qbf(text, base), base, n)
+            assert one_rows_set(f) == qbf_solutions_slow(text, texts)
 
 
 def test_evaluate_dispatches_across_kinds():
@@ -153,17 +152,17 @@ def _random_objects(rng):
     """(base, n, object) triples of every kind, with n <= 6."""
     for _ in range(25):
         n = rng.randint(1, 6)
-        yield STD_BASE, n, rand_ast(rng, STD_OPS, n, rng.randint(1, 30))
-        gl = lower(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)), STD_BASE)
+        yield STD_BASE, n, parse_formula(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)), STD_BASE)
+        gl = parse_formula(rand_ast(rng, STD_OPS, n, rng.randint(1, 30)), STD_BASE)
         yield STD_BASE, n, parse_circuit(print_circuit(gl, STD_BASE), STD_BASE)
-        yield LIN_BASE, n, rand_ast(rng, LIN_OPS, n, rng.randint(1, 30))
+        yield LIN_BASE, n, parse_formula(rand_ast(rng, LIN_OPS, n, rng.randint(1, 30)), LIN_BASE)
         yield LIN_BASE, n, parse_circuit(rand_linear_circuit(rng, n, rng.randint(0, 9)), LIN_BASE)
         yield STD_BASE, n, rand_three_cnf(rng, n, rng.randint(0, 9))
         k = rng.randint(0, n)
         yield STD_BASE, n, TruthTable(k, rng.getrandbits(1 << k))
         for base, ops in ((MONO_BASE, MONO_OPS), (LIN_BASE, LIN_OPS)):
-            q = rand_qbf(rng, ops, n, rng.randint(0, 3), rng.randint(1, 18))
-            yield base, len(q.free_vars()), q
+            text = rand_qbf(rng, ops, n, rng.randint(0, 3), rng.randint(1, 18))
+            yield base, len(qbf_free_vars(text)), parse_qbf(text, base)
 
 
 def test_one_engine_agrees_with_itself_across_kinds():
@@ -175,17 +174,16 @@ def test_one_engine_agrees_with_itself_across_kinds():
             assert evaluate(obj, base, a) == table.value(w)
             if isinstance(obj, CnfFormula):
                 assert eval_cnf_slow(obj, env_of(w, n)) == table.value(w)
-        if base is LIN_BASE and not isinstance(obj, QuantifiedFormula):
+        if base is LIN_BASE and getattr(obj, "prefix", None) is None:
             assert linear_form_of(obj, base).truth_table(n) == table
 
 
 def test_lowering_shares_equal_gates():
-    ast = parse_formula("and(or(x1,x2),or(x1,x2))", STD_BASE)
-    gl = lower(ast, STD_BASE)
+    gl = parse_formula("and(or(x1,x2),or(x1,x2))", STD_BASE)
     assert gl.inputs == (1, 2) and gl.dim == 2
     assert gl.gates == ((STD_BASE["or"], (0, 1)), (STD_BASE["and"], (2, 2)))
     assert gl.output == 3
-    assert lower(gl, STD_BASE) is gl
+    assert lower(gl) is gl
 
 
 def test_lowering_a_circuit_whose_output_is_an_input():
