@@ -310,17 +310,43 @@ def closure_rounds(base: BaseSet, m: int, known: dict):
     only the argument tuples holding a table new in the previous round
     (all seeds are new in the first): position i takes the first new
     table, earlier ones old tables, later ones any table, so each tuple
-    comes once.  They are the round's applications, counted up front;
-    arity-0 functions apply in the first round only, as no application.
-    The caller consumes a round (or stops early), then adds the tables it
-    accepts to `known`; the rounds end when one adds none.
+    comes once, in `product` order (last position fastest).  They are the
+    round's applications, counted up front; arity-0 functions apply in
+    the first round only, as no application.  The caller consumes a round
+    (or stops early), then adds the tables it accepts to `known`; the
+    rounds end when one adds none.
+
+    The kernel (_round) cofactors on the last argument: per head, the
+    first k - 1 arguments, it builds two masks, g0 and g1, the function
+    with its last argument fixed to 0 and to 1.  Each is the OR, over the
+    one-rows ending in that bit, of the AND of the head's tables or
+    complements that the row's leading bits pick.  Every last argument t
+    then costs one mask expression, g0 ^ ((g0 ^ g1) & t).
     """
+    for applications, groups in _rounds(base, m, known):
+        yield applications, _applications(groups)
+
+
+def _applications(groups):
+    for name, head, g0, d, last in groups:
+        if last is None:
+            yield name, head, g0
+            continue
+        for t in last:
+            yield name, head + (t,), g0 ^ (d & t[1])
+
+
+def _rounds(base: BaseSet, m: int, known: dict):
+    """closure_rounds with each round's applications grouped by head."""
     full = (1 << (1 << m)) - 1
-    # one pattern per row f maps to 1: AND the tables (bit 1) or complements (bit 0)
-    ops = [
-        (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in f.one_rows()])
-        for name, f in base
-    ]
+    ops = []
+    for name, f in base:
+        # the one-rows split by their last bit, each kept as its leading
+        # bits; an arity-0 function's one row, if any, lands in the first
+        halves: tuple[list, list] = ([], [])
+        for r in f.one_rows():
+            halves[r & 1].append([(r >> (f.n - j)) & 1 for j in range(1, f.n)])
+        ops.append((name, f.n, halves))
     old: list[tuple[int, int]] = []
     first = True
     while True:
@@ -335,18 +361,32 @@ def closure_rounds(base: BaseSet, m: int, known: dict):
 
 
 def _round(ops, old, new, every, full, first):
-    for name, k, rows in ops:
-        if k == 0 and first:
-            yield name, (), full if rows else 0
-        for i in range(k):
-            for args in product(*[old] * i, new, *[every] * (k - 1 - i)):
-                out = 0
-                for row in rows:
-                    term = full
-                    for pair, bit in zip(args, row):
-                        term &= pair[bit]
-                    out |= term
-                yield name, args, out
+    """Groups `(name, head, g0, d, last)`: `name` applied to `head + (t,)`
+    gives g0 ^ (d & t's table) for each pair t in `last`.  An arity-0
+    function comes as `(name, (), value, 0, None)`, in the first round."""
+    for name, k, (rows0, rows1) in ops:
+        if k == 0:
+            if first:
+                yield name, (), full if rows0 else 0, 0, None
+        elif new:  # every tuple holds a new table
+            for i in range(k):
+                *pools, last = *[old] * i, new, *[every] * (k - 1 - i)
+                for head in product(*pools):
+                    g0 = _cofactor(head, rows0, full)
+                    yield name, head, g0, g0 ^ _cofactor(head, rows1, full), last
+
+
+def _cofactor(head, rows, full):
+    g = 0
+    for row in rows:
+        term = full
+        for pair, bit in zip(head, row):
+            term &= pair[bit]
+        g |= term
+    return g
+
+
+CLOSURE_APPLICATION_LIMIT = 1 << 25
 
 
 def clone_closure(
@@ -360,7 +400,14 @@ def clone_closure(
     the previous round.  Every composite over x_1..x_m denotes an m-ary
     function, so exhausting each ambient arity is a complete closure
     within the bound.  Budget counts distinct tables across all arities;
-    exceeding it raises without returning a partial set.
+    exceeding it raises without returning a partial set.  Applications
+    are charged per round, up front and across all arities, against
+    CLOSURE_APPLICATION_LIMIT (2^25); a round that would pass it raises
+    before it is built.  The rounds of one ternary function at arity 3
+    charge at most 256^3 = 2^24, so no such closure is refused.  Rounds
+    come grouped by head (the cofactored kernel of closure_rounds), and
+    a head's last pool is taken whole: one set of g0 ^ (d & t), or just
+    g0 when the last argument does not matter (d = 0).
     """
     _check_arities(base)
     if max_arity < 0:
@@ -368,19 +415,24 @@ def clone_closure(
     if max_arity > DEFAULT_ENUM_BUDGET:  # an m-ary table is a 2^m-bit mask
         raise BudgetExceeded(f"closure arity {max_arity} exceeds {DEFAULT_ENUM_BUDGET}")
     result: set[TruthTable] = set()
-    total = 0
+    total = applications = 0
     for m in range(max_arity + 1):
         known = dict.fromkeys(var_mask(m, j) for j in range(1, m + 1))
-        for _, tuples in closure_rounds(base, m, known):
-            new: dict[int, None] = {}
-            for _, _, out in tuples:
-                if out not in known and out not in new:
-                    new[out] = None
-                    if budget is not None and total + len(known) + len(new) > budget:
-                        raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")
-                    if len(known) + len(new) == 1 << (1 << m):
-                        break  # every m-ary table is realized
-            known.update(new)
+        for count, groups in _rounds(base, m, known):
+            applications += count
+            if applications > CLOSURE_APPLICATION_LIMIT:
+                raise BudgetExceeded(
+                    f"closure exceeds {CLOSURE_APPLICATION_LIMIT} applications at arity {m}"
+                )
+            new: set[int] = set()
+            for _, _, g0, d, last in groups:
+                outs = {g0 ^ (d & t) for _, t in last} if d else {g0}
+                new |= outs.difference(known)
+                if budget is not None and total + len(known) + len(new) > budget:
+                    raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")
+                if len(known) + len(new) == 1 << (1 << m):
+                    break  # every m-ary table is realized
+            known.update(dict.fromkeys(new))
             if len(known) == 1 << (1 << m):
                 break
         total += len(known)

@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -585,6 +588,21 @@ def test_closure_refuses_an_arity_past_the_table_limit(capsys, files):
     assert time.perf_counter() - t0 < 0.5
     assert code == 3 and payload is None
     assert json.loads(err)["error"]["code"] == "BudgetExceeded"
+
+
+def test_closure_refuses_a_runaway_round_by_its_applications(files):
+    # R0 has only 2^15 4-ary tables, under the table budget; the rounds
+    # pass the application limit first
+    base = files("andxor.tt", "and 2 0001\nxor 2 0110\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys; from bconn.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "closure", "--base", base, "--vars", "4", "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3 and done.stdout == ""
+    error = json.loads(done.stderr)["error"]
+    assert error["code"] == "BudgetExceeded" and "applications" in error["message"]
 
 
 def test_closure_lists_xor_tables(capsys, files):

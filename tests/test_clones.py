@@ -1,6 +1,7 @@
 """Classification in the lattice of closed classes, closure, dispatch."""
 
-from itertools import product
+import random
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -20,6 +21,7 @@ from bconn import (
     tt_parse,
     tt_print,
 )
+from bconn.clones import closure_rounds
 from bconn.properties import separating_coordinate
 from bconn.truthtable import apply_masks, var_mask
 
@@ -216,6 +218,81 @@ def test_closure_matches_the_naive_fixpoint_on_a_multiplexer():
     assert len(got) == 1 + 4 + 64  # the clone R2 at arities 1, 2, 3
 
 
+def row_pattern_rounds(base, m, known):
+    """closure_rounds with the row-pattern kernel: every application ANDs,
+    for each one-row, the row's choice of table or complement at every
+    position, and ORs the rows."""
+    full = (1 << (1 << m)) - 1
+    ops = [
+        (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in f.one_rows()])
+        for name, f in base
+    ]
+    old, first = [], True
+    while True:
+        new = [(full ^ t, t) for t in islice(known, len(old), None)]
+        if not (new or first):
+            return
+        every = old + new
+        applications = sum(len(every) ** k - len(old) ** k for _, k, _ in ops)
+        yield applications, row_pattern_round(ops, old, new, every, full, first)
+        old, first = every, False
+
+
+def row_pattern_round(ops, old, new, every, full, first):
+    for name, k, rows in ops:
+        if k == 0 and first:
+            yield name, (), full if rows else 0
+        for i in range(k):
+            for args in product(*[old] * i, new, *[every] * (k - 1 - i)):
+                out = 0
+                for row in rows:
+                    term = full
+                    for pair, bit in zip(args, row):
+                        term &= pair[bit]
+                    out |= term
+                yield name, args, out
+
+
+def logged_rounds(rounds, base, m, take=2, max_rounds=5):
+    """Every round's count and full (name, args, out) list; after each
+    round only the first `take` new tables join, so rounds stay small."""
+    known = dict.fromkeys(var_mask(m, j) for j in range(1, m + 1))
+    log = []
+    for count, tuples in islice(rounds(base, m, known), max_rounds):
+        got = list(tuples)
+        log.append((count, got))
+        fresh = dict.fromkeys(out for _, _, out in got if out not in known)
+        known.update(dict.fromkeys(islice(fresh, take)))
+    return log
+
+
+def _random_bases(count, seed=13):
+    rng = random.Random(seed)
+    for _ in range(count):
+        arities = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        yield {
+            f"f{i}": format(rng.getrandbits(1 << a), f"0{1 << a}b") for i, a in enumerate(arities)
+        }
+
+
+KERNEL_BASES = [
+    {"c0": "0", "c1": "1"},
+    {"c1": "1", "f": "0110"},
+    {"zero2": "0000", "zero3": "00000000"},
+    {"one2": "1111", "one4": "1" * 16},
+    {"one1": "11", "zero1": "00", "c0": "0"},
+    *_random_bases(24),
+]
+
+
+@pytest.mark.parametrize("entries", KERNEL_BASES)
+def test_closure_rounds_pin_the_row_pattern_kernel(entries):
+    base = mk_base(entries)
+    for m in range(4):
+        want = logged_rounds(row_pattern_rounds, base, m)
+        assert logged_rounds(closure_rounds, base, m) == want
+
+
 def test_closure_members_satisfy_the_identified_class_predicate():
     # everything the search realizes must still satisfy the class atoms
     for names in (["imp"], ["xor"], ["and", "or"], ["maj"]):
@@ -331,3 +408,15 @@ def test_identify_agrees_with_the_closure_to_arity_three(entries):
     closure = sorted(clone_closure(base, 3), key=lambda f: (f.n, f.bits))
     closed = BaseSet({f"f{i}": f for i, f in enumerate(closure)})
     assert clone_identify(closed) == clone_identify(base)
+
+
+def test_identify_agrees_with_the_closure_on_every_pair_of_arity_two_or_less():
+    tables = ["0", "1"] + [format(i, f"0{w}b") for w in (2, 4) for i in range(1 << w)]
+    mismatches = []
+    for a, b in combinations(tables, 2):
+        base = mk_base({"f": a, "g": b})
+        closure = sorted(clone_closure(base, 3), key=lambda f: (f.n, f.bits))
+        closed = BaseSet({f"f{i}": f for i, f in enumerate(closure)})
+        if clone_identify(closed) != clone_identify(base):
+            mismatches.append((a, b))
+    assert len(tables) == 22 and not mismatches
