@@ -9,13 +9,15 @@ File format, one statement per line ('#' comments, blank lines ignored):
 A circuit has no type of its own: parse_circuit reads the file straight
 into a GateList, hash-consing each gate as it is read, and print_circuit
 writes a GateList back out.  Every input kind lowers to a GateList; the
-three loops at the end of this module are the package's only point
-evaluator, mask tabulator and GF(2) propagator.
+two loops at the end of this module are the package's only evaluator
+(tabulate: a whole table, or a batch of points one bit lane each) and
+GF(2) propagator.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .clones import BaseSet
 from .errors import (
@@ -23,13 +25,12 @@ from .errors import (
     DuplicateName,
     ForwardReference,
     MissingOutput,
-    MissingVariable,
     UnknownFunction,
     UsageError,
     WrongClass,
 )
 from .properties import affine_form_of
-from .truthtable import BitVector, LinearForm, Record, TruthTable, _set, apply_masks, tt_print
+from .truthtable import LinearForm, Record, TruthTable, _set, mask_rows, tt_print
 
 VAR_NAME = re.compile(r"x[1-9][0-9]*\Z")  # a variable x_j in every text format
 
@@ -180,34 +181,86 @@ class GateBuilder:
         return GateList(self.inputs, tuple(gates), output, max(self.inputs, default=0))
 
 
-def point_value(gl: GateList, a: BitVector) -> int:
-    """Value of the gates under assignment a (the prefix is not read)."""
-    if gl.dim > a.n:
-        raise MissingVariable(f"assignment has no value for x{gl.dim}")
-    values = [a.bit(j) for j in gl.inputs]
-    for f, args in gl.gates:
-        row = 0
-        for k in args:
-            row = row << 1 | values[k]
-        values.append(f.bits >> row & 1)
-    return values[gl.output]
+@lru_cache(maxsize=256)
+def _plan(f: TruthTable) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """How tabulate builds f's mask: from f's smaller preimage.
+
+    The one-rows give an OR of ANDs; the zero-rows give the complement of
+    one, which tabulate builds directly as an AND of ORs (cnf is True).
+    A term lists one literal per argument position p: p reads the
+    argument's mask and ~p its complement.  An empty term list is the
+    constant the preimage leaves, 0 for one-rows and all rows for zero-rows.
+    Plans are cached per table across calls.
+    """
+    zeros = f.bits ^ ((1 << f.size) - 1)
+    cnf = zeros.bit_count() < f.bits.bit_count()
+    return cnf, tuple(
+        tuple(p if (r >> (f.n - 1 - p) & 1) != cnf else ~p for p in range(f.n))
+        for r in mask_rows(zeros if cnf else f.bits)
+    )
 
 
-def tabulate(gl: GateList, leaves: list[int], n: int) -> int:
-    """Output mask over 2^n rows, given one row mask per input node.
+def tabulate(gl: GateList, leaves: list[int], rows: int) -> int:
+    """Output mask over the given number of rows, given one row mask per
+    input node.  Rows are table rows (2^n of them) or the lanes of a batch
+    of points (bit i for point i); the loop is the same.
 
-    A node's mask is dropped after its last use, so a long list does not
-    keep every mask alive."""
+    Each gate reads its table's plan (see _plan) from a dict keyed by the
+    table's identity, since hashing a table runs Python code.  Each term
+    starts from its first literal, so an and/or gate is one big-int
+    operation and an imp gate two.  A mask wider than a machine word is
+    dropped after its last use, so a long list does not keep every mask
+    alive; narrower ones cost what point values would."""
+    full = (1 << rows) - 1
     k = len(gl.inputs)
-    last = {a: g for g, (_, args) in enumerate(gl.gates, start=k) for a in args}
-    last[gl.output] = -1
+    release = rows > 64
+    if release:
+        last = {a: g for g, (_, args) in enumerate(gl.gates, start=k) for a in args}
+        last[gl.output] = -1
+    plans: dict = {}
     values = list(leaves)
     for g, (f, args) in enumerate(gl.gates, start=k):
-        values.append(apply_masks(f, [values[a] for a in args], n))
-        for a in args:
-            if last[a] == g:
-                values[a] = None
+        plan = plans.get(id(f))
+        if plan is None:
+            plan = plans[id(f)] = _plan(f)
+        cnf, terms = plan
+        out = None
+        for term in terms:
+            v = None
+            for p in term:
+                x = values[args[p]] if p >= 0 else full ^ values[args[~p]]
+                if v is None:
+                    v = x
+                elif cnf:
+                    v |= x
+                else:
+                    v &= x
+            if out is None:
+                out = v
+            elif cnf:
+                out &= v
+            else:
+                out |= v
+        values.append((full if cnf else 0) if out is None else out)
+        if release:
+            for a in args:
+                if last[a] == g:
+                    values[a] = None
     return values[gl.output]
+
+
+def lane_mask(points: list, j: int) -> int:
+    """x_j over a batch of assignments: bit i is its value in points[i]."""
+    return sum((a.word >> (a.n - j) & 1) << i for i, a in enumerate(points))
+
+
+def apply_masks(f: TruthTable, children: list[int], n: int) -> int:
+    """Output mask of f applied to child masks in a 2^n-row ambient space:
+    tabulate of the one gate."""
+    if len(children) != f.n:
+        raise ArityMismatch(f"{f.n}-ary function given {len(children)} children")
+    gate = GateList(tuple(range(1, f.n + 1)), ((f, tuple(range(f.n))),), f.n, f.n)
+    return tabulate(gate, children, 1 << n)
 
 
 def linear_form(gl: GateList) -> LinearForm:

@@ -8,12 +8,19 @@ iff the union of its coZ sets is not all of {1..n}, so separation of
 degree m holds exactly when no m coZ sets cover {1..n}.  The largest
 degree at which separation holds is therefore (minimum cover size) - 1,
 and separation at every degree is equivalent to no cover existing.
-"""
+
+The cover search runs on the subset lattice of the n coordinates, one
+2^n-bit int per family of sets, so it costs shifts and ANDs of whole
+families rather than scans over pairs of sets (Knuth, TAOCP 4A, 7.1.3).
+The coZ family is f's c-rows as they stand for c = 0, reversed for
+c = 1.  Its maximal sets come from a down-closure in 2n shift/AND
+steps, and the breadth-first search over unions keeps its frontier as
+one lattice int."""
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .errors import BudgetExceeded, DegreeBoundTooSmall
 from .truthtable import LinearForm, Record, TruthTable, _set, dual, mask_rows, var_mask
@@ -121,37 +128,61 @@ def is_separating(f: TruthTable, c: int) -> bool:
     return separating_coordinate(f, c) is not None
 
 
-def _min_cover_size(masks: set[int], universe: int) -> int | None:
-    """Minimum number of masks whose union is universe; None if impossible."""
+def _join(a: int, b: int, masks: list[int]) -> int:
+    """{x | y : x in a, y in b} on the subset lattice.  Each element x of
+    the sparser side projects x's coordinates out of the other side (the
+    points with coordinate i move down by 2^i onto those without it), and
+    the projection, disjoint from x, shifts up by x."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    for x in mask_rows(a):
+        y = b
+        for i, m in enumerate(masks):
+            if x >> i & 1:
+                y = (y & ~m) | ((y & m) >> (1 << i))
+        out |= y << x
+    return out
+
+
+def _min_cover_size(present: int, n: int) -> int | None:
+    """Fewest sets of the family whose union is all n coordinates; None if
+    the whole family does not cover them.
+
+    The family is a subset-lattice int: bit s stands for the coordinate
+    set s (bit i of s for coordinate i).  Only maximal sets matter, and
+    they are present & ~down(strictly_below(present)).  The breadth-first
+    search keeps its frontier and the unions seen as lattice ints too, and
+    each level joins the frontier with the maximal sets.
+    """
+    universe = (1 << n) - 1
     if universe == 0:
         return 0
-    if reduce(or_, masks, 0) != universe:
+    masks = [var_mask(n, n - i) for i in range(n)]  # lattice points holding coordinate i
+    covered = below = 0
+    for i, m in enumerate(masks):
+        if present & m:
+            covered |= 1 << i
+        below |= (present & m) >> (1 << i)
+    if covered != universe:
         return None
-    pool = sorted(masks, key=lambda m: -m.bit_count())
-    maximal = []
-    for m in pool:
-        if m and not any(m | o == o for o in maximal):
-            maximal.append(m)
-    frontier = {0}
-    seen = {0}
+    for i, m in enumerate(masks):
+        below |= (below & m) >> (1 << i)
+    maximal = present & ~below
+    frontier = seen = 1  # the empty union
     size = 0
     while True:
         size += 1
-        nxt = set()
-        for cov in frontier:
-            for m in maximal:
-                c2 = cov | m
-                if c2 == universe:
-                    return size
-                if c2 not in seen:
-                    seen.add(c2)
-                    nxt.add(c2)
-        if len(seen) > _COVER_STATE_CAP:
+        reach = _join(frontier, maximal, masks)
+        if reach >> universe:
+            return size
+        frontier = reach & ~seen
+        seen |= frontier
+        if seen.bit_count() > _COVER_STATE_CAP:
             raise BudgetExceeded("coordinate-cover search too large")
-        if not nxt:
+        if not frontier:
             # unreachable: the full union covers, so BFS must terminate
             raise AssertionError("cover search stalled")
-        frontier = nxt
 
 
 def max_separation_degree(f: TruthTable, c: int) -> int | str:
@@ -163,9 +194,10 @@ def max_separation_degree(f: TruthTable, c: int) -> int | str:
     rows = _inverse_rows(f, c)
     if rows == 0:
         return ALL
-    universe = (1 << f.n) - 1
-    masks = {r if c == 0 else universe ^ r for r in mask_rows(rows)}
-    kappa = _min_cover_size(masks, universe)
+    # row r's co-c set is r itself for c = 0 and its complement for c = 1,
+    # which reverses the rows
+    present = rows if c == 0 else int(format(rows, f"0{f.size}b")[::-1], 2)
+    kappa = _min_cover_size(present, f.n)
     if kappa is None:
         return ALL
     # the subsets in the definition are nonempty, so the empty cover at

@@ -13,13 +13,14 @@ prefix with a matrix for the S02Q transform to return.
 
 from __future__ import annotations
 
-from .circuits import VAR_NAME, GateList, tabulate
+from .circuits import VAR_NAME, GateList, lane_mask, tabulate
 from .clones import BaseSet
 from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
 from .formulas import parse_formula, print_formula
-from .truthtable import BitVector, Record, TruthTable, _set, replace, var_mask
+from .truthtable import Record, TruthTable, _set, replace, var_mask
 
 DEFAULT_EXPANSION_BUDGET = 20
+_LANE_ROWS = 1 << 12  # rows one batched evaluation tabulates at most
 
 EXISTS = "E"
 FORALL = "A"
@@ -84,12 +85,12 @@ def with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:
 def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:
     """Mask over m coordinates: bound variable prefix[i] is coordinate i + 1
     (the most significant), free variable j has the mask free[j].  The
-    matrix is tabulated and the quantifiers folded out innermost first.  A
-    point value holds the free variables constant (m = len(prefix)); a table
-    puts them in the low coordinates, so it is the lowest 2^f rows."""
+    matrix is tabulated and the quantifiers folded out innermost first.
+    Points and tables both put what the free variables range over in the
+    low coordinates, so the answer is the lowest rows."""
     coord = {j: i for i, (_, j) in enumerate(q.prefix, start=1)}
     leaves = [var_mask(m, coord[j]) if j in coord else free[j] for j in q.inputs]
-    mask = tabulate(q, leaves, m)
+    mask = tabulate(q, leaves, 1 << m)
     full = (1 << (1 << m)) - 1
     for quant, j in reversed(q.prefix):
         vm = var_mask(m, coord[j])
@@ -101,19 +102,33 @@ def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:
     return mask
 
 
-def quantified_value(
-    q: GateList, a: BitVector | None, budget: int = DEFAULT_EXPANSION_BUDGET
-) -> int:
-    """Value of a lowered quantified formula under a free-variable assignment."""
+def quantified_value(q: GateList, points: list, budget: int = DEFAULT_EXPANSION_BUDGET) -> int:
+    """Values of a lowered quantified formula under free-variable
+    assignments (None when it has no free variables): bit i of the mask
+    is its value under points[i].
+
+    A chunk of up to 2^w points is w low coordinates below the b bound
+    ones, and a free variable's mask is its lane pattern (circuits.lane_mask)
+    tiled under every bound assignment.  A chunk spans at most _LANE_ROWS
+    rows, or 2^b when the prefix alone passes that: one point at a time."""
     b = len(q.prefix)
     if b > budget:
         raise BudgetExceeded(f"{b} quantifiers exceed budget {budget}")
     free = q.free_vars()
-    if free and (a is None or a.n != len(free)):
-        raise UsageError(f"need {len(free)} free-variable bits, got {0 if a is None else a.n}")
-    full = (1 << (1 << b)) - 1
-    masks = {j: full * a.bit(p) for p, j in enumerate(free, start=1)}
-    return _quantified_mask(q, b, masks) & 1
+    for a in points:
+        if free and (a is None or a.n != len(free)):
+            raise UsageError(
+                f"need {len(free)} free-variable bits, got {0 if a is None else a.n}"
+            )
+    per = max(1, _LANE_ROWS >> b)
+    out = 0
+    for lo in range(0, len(points), per):
+        chunk = points[lo:lo + per]
+        w = (len(chunk) - 1).bit_length()
+        tile = ((1 << (1 << (b + w))) - 1) // ((1 << (1 << w)) - 1)
+        masks = {j: lane_mask(chunk, p) * tile for p, j in enumerate(free, start=1)}
+        out |= (_quantified_mask(q, b + w, masks) & ((1 << len(chunk)) - 1)) << lo
+    return out
 
 
 def quantified_table(q: GateList, n: int, budget: int) -> TruthTable:

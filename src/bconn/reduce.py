@@ -49,6 +49,8 @@ S02K = "S02K"
 S02Q = "S02Q"
 
 _EXPDIAM_K_MAX = 14
+# the most words apply_t_relation builds
+T_RELATION_WORD_LIMIT = 1 << 20
 
 
 class TVariant(Record):
@@ -437,6 +439,19 @@ def apply_t_relation(r: SolutionSet, variant: TVariant) -> SolutionSet:
         raise NotOneReproducing("all-ones is not a solution")
     if variant.kind == S12:
         return SolutionSet(n + 1, tuple((w << 1) | 1 for w in r.words))
+    # D1 and S02K emit words for every assignment u of psi's variables, so
+    # the count is known before any is built.  D1: |r| words with y = 111,
+    # 2^n - |r| with 000, 3 * 2^n - 1 with one y set, and one with 110.
+    # S02K: r with y = 1 and z = 0, every (u, y) with two or more z set,
+    # and all-ones with y = 1 and z = 10..0.
+    if variant.kind == D1:
+        count = 4 << n
+    else:
+        count = len(have) + (2 << n) * ((1 << (variant.k + 1)) - variant.k - 2) + 1
+    if count > T_RELATION_WORD_LIMIT:
+        raise BudgetExceeded(
+            f"the transform has {count} words, over the budget of {T_RELATION_WORD_LIMIT}"
+        )
     if variant.kind == D1:
         out = set()
         for w in r.words:

@@ -7,12 +7,13 @@ not/and/or rendering, a truth table to one gate over x_1..x_k, and the
 quantified formula a reduction returns to its matrix with the prefix
 kept beside it.  Lowering a gate list returns it unchanged.
 
-`evaluate` is the one point evaluator, for every kind: one loop over the
-gates.  Tables come from one loop of whole-table bit masks: a variable
-is a periodic 2^n-bit pattern and a gate ORs the row sets on which its
-function is 1, so extraction is a handful of bigint operations per node
-instead of 2^n walks.  The gates carry their tables, so the `base`
-argument of `evaluate` and `truth_table_of` is not read.
+`evaluate` and `truth_table_of` share one loop over the gates
+(circuits.tabulate), in which every node carries a bit mask.  For a
+table, bit i is row i, so a variable is a periodic 2^n-bit pattern; for
+a batch of points, bit i is point i.  Each gate combines its arguments'
+masks with a handful of bigint operations, instead of 2^n walks or one
+walk per point.  The gates carry their tables, so the `base` argument
+of `evaluate` and `truth_table_of` is not read.
 
 Only the gate layer loads with this module: the CNF and quantified-formula
 layers load when an object of their kind comes in.
@@ -20,9 +21,9 @@ layers load when an object of their kind comes in.
 
 from __future__ import annotations
 
-from .circuits import GateList, point_value, tabulate
+from .circuits import GateList, lane_mask, tabulate
 from .errors import BudgetExceeded, MissingVariable, UsageError
-from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, TruthTable, var_mask
+from .truthtable import DEFAULT_ENUM_BUDGET, TruthTable, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -47,14 +48,22 @@ def lower(obj) -> GateList:
     raise UsageError(f"cannot lower {type(obj).__name__}")
 
 
-def evaluate(obj, base: BaseSet, a: BitVector) -> int:
-    """Value of the object under assignment a (free variables for QBF)."""
-    gl = lower(obj)
-    if gl.prefix is None:
-        return point_value(gl, a)
-    from .qbf import quantified_value
+def evaluate(obj, base: BaseSet, a) -> int:
+    """Value of the object under assignment a (free variables for QBF).
 
-    return quantified_value(gl, a)
+    Given a list of assignments, the mask whose bit i is the value under
+    a[i]: each assignment is one lane of a single tabulate pass, so a
+    whole witness path is checked in one call."""
+    points = a if isinstance(a, list) else [a]
+    gl = lower(obj)
+    if gl.prefix is not None:
+        from .qbf import quantified_value
+
+        return quantified_value(gl, points)
+    for p in points:
+        if gl.dim > (0 if p is None else p.n):
+            raise MissingVariable(f"assignment has no value for x{gl.dim}")
+    return tabulate(gl, [lane_mask(points, j) for j in gl.inputs], len(points))
 
 
 def min_dimension(obj) -> int:
@@ -80,4 +89,4 @@ def truth_table_of(
         return quantified_table(gl, n, budget)
     if gl.dim > n:
         raise MissingVariable(f"x{gl.dim} exceeds dimension {n}")
-    return TruthTable(n, tabulate(gl, [var_mask(n, j) for j in gl.inputs], n))
+    return TruthTable(n, tabulate(gl, [var_mask(n, j) for j in gl.inputs], 1 << n))

@@ -241,29 +241,6 @@ def var_mask(n: int, j: int) -> int:
     return mask
 
 
-def apply_masks(f: TruthTable, children: list[int], n: int) -> int:
-    """Output mask of f applied to child masks in a 2^n-row ambient space.
-
-    Classic cofactor trick: OR, over every row r with f(r)=1, the AND of
-    each child mask taken positive or complemented per r's bits.
-    """
-    if len(children) != f.n:
-        raise ArityMismatch(f"{f.n}-ary function given {len(children)} children")
-    full = (1 << (1 << n)) - 1
-    out = 0
-    for r in f.one_rows():
-        term = full
-        for j, child in enumerate(children, start=1):
-            if (r >> (f.n - j)) & 1:
-                term &= child
-            else:
-                term &= full ^ child
-            if not term:
-                break
-        out |= term
-    return out
-
-
 class LinearForm(Record):
     """x_{i1} XOR ... XOR x_{im} XOR c."""
 

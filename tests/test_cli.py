@@ -447,6 +447,23 @@ def test_reduce_refuses_an_oversized_transform_before_building_it(
     assert err == f"error [BudgetExceeded]: dimension {dimension} exceeds budget 24\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_reduce_refuses_a_relation_transform_by_its_word_count(capsys, files, as_json):
+    # dimension 2 + 22 is within budget, but S02K(20) of one word has
+    # 16,777,042 words; they are counted before any is built
+    path = files("one.rel", "n 2\n11\n")
+    t0 = time.monotonic()
+    args = ["reduce", "--rel", path, "--variant", "s02k", "--k", "20"] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *args)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (3, "")
+    message = "the transform has 16777042 words, over the budget of 1048576"
+    if as_json:
+        assert json.loads(err) == {"error": {"code": "BudgetExceeded", "message": message}}
+    else:
+        assert err == f"error [BudgetExceeded]: {message}\n"
+
+
 # The reduce outputs (stdout, --json stdout, --out file and sidecar) of one
 # 1-reproducing CNF, pinned by digest.  dup.tt names the and and or tables
 # twice each, out of name order: the output spells each by its least name.

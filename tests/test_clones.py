@@ -5,6 +5,8 @@ from itertools import combinations, islice, product
 
 import pytest
 
+import bconn.clones
+import bconn.properties
 from bconn import (
     ArityOverflow,
     BaseSet,
@@ -21,11 +23,13 @@ from bconn import (
     tt_parse,
     tt_print,
 )
+from bconn.circuits import apply_masks
 from bconn.clones import closure_rounds
 from bconn.properties import separating_coordinate
-from bconn.truthtable import apply_masks, var_mask
+from bconn.truthtable import mask_rows, var_mask
 
 from conftest import mk_base, tt_of
+from test_properties import reference_min_cover
 
 
 def dual_threshold(k):
@@ -420,3 +424,21 @@ def test_identify_agrees_with_the_closure_on_every_pair_of_arity_two_or_less():
         if clone_identify(closed) != clone_identify(base):
             mismatches.append((a, b))
     assert len(tables) == 22 and not mismatches
+
+
+def test_signatures_match_the_table_the_pairwise_cover_search_builds(monkeypatch):
+    """The signature table at every degree cap 2..12 is the one built when
+    each separation degree comes from the pairwise cover search that the
+    lattice search replaced."""
+    got = {d: bconn.clones._signatures(d) for d in range(2, 13)}
+    memo = {}
+
+    def pairwise(present, n):
+        if (present, n) not in memo:
+            memo[present, n] = reference_min_cover(set(mask_rows(present)), (1 << n) - 1)
+        return memo[present, n]
+
+    monkeypatch.setattr(bconn.properties, "_min_cover_size", pairwise)
+    for d, table in got.items():
+        assert bconn.clones._signatures.__wrapped__(d) == table, d
+    assert memo  # the reference did the work

@@ -1,10 +1,15 @@
 """DIMACS parsing and CNF semantics."""
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bconn import (
+    BconnError,
     BitVector,
     CnfFormula,
     EmptyClause,
@@ -16,6 +21,7 @@ from bconn import (
     print_dimacs,
     print_formula,
 )
+from bconn.cli import run_cli
 
 from conftest import STD_BASE, env_of, eval_cnf_slow, rand_three_cnf
 
@@ -118,3 +124,121 @@ def test_empty_cnf_is_the_constant_one():
     gl = cnf_to_formula(cnf)
     assert evaluate(gl, STD_BASE, BitVector.parse("00")) == 1
     assert print_formula(gl, STD_BASE) == "or(x1,not(x1))" and gl.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the DIMACS reader against a reference reading of the format.
+
+
+class Refused(Exception):
+    """What the reference reading reports: (error type name, message)."""
+
+
+def reference_dimacs(text: str):
+    """(n, clauses) as the format reads, or Refused with the parser's error.
+
+    The file is a stream of literal tokens after one `p cnf N M` line;
+    `c` lines and blank lines are skipped, a line that is exactly `%` ends
+    it, each 0 closes a clause, and a clause left open at the end counts."""
+    header, clauses, open_clause = None, [], []
+    for lineno, line in enumerate((raw.strip() for raw in text.splitlines()), start=1):
+        if line == "%":
+            break
+        if line[:1] in ("", "c"):
+            continue
+        if line[0] == "p":
+            fields = line.split()
+            if header is not None or len(fields) != 4 or fields[1] != "cnf":
+                raise Refused("HeaderMismatch", f"line {lineno}: bad problem line {line!r}")
+            try:
+                header = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise Refused("HeaderMismatch", f"line {lineno}: bad counts in {line!r}") from None
+            if header[0] < 1:
+                raise Refused("HeaderMismatch", f"line {lineno}: need at least one variable")
+            continue
+        if header is None:
+            raise Refused("HeaderMismatch", f"line {lineno}: clause before problem line")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise Refused("LiteralOutOfRange", f"line {lineno}: bad literal {tok!r}") from None
+            if not lit and not open_clause:
+                raise Refused("EmptyClause", f"line {lineno}: empty clause")
+            if abs(lit) > header[0]:
+                raise Refused("LiteralOutOfRange", f"line {lineno}: literal {lit} exceeds {header[0]} vars")
+            if lit:
+                open_clause.append(lit)
+            else:
+                clauses.append(tuple(open_clause))
+                open_clause = []
+    if header is None:
+        raise Refused("HeaderMismatch", "no problem line")
+    clauses += [tuple(open_clause)] if open_clause else []
+    if header[1] != len(clauses):
+        raise Refused("HeaderMismatch", f"header declares {header[1]} clauses, found {len(clauses)}")
+    return header[0], tuple(clauses)
+
+
+_DIMACS_JUNK = [" ", "\n", "0", "-", "1", "7", "x", "c", "p", "%", "p cnf 2 1\n", "\n%\n", "\t", "+"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A well-formed file over at most 5 variables, comments and the SATLIB
+    trailer included at random, then up to three random edits."""
+    n = draw(st.integers(1, 5))
+    lits = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lits, min_size=1, max_size=3), max_size=4))
+    lines = [f"p cnf {n} {len(clauses)}"] + [" ".join(map(str, c)) + " 0" for c in clauses]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "c a comment")
+    if draw(st.booleans()):
+        lines += ["%", "0"]
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.integers(0, 2))
+        if edit == 0:
+            text = text[:i] + draw(st.sampled_from(_DIMACS_JUNK)) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            j = draw(st.integers(0, i))
+            text = text[:i] + text[j:i] + text[i:]  # repeat a slice
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_texts())
+def test_dimacs_parse_matches_the_reference_reading(text):
+    try:
+        n, clauses = reference_dimacs(text)
+    except Refused as e:
+        with pytest.raises(BconnError) as info:
+            parse_dimacs(text)
+        assert (type(info.value).__name__, str(info.value)) == e.args
+        return
+    assert parse_dimacs(text) == CnfFormula(n, clauses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dimacs_texts())
+def test_conn_answers_or_reports_on_any_dimacs_file(tmp_path_factory, text):
+    # an edit can repeat a digit of the header, as in p cnf 3 -> p cnf 33;
+    # enumerating that many variables is within budget but slow, and this
+    # test is about exit codes, not size
+    try:
+        assume(reference_dimacs(text)[0] <= 12)
+    except Refused:
+        pass
+    path = tmp_path_factory.mktemp("cnf") / "f.cnf"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["conn", "--cnf", str(path), "--json"])
+    if code == 0:
+        assert "connected" in json.loads(out.getvalue())
+    else:
+        assert code in (2, 3) and "error" in json.loads(err.getvalue())

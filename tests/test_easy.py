@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import bconn.easy
 from bconn import (
     BitVector,
     LinearForm,
@@ -99,6 +100,42 @@ def test_monotone_paths_are_geodesics():
             assert words[0] == a and words[-1] == b
             assert len(words) - 1 == bin(a ^ b).count("1")
             assert all(w in members for w in words)
+
+
+def test_a_walk_through_a_non_solution_fails_verification():
+    """Every single-flip walk is checked whole: it passes when all its
+    vertices are solutions and otherwise names the first that is not."""
+    rng = random.Random(17)
+    texts = base_texts(MONO_BASE)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        text = rand_ast(rng, MONO_OPS, n, rng.randint(2, 30))
+        ast = parse_formula(text, MONO_BASE)
+        walk = [BitVector(n, rng.getrandbits(n))]
+        for _ in range(rng.randint(0, 12)):
+            j = rng.randint(1, n)
+            walk.append(walk[-1].with_bit(j, 1 - walk[-1].bit(j)))
+        misses = [v for v in walk if not eval_ast_slow(text, texts, env_of(v.word, n))]
+        if not misses:
+            bconn.easy._verify_path(ast, MONO_BASE, walk)
+            continue
+        with pytest.raises(AssertionError, match=f"witness vertex {misses[0].text} is not a solution"):
+            bconn.easy._verify_path(ast, MONO_BASE, walk)
+
+
+def test_a_witness_path_with_one_vertex_edited_still_raises(monkeypatch):
+    ast = parse_formula("or(and(x1,x2),and(x3,x4))", MONO_BASE)
+    s, t = bv("1100"), bv("0011")
+    path = path_texts(monotone_decide(ast, MONO_BASE, s, t))
+    assert path == ["1100", "1110", "1111", "0111", "0011"]
+    walk = bconn.easy._walk
+
+    def edited(path, t, order):  # the peak 1111 becomes 0110, one flip from both neighbours
+        return [v if v.text != "1111" else bv("0110") for v in walk(path, t, order)]
+
+    monkeypatch.setattr(bconn.easy, "_walk", edited)
+    with pytest.raises(AssertionError, match="witness vertex 0110 is not a solution"):
+        monotone_decide(ast, MONO_BASE, s, t)
 
 
 def test_monotone_accepts_circuits_and_tables():

@@ -2,10 +2,14 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
+import bconn.properties
 from bconn import (
+    BudgetExceeded,
     DegreeBoundTooSmall,
     TruthTable,
     affine_form_of,
@@ -21,6 +25,7 @@ from bconn import (
 )
 from bconn.properties import (
     ALL,
+    _min_cover_size,
     essential_variables,
     is_conjunction_like,
     is_disjunction_like,
@@ -261,3 +266,100 @@ def test_property_report_degree_sentinel_and_none():
 def test_property_report_rejects_tiny_degree_bound():
     with pytest.raises(DegreeBoundTooSmall):
         property_report(tt_of(TABLES["and"]), degree_bound=1)
+
+
+# ---------------------------------------------------------------------------
+# The subset-lattice cover search against the pairwise search it replaced.
+
+
+def reference_min_cover(masks, universe, cap=1 << 22):
+    """Fewest masks whose union is universe, or None, by pairwise scans:
+    each mask is kept unless a kept one contains it, then a breadth-first
+    search joins every new union with every kept mask, stopping at the
+    first that covers.  Raises BudgetExceeded once a level leaves more
+    than cap unions seen."""
+    if universe == 0:
+        return 0
+    if reduce(or_, masks, 0) != universe:
+        return None
+    maximal = []
+    for m in sorted(masks, key=lambda m: -m.bit_count()):
+        if m and not any(m | o == o for o in maximal):
+            maximal.append(m)
+    frontier, seen, size = {0}, {0}, 0
+    while True:
+        size += 1
+        new = set()
+        for c in frontier:
+            for m in maximal:
+                if c | m == universe:
+                    return size
+                if c | m not in seen:
+                    seen.add(c | m)
+                    new.add(c | m)
+        if len(seen) > cap:
+            raise BudgetExceeded("coordinate-cover search too large")
+        assert new
+        frontier = new
+
+
+def lattice_of(masks) -> int:
+    return sum(1 << m for m in masks)
+
+
+def random_families(rng, count, max_n):
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        density = rng.random() ** 2
+        yield n, {m for m in range(1 << n) if rng.random() < density}
+
+
+def test_min_cover_size_matches_the_pairwise_search_on_random_families():
+    for n, masks in random_families(random.Random(2718), 400, 10):
+        want = reference_min_cover(masks, (1 << n) - 1)
+        assert _min_cover_size(lattice_of(masks), n) == want, (n, sorted(masks))
+
+
+def test_separation_degree_matches_the_pairwise_search_on_thresholds():
+    """T^n_k and its dual for every k at n <= 13, both constants c.  Their
+    co-c families are all sets of at most r coordinates for some r, so the
+    reference runs once per family."""
+    kappa = {}
+    for n in range(14):
+        universe = (1 << n) - 1
+        for k, dualize, c in itertools.product(range(n + 2), (False, True), (0, 1)):
+            f = threshold_tt(n, k, dualize)
+            rows = rows_of(f, c)
+            family = (n, frozenset(r if c == 0 else universe ^ r for r in rows))
+            if family not in kappa:
+                kappa[family] = reference_min_cover(family[1], universe)
+            want = ALL if not rows or kappa[family] is None else max(kappa[family], 1) - 1
+            assert max_separation_degree(f, c) == want, (n, k, dualize, c)
+
+
+def test_cover_state_cap_refuses_where_the_pairwise_search_does(monkeypatch):
+    rng = random.Random(1618)
+    refused = 0
+    for cap in (3, 12, 40):
+        monkeypatch.setattr(bconn.properties, "_COVER_STATE_CAP", cap)
+        for n, masks in random_families(rng, 150, 8):
+            try:
+                want = reference_min_cover(masks, (1 << n) - 1, cap)
+            except BudgetExceeded:
+                refused += 1
+                with pytest.raises(BudgetExceeded):
+                    _min_cover_size(lattice_of(masks), n)
+                continue
+            assert _min_cover_size(lattice_of(masks), n) == want, (cap, n, sorted(masks))
+    assert refused >= 20  # both outcomes are exercised
+
+
+def test_cover_state_cap_refuses_the_singletons_of_23_coordinates():
+    """Covering 23 coordinates with singletons takes 23 sets; the search
+    has seen the 2^22 unions of at most 11 of them after level 11, and
+    passes the cap at level 12."""
+    n = 23
+    zeros = sum(1 << (1 << i) for i in range(n))  # f is 0 on weight-1 rows
+    f = TruthTable(n, ((1 << (1 << n)) - 1) ^ zeros)
+    with pytest.raises(BudgetExceeded, match="coordinate-cover search too large"):
+        max_separation_degree(f, 0)

@@ -89,7 +89,7 @@ def test_prefix_budget():
     matrix = parse_formula("x1", STD_BASE)
     prefix = tuple(("E", j) for j in range(2, 30))
     with pytest.raises(BudgetExceeded):
-        quantified_value(with_prefix(matrix, prefix), BitVector.parse("1"), budget=5)
+        quantified_value(with_prefix(matrix, prefix), [BitVector.parse("1")], budget=5)
 
 
 def test_eval_matches_naive_expansion():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import bconn.reduce
 from bconn import (
     BitVector,
     BudgetExceeded,
@@ -456,3 +457,33 @@ def test_apply_t_relation_guards():
         apply_t_relation(SolutionSet(2, ()), S12)
     with pytest.raises(NotOneReproducing):
         apply_t_relation(SolutionSet(2, (0, 1)), S12)
+
+
+def test_apply_t_relation_counts_its_words_before_building_them(monkeypatch):
+    """The count D1 and S02K check against the word limit is exactly the
+    number of words they emit: a limit one below it refuses, the count
+    itself passes."""
+    from bconn import SolutionSet
+
+    rng = random.Random(44)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        words = {w for w in range(1 << n) if rng.random() < 0.4} | {(1 << n) - 1}
+        r = SolutionSet(n, tuple(sorted(words)))
+        for variant in (D1, s02k(2), s02k(3), s02k(5)):
+            count = len(apply_t_relation(r, variant))
+            monkeypatch.setattr(bconn.reduce, "T_RELATION_WORD_LIMIT", count - 1)
+            with pytest.raises(BudgetExceeded, match=f"the transform has {count} words"):
+                apply_t_relation(r, variant)
+            monkeypatch.setattr(bconn.reduce, "T_RELATION_WORD_LIMIT", count)
+            assert len(apply_t_relation(r, variant)) == count
+            monkeypatch.undo()
+
+
+def test_apply_t_relation_refuses_a_relation_too_large_to_build():
+    from bconn import SolutionSet
+
+    one = SolutionSet(2, (0b11,))
+    with pytest.raises(BudgetExceeded, match="the transform has 16777042 words, over the budget of 1048576"):
+        apply_t_relation(one, s02k(20))
+    assert len(apply_t_relation(one, s02k(12))) == 2 + (2 << 2) * ((1 << 13) - 14)

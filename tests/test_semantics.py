@@ -21,6 +21,7 @@ from bconn import (
     truth_table_of,
     tt_print,
 )
+import bconn.qbf
 from bconn.semantics import lower
 
 from conftest import (
@@ -33,7 +34,10 @@ from conftest import (
     base_texts,
     circuit_solutions_slow,
     env_of,
+    eval_ast_slow,
+    eval_circuit_slow,
     eval_cnf_slow,
+    eval_qbf_slow,
     mk_base,
     qbf_free_vars,
     qbf_solutions_slow,
@@ -191,3 +195,64 @@ def test_lowering_a_circuit_whose_output_is_an_input():
     assert gl.inputs == (1, 3) and gl.output == 1 and gl.dim == 3
     assert tt_print(truth_table_of(gl, STD_BASE, 3)) == "01010101"
     assert evaluate(gl, STD_BASE, BitVector.parse("001")) == 1
+
+
+WIDE_BASE = mk_base(["and", "or", "not", "xor", "imp", "nand", "maj", "c0", "c1"])
+WIDE_OPS = (("and", 2), ("or", 2), ("not", 1), ("xor", 2), ("imp", 2), ("nand", 2),
+            ("maj", 3), ("c0", 0), ("c1", 0))
+
+
+def _batch_cases(rng):
+    """(object, base, point dimension or None, value oracle on a word)."""
+    wide = base_texts(WIDE_BASE)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        text = rand_ast(rng, WIDE_OPS, n, rng.randint(1, 40))
+        oracle = lambda w, text=text, n=n: eval_ast_slow(text, wide, env_of(w, n))  # noqa: E731
+        yield parse_formula(text, WIDE_BASE), WIDE_BASE, n, oracle
+        circuit = print_circuit(parse_formula(text, WIDE_BASE), WIDE_BASE)
+        yield parse_circuit(circuit, WIDE_BASE), WIDE_BASE, n, oracle
+    lin = base_texts(LIN_BASE)
+    for _ in range(10):
+        n = rng.randint(1, 7)
+        text = rand_linear_circuit(rng, n, rng.randint(1, 12))
+        oracle = lambda w, text=text, n=n: eval_circuit_slow(text, lin, env_of(w, n))  # noqa: E731
+        yield parse_circuit(text, LIN_BASE), LIN_BASE, n, oracle
+    for base, ops in ((MONO_BASE, MONO_OPS), (LIN_BASE, LIN_OPS)):
+        texts = base_texts(base)
+        for _ in range(15):
+            text = rand_qbf(rng, ops, rng.randint(2, 7), rng.randint(0, 5), rng.randint(1, 25))
+            free = qbf_free_vars(text)
+            f = len(free)
+            oracle = lambda w, text=text, free=free, f=f: eval_qbf_slow(  # noqa: E731
+                text, texts, {j: (w >> (f - 1 - p)) & 1 for p, j in enumerate(free)}
+            )
+            yield parse_qbf(text, base), base, f or None, oracle
+
+
+@pytest.mark.parametrize("lane_rows", [None, 8])
+def test_batch_evaluation_matches_pointwise_evaluation(monkeypatch, lane_rows):
+    """A list of points gives the mask of the values at each point (bit i
+    for point i), equal to evaluating them one by one and to the row
+    oracles, on random formulas, circuits and QBFs.  A small lane budget
+    makes the QBF batches split into chunks."""
+    if lane_rows is not None:
+        monkeypatch.setattr(bconn.qbf, "_LANE_ROWS", lane_rows)
+    rng = random.Random(2031)
+    for obj, base, n, oracle in _batch_cases(rng):
+        words = [rng.getrandbits(n or 1) if n else 0 for _ in range(rng.randint(0, 70))]
+        points = [BitVector(n, w) if n else None for w in words]
+        mask = evaluate(obj, base, points)
+        assert mask == sum(evaluate(obj, base, p) << i for i, p in enumerate(points))
+        assert mask == sum(oracle(w) << i for i, w in enumerate(words))
+
+
+def test_batch_evaluation_checks_every_point():
+    gl = parse_formula("and(x1,x3)", STD_BASE)
+    assert evaluate(gl, STD_BASE, []) == 0
+    assert evaluate(gl, STD_BASE, [BitVector.parse("101"), BitVector.parse("111")]) == 0b11
+    with pytest.raises(MissingVariable):
+        evaluate(gl, STD_BASE, [BitVector.parse("101"), BitVector.parse("11")])
+    q = parse_qbf("E x2 : and(x1,x2)", STD_BASE)
+    with pytest.raises(UsageError):
+        evaluate(q, STD_BASE, [BitVector.parse("1"), None])

@@ -21,7 +21,8 @@ from bconn import (
     tt_print,
     var_mask,
 )
-from bconn.truthtable import N_MAX, apply_masks
+from bconn.circuits import apply_masks
+from bconn.truthtable import N_MAX
 
 from conftest import TABLES, tt_of
 
@@ -160,19 +161,26 @@ def test_var_mask_rejects_out_of_range_index():
         var_mask(3, 4)
 
 
-@given(
-    st.integers(min_value=0, max_value=15),
-    st.integers(min_value=0, max_value=15),
-    st.integers(min_value=0, max_value=15),
-)
-def test_apply_masks_agrees_with_pointwise_application(fbits, abits, bbits):
-    n = 2
-    f = TruthTable(2, fbits)
-    out = apply_masks(f, [abits, bbits], n)
-    for row in range(1 << n):
-        a = (abits >> row) & 1
-        b = (bbits >> row) & 1
-        assert (out >> row) & 1 == f.value(a * 2 + b)
+def test_apply_masks_agrees_with_pointwise_application():
+    """Every table of arity 0-3, seeded random tables of arity 4-5 and the
+    constants of arity 4-5, each at every ambient dimension 0-5 over
+    seeded random children."""
+    rng = random.Random(1414)
+    tables = [TruthTable(k, bits) for k in range(4) for bits in range(1 << (1 << k))]
+    for k in (4, 5):
+        full = (1 << (1 << k)) - 1
+        tables += [TruthTable(k, 0), TruthTable(k, full)]
+        tables += [TruthTable(k, rng.getrandbits(1 << k)) for _ in range(40)]
+    for f in tables:
+        for n in range(6):
+            children = [rng.getrandbits(1 << n) for _ in range(f.n)]
+            out = apply_masks(f, children, n)
+            assert 0 <= out < 1 << (1 << n), (f, n)
+            for row in range(1 << n):
+                arg = 0
+                for child in children:
+                    arg = arg << 1 | (child >> row) & 1
+                assert (out >> row) & 1 == f.value(arg), (f, n, children, row)
 
 
 def test_apply_masks_checks_child_count():
