@@ -254,15 +254,6 @@ def lane_mask(points: list, j: int) -> int:
     return sum((a.word >> (a.n - j) & 1) << i for i, a in enumerate(points))
 
 
-def apply_masks(f: TruthTable, children: list[int], n: int) -> int:
-    """Output mask of f applied to child masks in a 2^n-row ambient space:
-    tabulate of the one gate."""
-    if len(children) != f.n:
-        raise ArityMismatch(f"{f.n}-ary function given {len(children)} children")
-    gate = GateList(tuple(range(1, f.n + 1)), ((f, tuple(range(f.n))),), f.n, f.n)
-    return tabulate(gate, children, 1 << n)
-
-
 def linear_form(gl: GateList) -> LinearForm:
     """GF(2) form of the gates, when every gate table is affine.
 

@@ -11,6 +11,8 @@ class's generators share are the atoms every member of the class has,
 its signature; and the atoms a base's functions share are the signature
 of the clone they generate.  clone_identify looks that set up in a
 {signature: class} table, with no inclusion rules to keep in step.
+dispatch reads the same shared atoms: the paper's frontier is membership
+in M, L, S0, D and S0^k (0-separating of degree k), each an atom.
 
 Separation degrees are tracked up to dmax = min(degree bound, largest
 arity in the base).  An a-ary function's finite separation degree is at
@@ -27,7 +29,6 @@ from itertools import islice, product
 
 from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UnknownClass, UsageError
 from .properties import (
-    ALL,
     DEFAULT_DEGREE_BOUND,
     PropertyReport,
     property_report,
@@ -223,14 +224,22 @@ def _check_arities(base: BaseSet):
             raise ArityOverflow(f"{name} has arity {f.n} > {N_MAX}")
 
 
-def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> str:
-    """Name of the minimal closed class containing the base."""
+def _shared_atoms(base: BaseSet, degree_bound: int, report_bound: int) -> tuple[frozenset, int]:
+    """The atoms every function of the base has, the signature of the clone
+    it generates, with separation degrees up to dmax = min(degree bound,
+    largest arity); and dmax.  Atoms read degrees up to dmax only, so any
+    report bound from max(dmax, 2) up gives the same atoms, and
+    clone_identify and dispatch share each report."""
     _check_arities(base)
     # an a-ary function's finite separation degree is at most a - 1
     dmax = min(degree_bound, max(f.n for f in base.tables))
-    # atoms read degrees up to dmax only, so dispatch's reports serve here
-    reports = [property_report(f, max(degree_bound, 2)) for f in base.tables]
-    atoms = frozenset.intersection(*(_function_atoms(r, dmax) for r in reports))
+    reports = [property_report(f, report_bound) for f in base.tables]
+    return frozenset.intersection(*(_function_atoms(r, dmax) for r in reports)), dmax
+
+
+def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> str:
+    """Name of the minimal closed class containing the base."""
+    atoms, dmax = _shared_atoms(base, degree_bound, max(degree_bound, 2))
     try:
         return _signatures(dmax)[atoms]
     except KeyError:
@@ -270,74 +279,56 @@ def dispatch(
 ) -> DichotomyVerdict:
     """Classify a base as tractable or not for connectivity queries.
 
-    Unquantified, connectivity is polynomial iff the base consists of
-    monotone functions, of affine functions, or of 0-separating functions;
-    with quantifiers the 0-separating escape hatch disappears.  On the
-    hard side a reduction variant is picked: all functions self-dual
-    selects D1, a common 0-separation degree k >= 2 selects S02K(k),
-    anything else S12.
+    Unquantified, connectivity is polynomial iff the base's clone lies in
+    M, in L or in S0; with quantifiers the S0 escape hatch disappears.  On
+    the hard side a reduction variant is picked: a clone inside D selects
+    D1, one inside S0^k for some k >= 2 selects S02K at the largest such k
+    (at the degree bound inside S0), anything else S12.  The memberships
+    are the atoms clone_identify looks up (_shared_atoms).
     """
-    _check_arities(base)
-    reports = [property_report(f, degree_bound) for f in base.tables]
-    if all(r.monotone for r in reports):
+    atoms, _ = _shared_atoms(base, degree_bound, degree_bound)
+    if "M" in atoms:
         return DichotomyVerdict("EASY", easy_class="MONOTONE", quantified=quantified)
-    if all(r.affine for r in reports):
+    if "L" in atoms:
         return DichotomyVerdict("EASY", easy_class="LINEAR", quantified=quantified)
-    if not quantified and all(r.separating0 for r in reports):
+    if "S0" in atoms and not quantified:
         return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING", quantified=quantified)
-    if all(r.self_dual for r in reports):
+    if "D" in atoms:
         return DichotomyVerdict("HARD", hard_variant="D1", quantified=quantified)
-    common_k = degree_bound
-    for r in reports:
-        d = r.sep_degree0
-        if d == ALL:
-            continue
-        common_k = min(common_k, d if isinstance(d, int) else 0)
-    if common_k >= 2:
-        return DichotomyVerdict(
-            "HARD", hard_variant="S02K", hard_k=common_k, quantified=quantified
-        )
+    # the degree atoms ("S0d", k) hold from k = 2 up to the common degree
+    degrees = [a[1] for a in atoms if a[0] == "S0d"]
+    k = degree_bound if "S0" in atoms else max(degrees, default=0)
+    if k >= 2:
+        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=k, quantified=quantified)
     return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
 
 
-def closure_rounds(base: BaseSet, m: int, known: dict):
+def _rounds(base: BaseSet, m: int, known: dict):
     """Semi-naive least fixpoint of the base's functions over m-ary tables.
 
     `known` maps each realized table to the caller's data for it, seeds
-    first.  Rounds come as `(applications, tuples)`; `tuples` iterates
-    `(name, args, out)`: base function `name` applied to `args`, a tuple
-    of `(complement, table)` pairs, gives table `out`.  A round builds
-    only the argument tuples holding a table new in the previous round
-    (all seeds are new in the first): position i takes the first new
-    table, earlier ones old tables, later ones any table, so each tuple
-    comes once, in `product` order (last position fastest).  They are the
+    first.  Rounds come as `(applications, groups)`.  A round builds only
+    the argument tuples holding a table new in the previous round (all
+    seeds are new in the first): position i takes the first new table,
+    earlier ones old tables, later ones any table, so each tuple comes
+    once, in `product` order (last position fastest).  They are the
     round's applications, counted up front; arity-0 functions apply in
     the first round only, as no application.  The caller consumes a round
     (or stops early), then adds the tables it accepts to `known`; the
     rounds end when one adds none.
 
-    The kernel (_round) cofactors on the last argument: per head, the
-    first k - 1 arguments, it builds two masks, g0 and g1, the function
-    with its last argument fixed to 0 and to 1.  Each is the OR, over the
-    one-rows ending in that bit, of the AND of the head's tables or
-    complements that the row's leading bits pick.  Every last argument t
-    then costs one mask expression, g0 ^ ((g0 ^ g1) & t).
+    The tuples come grouped by head, the first k - 1 arguments, as
+    `(name, head, g0, d, last)`: base function `name` applied to
+    `head + (t,)` gives table g0 ^ (d & t's table) for each t in `last`.
+    Arguments are `(complement, table)` pairs.  An arity-0 function comes
+    as `(name, (), value, 0, None)`, in the first round.
+
+    The kernel cofactors on the last argument: per head it builds two
+    masks, g0 and g1, the function with its last argument fixed to 0 and
+    to 1.  Each is the OR, over the one-rows ending in that bit, of the
+    AND of the head's tables or complements that the row's leading bits
+    pick; d = g0 ^ g1.
     """
-    for applications, groups in _rounds(base, m, known):
-        yield applications, _applications(groups)
-
-
-def _applications(groups):
-    for name, head, g0, d, last in groups:
-        if last is None:
-            yield name, head, g0
-            continue
-        for t in last:
-            yield name, head + (t,), g0 ^ (d & t[1])
-
-
-def _rounds(base: BaseSet, m: int, known: dict):
-    """closure_rounds with each round's applications grouped by head."""
     full = (1 << (1 << m)) - 1
     ops = []
     for name, f in base:
@@ -361,9 +352,6 @@ def _rounds(base: BaseSet, m: int, known: dict):
 
 
 def _round(ops, old, new, every, full, first):
-    """Groups `(name, head, g0, d, last)`: `name` applied to `head + (t,)`
-    gives g0 ^ (d & t's table) for each pair t in `last`.  An arity-0
-    function comes as `(name, (), value, 0, None)`, in the first round."""
     for name, k, (rows0, rows1) in ops:
         if k == 0:
             if first:
@@ -394,7 +382,7 @@ def clone_closure(
 ) -> frozenset[TruthTable]:
     """All functions of arity <= max_arity the base can express.
 
-    Least fixpoint per ambient arity (closure_rounds): seed with the
+    Least fixpoint per ambient arity (_rounds): seed with the
     projections, then apply every base function to realized tables; an
     application is one argument tuple holding at least one table new in
     the previous round.  Every composite over x_1..x_m denotes an m-ary
@@ -404,10 +392,9 @@ def clone_closure(
     are charged per round, up front and across all arities, against
     CLOSURE_APPLICATION_LIMIT (2^25); a round that would pass it raises
     before it is built.  The rounds of one ternary function at arity 3
-    charge at most 256^3 = 2^24, so no such closure is refused.  Rounds
-    come grouped by head (the cofactored kernel of closure_rounds), and
-    a head's last pool is taken whole: one set of g0 ^ (d & t), or just
-    g0 when the last argument does not matter (d = 0).
+    charge at most 256^3 = 2^24, so no such closure is refused.  A
+    head's last pool is taken whole: one set of g0 ^ (d & t), or just g0
+    when the last argument does not matter (d = 0).
     """
     _check_arities(base)
     if max_arity < 0:

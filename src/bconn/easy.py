@@ -26,7 +26,7 @@ from .properties import (
 )
 from .qbf import EXISTS
 from .semantics import evaluate, lower, truth_table_of
-from .truthtable import BitVector, LinearForm, Record, _set, var_mask
+from .truthtable import BitVector, LinearForm, Record, _set
 
 DEFAULT_SEARCH_BUDGET = 20
 
@@ -147,15 +147,6 @@ def _syntactic_coordinate(gl: GateList) -> int | None:
     return None
 
 
-def _semantic_coordinate(obj, base: BaseSet, n: int) -> int:
-    table = truth_table_of(obj, base, n)
-    for i in range(1, n + 1):
-        vm = var_mask(n, i)
-        if table.bits & vm == vm:
-            return i
-    raise AssertionError("0-separating composite lacks a pinning coordinate")
-
-
 def zerosep_decide(
     obj,
     base: BaseSet,
@@ -192,7 +183,9 @@ def zerosep_decide(
     if i is not None and i > n:
         i = None
     if i is None and n <= search_budget:
-        i = _semantic_coordinate(obj, base, n)
+        i = separating_coordinate(truth_table_of(obj, base, n), 0)
+        if i is None:
+            raise AssertionError("0-separating composite lacks a pinning coordinate")
     if i is None:
         return EasyAnswer(
             True,

@@ -27,7 +27,7 @@ import functools
 import itertools
 
 from .circuits import GateBuilder, GateList
-from .clones import STANDARD_BASE, BaseSet, closure_rounds
+from .clones import STANDARD_BASE, BaseSet, _rounds
 from .cnf import CnfFormula
 from .errors import (
     BudgetExceeded,
@@ -96,8 +96,9 @@ class TVariant(Record):
 class SynthBudget(Record):
     """Caps for the bottom-up synthesizer.  An application is one argument
     tuple containing at least one table new in the previous round
-    (clones.closure_rounds); every one counts, realized or duplicate, and
-    a round that would pass max_applications is refused whole."""
+    (clones._rounds); every one counts, realized or duplicate, and a round
+    that would pass max_applications is refused whole.  max_size caps a
+    candidate's formula size; a candidate over it is skipped."""
 
     __slots__ = ("max_size", "max_applications")
 
@@ -202,19 +203,21 @@ def t_transform(
 
 
 def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> GateList:
-    """Bottom-up closure rounds (clones.closure_rounds) seeded with the
+    """Bottom-up closure rounds (clones._rounds) seeded with the
     projections, with observational-equivalence memoing: each table keeps
     the (size, print text, name, args) of the smallest, then first
     printed, candidate of the round that first produced it; a candidate's
-    text is built only when it could win.  The target's gates are built
-    once, at the end.  Reaching a fixpoint without any budget-forced skip
-    certifies the target unrealizable at this arity.
+    text is built only when it could win.  A group's head is sized once,
+    so each last argument t costs g0 ^ (d & t) and its own size.  The
+    target's gates are built once, at the end.  Reaching a fixpoint
+    without any budget-forced skip certifies the target unrealizable at
+    this arity.
     """
     n = target.n
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
     applications = 0
     skipped = False
-    for count, tuples in closure_rounds(base, n, known):
+    for count, groups in _rounds(base, n, known):
         if target.bits in known:
             return _gates_of(known, target.bits, base, n)
         applications += count
@@ -223,21 +226,30 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
                 f"synthesis stopped after {budget.max_applications} applications"
             )
         fresh: dict[int, tuple] = {}
-        for name, args, out in tuples:
-            size = 1
-            for _, a in args:
-                size += known[a][0]
-            if size > budget.max_size:
-                skipped = True
+        for name, head, g0, d, last in groups:
+            if last is None:  # an arity-0 function: size 1, no arguments
+                best = fresh.get(g0)
+                if g0 not in known and (best is None or (1, name) < best[:2]):
+                    fresh[g0] = (1, name, name, ())
                 continue
-            if out in known:
-                continue
-            best = fresh.get(out)
-            if best is not None and size > best[0]:
-                continue
-            text = f"{name}({','.join(known[a][1] for _, a in args)})" if args else name
-            if best is None or (size, text) < best[:2]:
-                fresh[out] = (size, text, name, args)
+            size0 = 1
+            for _, a in head:
+                size0 += known[a][0]
+            for t in last:
+                size = size0 + known[t[1]][0]
+                if size > budget.max_size:
+                    skipped = True
+                    continue
+                out = g0 ^ (d & t[1])
+                if out in known:
+                    continue
+                best = fresh.get(out)
+                if best is not None and size > best[0]:
+                    continue
+                args = head + (t,)
+                text = f"{name}({','.join(known[a][1] for _, a in args)})"
+                if best is None or (size, text) < best[:2]:
+                    fresh[out] = (size, text, name, args)
         known.update(fresh)
     if skipped:
         raise BudgetExceeded("synthesis size cap pruned the search")

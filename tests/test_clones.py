@@ -1,5 +1,6 @@
 """Classification in the lattice of closed classes, closure, dispatch."""
 
+import hashlib
 import random
 from itertools import combinations, islice, product
 
@@ -11,6 +12,7 @@ from bconn import (
     ArityOverflow,
     BaseSet,
     BudgetExceeded,
+    DichotomyVerdict,
     STANDARD_BASE,
     TruthTable,
     UsageError,
@@ -23,9 +25,10 @@ from bconn import (
     tt_parse,
     tt_print,
 )
-from bconn.circuits import apply_masks
-from bconn.clones import closure_rounds
-from bconn.properties import separating_coordinate
+from bconn.circuits import tabulate
+from bconn.clones import _check_arities, _rounds
+from bconn.properties import ALL, property_report, separating_coordinate
+from bconn.semantics import lower
 from bconn.truthtable import mask_rows, var_mask
 
 from conftest import mk_base, tt_of
@@ -202,7 +205,7 @@ def naive_closure(base, max_arity):
                     continue
                 for args in product(sorted(known), repeat=f.n):
                     if any(a in fresh for a in args):
-                        new.add(apply_masks(f, list(args), m))
+                        new.add(tabulate(lower(f), list(args), 1 << m))
             fresh, first = new - known, False
             known |= fresh
         out.update(TruthTable(m, bits) for bits in known)
@@ -222,8 +225,24 @@ def test_closure_matches_the_naive_fixpoint_on_a_multiplexer():
     assert len(got) == 1 + 4 + 64  # the clone R2 at arities 1, 2, 3
 
 
+def applications(groups):
+    """A round's (name, args, out) tuples: each _rounds group expanded."""
+    for name, head, g0, d, last in groups:
+        if last is None:
+            yield name, head, g0
+            continue
+        for t in last:
+            yield name, head + (t,), g0 ^ (d & t[1])
+
+
+def expanded_rounds(base, m, known):
+    """_rounds with each round's groups expanded into applications."""
+    for count, groups in _rounds(base, m, known):
+        yield count, applications(groups)
+
+
 def row_pattern_rounds(base, m, known):
-    """closure_rounds with the row-pattern kernel: every application ANDs,
+    """expanded_rounds with the row-pattern kernel: every application ANDs,
     for each one-row, the row's choice of table or complement at every
     position, and ORs the rows."""
     full = (1 << (1 << m)) - 1
@@ -294,7 +313,7 @@ def test_closure_rounds_pin_the_row_pattern_kernel(entries):
     base = mk_base(entries)
     for m in range(4):
         want = logged_rounds(row_pattern_rounds, base, m)
-        assert logged_rounds(closure_rounds, base, m) == want
+        assert logged_rounds(expanded_rounds, base, m) == want
 
 
 def test_closure_members_satisfy_the_identified_class_predicate():
@@ -340,6 +359,95 @@ def test_dispatch_hard_k_respects_degree_bound():
     base = mk_base({"f": "00101111", "t": tt_print(dual_threshold(4))})
     assert dispatch(base).hard_k == 4
     assert dispatch(base, degree_bound=3).hard_k == 3
+
+
+def reference_dispatch(base, quantified=False, degree_bound=8):
+    """dispatch as it read the property flags of each function, before it
+    read the atoms the functions share."""
+    _check_arities(base)
+    reports = [property_report(f, degree_bound) for f in base.tables]
+    if all(r.monotone for r in reports):
+        return DichotomyVerdict("EASY", easy_class="MONOTONE", quantified=quantified)
+    if all(r.affine for r in reports):
+        return DichotomyVerdict("EASY", easy_class="LINEAR", quantified=quantified)
+    if not quantified and all(r.separating0 for r in reports):
+        return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING", quantified=quantified)
+    if all(r.self_dual for r in reports):
+        return DichotomyVerdict("HARD", hard_variant="D1", quantified=quantified)
+    common_k = degree_bound
+    for r in reports:
+        d = r.sep_degree0
+        if d == ALL:
+            continue
+        common_k = min(common_k, d if isinstance(d, int) else 0)
+    if common_k >= 2:
+        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=common_k, quantified=quantified)
+    return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's answer, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:  # compared with what the reference raised
+        return type(e), str(e)
+
+
+# every table of arity <= 2: the constants, the unary and the binary ones
+SMALL_TABLES = ["0", "1"] + [format(i, f"0{w}b") for w in (2, 4) for i in range(1 << w)]
+# the 509 bases the answers of classify are pinned on: every ternary
+# function alone, and every table of arity <= 2 alone and in pairs
+ORACLE_509 = (
+    [{"f": format(i, "08b")} for i in range(256)]
+    + [{"f": a} for a in SMALL_TABLES]
+    + [{"f": a, "g": b} for a, b in combinations(SMALL_TABLES, 2)]
+)
+
+
+def random_dispatch_bases(count, seed=811):
+    """Bases of one to three functions of arity 0-5, many of them
+    0-separating (a row block forced to 1) or dual thresholds, so the
+    degree branches of dispatch are reached."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        entries = {}
+        for i in range(rng.randint(1, 3)):
+            a = rng.randint(0, 5)
+            kind = rng.random()
+            if kind < 0.25 and a >= 3:
+                f = dual_threshold(a - 1)
+            else:
+                bits = rng.getrandbits(1 << a)
+                if kind < 0.7 and a:
+                    bits |= var_mask(a, rng.randint(1, a))
+                f = TruthTable(a, bits)
+            entries[f"f{i}"] = f
+        yield BaseSet(entries)
+
+
+def test_dispatch_agrees_with_the_flag_reference():
+    bases = [mk_base(entries) for entries in ORACLE_509] + list(random_dispatch_bases(302))
+    seen = set()
+    for base in bases:
+        for quantified, bound in product((False, True), (1, 2, 3, 8, 20)):
+            got = outcome(dispatch, base, quantified=quantified, degree_bound=bound)
+            want = outcome(reference_dispatch, base, quantified=quantified, degree_bound=bound)
+            assert got == want, (base, quantified, bound)
+            seen.add(got.describe() if isinstance(got, DichotomyVerdict) else got[0].__name__)
+    # every verdict and the refused bound are among the cases compared
+    assert {"HARD(S12)", "HARD(D1)", "DegreeBoundTooSmall", "EASY(ZERO_SEPARATING)"} <= seen
+    assert {"HARD(S02K(2))", "HARD(S02K(3))", "HARD(S02K(20))"} <= seen
+
+
+def test_classify_answers_on_the_oracle_bases_are_pinned():
+    # clone_identify and both dispatches, digested over the 509 bases
+    h = hashlib.sha256()
+    for entries in ORACLE_509:
+        base = mk_base(entries)
+        plain, quant = dispatch(base), dispatch(base, quantified=True)
+        h.update(f"{clone_identify(base)} {plain.describe()} {quant.describe()}\n".encode())
+    assert len(ORACLE_509) == 509
+    assert h.hexdigest() == "a0b078ce8d1686fd57de223a9f66da12d102fe061805bad9b952701f59105c1e"
 
 
 def test_arity_overflow_is_rejected():
@@ -415,15 +523,14 @@ def test_identify_agrees_with_the_closure_to_arity_three(entries):
 
 
 def test_identify_agrees_with_the_closure_on_every_pair_of_arity_two_or_less():
-    tables = ["0", "1"] + [format(i, f"0{w}b") for w in (2, 4) for i in range(1 << w)]
     mismatches = []
-    for a, b in combinations(tables, 2):
+    for a, b in combinations(SMALL_TABLES, 2):
         base = mk_base({"f": a, "g": b})
         closure = sorted(clone_closure(base, 3), key=lambda f: (f.n, f.bits))
         closed = BaseSet({f"f{i}": f for i, f in enumerate(closure)})
         if clone_identify(closed) != clone_identify(base):
             mismatches.append((a, b))
-    assert len(tables) == 22 and not mismatches
+    assert len(SMALL_TABLES) == 22 and not mismatches
 
 
 def test_signatures_match_the_table_the_pairwise_cover_search_builds(monkeypatch):

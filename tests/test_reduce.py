@@ -35,8 +35,10 @@ from bconn import (
     tr_combine,
     truth_table_of,
 )
+from bconn.clones import _rounds
 from bconn.properties import ALL
-from bconn.reduce import _synth_search
+from bconn.reduce import _gates_of, _synth_search
+from bconn.truthtable import var_mask
 
 from conftest import (
     STD_BASE,
@@ -46,6 +48,7 @@ from conftest import (
     rand_three_cnf,
     tt_of,
 )
+from test_clones import applications, expanded_rounds, outcome
 
 S12 = TVariant("S12")
 D1 = TVariant("D1")
@@ -275,6 +278,99 @@ def test_synth_search_budget_boundary(bits, base, limit, want):
     assert print_formula(got, base) == want
     with pytest.raises(BudgetExceeded, match="applications"):
         _synth_search(target, base, SynthBudget(max_applications=limit - 1))
+
+
+def reference_synth_search(target, base, budget):
+    """_synth_search as it read the rounds one application at a time,
+    summing every argument's size per application."""
+    n = target.n
+    known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
+    charged = 0
+    skipped = False
+    for count, tuples in expanded_rounds(base, n, known):
+        if target.bits in known:
+            return _gates_of(known, target.bits, base, n)
+        charged += count
+        if charged > budget.max_applications:
+            raise BudgetExceeded(f"synthesis stopped after {budget.max_applications} applications")
+        fresh = {}
+        for name, args, out in tuples:
+            size = 1
+            for _, a in args:
+                size += known[a][0]
+            if size > budget.max_size:
+                skipped = True
+                continue
+            if out in known:
+                continue
+            best = fresh.get(out)
+            if best is not None and size > best[0]:
+                continue
+            text = f"{name}({','.join(known[a][1] for _, a in args)})" if args else name
+            if best is None or (size, text) < best[:2]:
+                fresh[out] = (size, text, name, args)
+        known.update(fresh)
+    if skipped:
+        raise BudgetExceeded("synthesis size cap pruned the search")
+    raise NotRealizable(
+        f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
+    )
+
+
+def round_ends(base, n, cap):
+    """The cumulative application counts at which the rounds of an
+    uncapped search over n-ary tables end, up to cap."""
+    known = dict.fromkeys(var_mask(n, j) for j in range(1, n + 1))
+    total, ends = 0, []
+    for count, groups in _rounds(base, n, known):
+        total += count
+        if total > cap:
+            break
+        ends.append(total)
+        known.update(dict.fromkeys(out for _, _, out in applications(groups)))
+    return ends
+
+
+def synth_cases(count, seed=1692):
+    """Seeded (target, base, budget) triples: bases of one to three
+    functions of arity 0-3 (the standard base among them), targets of
+    arity 0-3, size caps from 1 up, and application limits at the end of
+    a round, one under it, or drawn at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.15:
+            base = STD_BASE
+        else:
+            arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            base = mk_base({
+                f"f{i}": format(rng.getrandbits(1 << a), f"0{1 << a}b") for i, a in enumerate(arities)
+            })
+        n = rng.choice([0, 1, 2, 2, 3, 3])
+        target = TruthTable(n, rng.getrandbits(1 << n))
+        max_size = rng.choice([1, 2, 3, 4, 6, 100_000, 100_000])
+        cap = 4000 if n == 3 else 120_000
+        ends = round_ends(base, n, cap)
+        pick = rng.random()
+        if ends and pick < 0.6:
+            limit = rng.choice(ends) - (pick < 0.3)
+        else:
+            limit = rng.randint(1, cap)
+        yield target, base, SynthBudget(max_size=max_size, max_applications=max(limit, 1))
+
+
+def test_synth_search_agrees_with_the_per_application_reference():
+    kinds = set()
+    for target, base, budget in synth_cases(1692):
+        got = outcome(_synth_search, target, base, budget)
+        want = outcome(reference_synth_search, target, base, budget)
+        if isinstance(got, tuple):
+            kinds.add(next(w for w in ("stopped", "pruned", "outside") if w in got[1]))
+        else:
+            got, want = print_formula(got, base), print_formula(want, base)
+            kinds.add("found")
+        assert got == want, (target, base, budget)
+    # found, refused per application and per size, and certified outside
+    assert kinds == {"found", "stopped", "pruned", "outside"}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from bconn import (
     tt_print,
     var_mask,
 )
-from bconn.circuits import apply_masks
+from bconn.circuits import tabulate
+from bconn.semantics import lower
 from bconn.truthtable import N_MAX
 
 from conftest import TABLES, tt_of
@@ -162,9 +163,10 @@ def test_var_mask_rejects_out_of_range_index():
 
 
 def test_apply_masks_agrees_with_pointwise_application():
-    """Every table of arity 0-3, seeded random tables of arity 4-5 and the
-    constants of arity 4-5, each at every ambient dimension 0-5 over
-    seeded random children."""
+    """One gate applied to child masks, tabulate of the table lowered to
+    one gate: every table of arity 0-3, seeded random tables of arity 4-5
+    and the constants of arity 4-5, each at every ambient dimension 0-5
+    over seeded random children."""
     rng = random.Random(1414)
     tables = [TruthTable(k, bits) for k in range(4) for bits in range(1 << (1 << k))]
     for k in (4, 5):
@@ -174,18 +176,13 @@ def test_apply_masks_agrees_with_pointwise_application():
     for f in tables:
         for n in range(6):
             children = [rng.getrandbits(1 << n) for _ in range(f.n)]
-            out = apply_masks(f, children, n)
+            out = tabulate(lower(f), children, 1 << n)
             assert 0 <= out < 1 << (1 << n), (f, n)
             for row in range(1 << n):
                 arg = 0
                 for child in children:
                     arg = arg << 1 | (child >> row) & 1
                 assert (out >> row) & 1 == f.value(arg), (f, n, children, row)
-
-
-def test_apply_masks_checks_child_count():
-    with pytest.raises(ArityMismatch):
-        apply_masks(tt_of("0001"), [0], 2)
 
 
 def test_linear_form_truth_table_and_str():
