@@ -73,6 +73,8 @@ shift_to_one_reproducing = _later("reduce", "shift_to_one_reproducing")
 tr_combine = _later("reduce", "tr_combine")
 
 _DEFAULT_CLOSURE_BUDGET = 200_000
+# representatives per write of `components --json`
+_CHUNK = 4096
 
 
 def _read(path: str) -> str:
@@ -337,12 +339,22 @@ def _cmd_components(args) -> int:
     base, obj, n = _load(args)
     sol = _brute_guarded(obj, base, n)
     lab = components(sol)
-    reps = list(map(format, lab.representatives, repeat(f"0{max(n, 1)}b")))
-    _emit(
-        args,
-        f"components: {lab.count} (count={len(sol)})",
-        {"count": len(sol), "components": lab.count, "representatives": reps},
+    if not args.json:
+        print(f"components: {lab.count} (count={len(sol)})")
+        return 0
+    # json.dumps of the payload, whose last key holds the representatives,
+    # written _CHUNK representatives at a time so that no list of every
+    # representative's text is built
+    head = json.dumps(
+        {"count": len(sol), "components": lab.count, "representatives": []}, sort_keys=True
     )
+    reps, spec = lab.representatives, f"0{max(n, 1)}b"
+    write = sys.stdout.write
+    write(head[:-2])
+    for i in range(0, len(reps), _CHUNK):
+        write(", " if i else "")
+        write(json.dumps(list(map(format, reps[i:i + _CHUNK], repeat(spec))))[1:-1])
+    write("]}\n")
     return 0
 
 
@@ -382,9 +394,9 @@ def _cmd_reduce(args) -> int:
     shifted = None
     if not phi.is_one_reproducing():
         sols = enumerate_solutions(phi, STANDARD_BASE, phi.n)
-        if not sols.words:
+        if not sols:
             raise UsageError("CNF is unsatisfiable; no 1-reproducing shift exists")
-        anchor = BitVector(phi.n, sols.words[0])
+        anchor = BitVector(phi.n, sols.smallest())
         phi = shift_to_one_reproducing(phi, anchor)
         shifted = anchor.text
     base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE

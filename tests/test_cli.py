@@ -340,6 +340,20 @@ def test_components_lists_representatives(capsys, files):
     assert payload["representatives"] == ["00", "11"]
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 7])
+def test_components_json_written_in_chunks_is_one_dump(capsys, files, monkeypatch, count):
+    from bconn import cli
+
+    monkeypatch.setattr(cli, "_CHUNK", 3)  # none, part of one, one, one and a part, ...
+    reps = [format(w, "06b") for w in range(64) if w.bit_count() % 2 == 0][:count]
+    rel = files("r.rel", "n 6\n" + "".join(r + "\n" for r in reps))
+    code, out, _ = run(capsys, "components", "--rel", rel, "--json")
+    want = {"count": count, "components": count, "representatives": reps}
+    assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n"
+    plain = f"components: {count} (count={count})\n"
+    assert run(capsys, "components", "--rel", rel) == (0, plain, "")
+
+
 @pytest.mark.parametrize("header", ["n abc", "n -1"])
 def test_components_rejects_a_bad_relation_header(capsys, files, header):
     rel = files("r.rel", header + "\n")

@@ -130,6 +130,7 @@ def test_bit_vectors_order_by_dimension_then_word():
         (lambda: SolutionSet(-1, ()), UsageError, "dimension must be >= 0"),
         (lambda: SolutionSet(2, (1, 1)), UsageError, "words must be strictly increasing"),
         (lambda: SolutionSet(2, (0, 4)), UsageError, "word 4 does not fit 2 bits"),
+        (lambda: SolutionSet.from_table(2, 16), UsageError, "table does not fit 2^2 rows"),
         (lambda: TVariant("S13"), UsageError, "unknown transform variant 'S13'"),
         (lambda: TVariant("S02K"), UsageError, "S02K needs a degree parameter k >= 2"),
         (lambda: TVariant("D1", 2), UsageError, "D1 takes no degree parameter"),
