@@ -35,6 +35,7 @@ from .graph import (
     EXACT,
     LOWER_BOUND,
     SolutionSet,
+    check_dot_size,
     components,
     diameter,
     enumerate_solutions,
@@ -434,6 +435,7 @@ def _cmd_reduce(args) -> int:
 
 def _write_dot(args, sol: SolutionSet) -> tuple[dict, str]:
     """The DOT rendering, written to --dot if given, and its summary."""
+    check_dot_size(sol)  # before the component sweep
     lab = components(sol)
     dot = export_dot(sol, lab)
     if args.dot:

@@ -25,8 +25,9 @@ A frontier is thick from 2^(n - _THICK_SHIFT) words on.  A set with fewer
 words than that can have no thick frontier, so it stays on the word side:
 it never gets a mask, and a table-backed one builds its (few) words.  On
 the mask side one pass over the coordinates finds the isolated vertices,
-which the sweep lists without a search, and the coordinates along which
-some edge runs, the only ones a search probes or shifts.
+which the sweep lists without a search, the coordinates along which
+some edge runs, the only ones a search probes or shifts, and the number
+of edges.
 
 A set pays for one component sweep (`_sweep`), cached on it like its
 `_Cube`.  It takes the components by ascending smallest word: isolated
@@ -37,18 +38,21 @@ vertex, its far word, the smallest word at the greatest distance e from
 the first, with the cap min(2e, size - 1) on any vertex's eccentricity
 there.  `components` reads the words and sizes; its per-word `labels`,
 which only `export_dot` reads, are a second sweep run on first access.
-The lower-bound `diameter` searches once more from far words (the double
-sweep), largest cap first, until no cap left exceeds the bound.  Those
+`diameter`, in both modes, searches once more from far words (the double
+sweep), largest cap first, until no cap left exceeds the answer.  Those
 searches share one bitmap or set of unvisited words, since a search run
 to its end takes exactly its own component out of it.  `shortest_path`
 walks back from the goal, each step to its smallest neighbour in the
-layer before.  None of these lists a table-backed set's words.
+layer before, and `is_induced_path` is one search from the far word: a
+connected set is a path iff each of its layers holds one word.  None of
+these lists a table-backed set's words.
 
-The exact `diameter` runs `_bfs_depths` over `_adjacency` from each
-component's smallest word, then once more from the far end of a tree
-component (|E| = |V| - 1), where the double sweep is exact, and from
-every other vertex of a component with a cycle.  Its budget counts that
-work and is checked before `_adjacency` lists the words.
+The double sweep is exact on a tree (|E| = |V| - 1), so the exact
+`diameter` needs nothing more on a forest, which the cube's edge count
+shows on the mask side.  Otherwise it counts a component's edges after
+its far search, charges a component with a cycle its BFS steps against
+the budget, and only then lists that component's words, with adjacency
+lists among them, to run `_bfs_depths` from every other vertex.
 """
 
 from __future__ import annotations
@@ -101,10 +105,10 @@ class SolutionSet(Record):
     2^n-bit table; the search state is cached in __dict__.
 
     A set built from words keeps them.  An enumerated set keeps only the
-    table, and builds its words on first read of `words`: in `texts` (so
-    `print_relation`), `labels` (so `export_dot`), `is_induced_path` and
-    the exact diameter's `_adjacency`, never in the sweep, `shortest_path`
-    or the lower-bound diameter."""
+    table, and builds its words on first read of `words`, which only
+    `texts` (so `print_relation`), `vectors`, `labels` and `export_dot`
+    make; the searches read the table, unless the set has too few words
+    for a thick frontier (see the module docstring)."""
 
     __slots__ = ("n", "words", "__dict__")
 
@@ -192,19 +196,21 @@ class _Cube:
         self.thick = max(1, (1 << n) >> _THICK_SHIFT)
         self.flips = [1 << b for b in range(n)]  # coordinates to probe, as XOR masks
         self.mask = self.alone = 0  # the set and its isolated vertices, on the mask side
+        self.edges = None  # the set's edges, counted on the mask side only
         if len(s) < self.thick:
             return
         mask = s.__dict__.get("_table")
         if mask is None:
             mask = _words_mask(s.words, n)
-        linked, flips = 0, []
+        linked, flips, edges = 0, [], 0
         for j in range(1, n + 1):
             step = (1 << (n - j), var_mask(n, j))
-            edges = mask & _spread(mask, [step])
-            if edges:
+            ends = mask & _spread(mask, [step])  # both ends of every edge along x_j
+            if ends:
                 flips.append(step[0])
-                linked |= edges
-        self.flips, self.mask, self.alone = flips, mask, mask ^ linked
+                linked |= ends
+                edges += ends.bit_count() >> 1
+        self.flips, self.mask, self.alone, self.edges = flips, mask, mask ^ linked, edges
 
     @cached_property
     def steps(self) -> list[tuple[int, int]]:
@@ -380,15 +386,26 @@ def _sweeps(cube: _Cube, s: SolutionSet):
         a = next(alone, None)
 
 
-def _members(w: int, layers) -> list[int]:
-    """The words of a component from its `_sweeps` entry, `w` first."""
-    found, thick = [w], 0
+def _gather(cube: _Cube, w: int, layers) -> tuple[int, int | list[int]]:
+    """Run a search from w to its end: its depth, and the component it
+    reached as a mask if the search got thick, else as words, w first."""
+    words, mask, depth = [w], 0, 0
     for layer in layers:
+        depth += 1
         if isinstance(layer, int):
-            thick |= layer
+            mask |= layer
         else:
-            found.extend(layer)
-    return found + mask_rows(thick)
+            words.extend(layer)
+    return depth, mask | _words_mask(words, cube.n) if mask else words
+
+
+def _edges(cube: _Cube, comp: int | list[int]) -> int:
+    """The edges of a component from `_gather`: counted along each
+    coordinate of its mask, else as its words' neighbours among them."""
+    if isinstance(comp, int):
+        return sum(((comp & hi) >> sh & comp).bit_count() for sh, hi in cube.steps)
+    members = set(comp)
+    return sum(map(members.__contains__, starmap(xor, product(comp, cube.flips)))) // 2
 
 
 def _sweep(s: SolutionSet) -> tuple[tuple[int, ...], ...]:
@@ -437,10 +454,10 @@ class ComponentLabeling(Record):
     def labels(self) -> tuple[int, ...]:
         """Each word's component, in word order; a second sweep, run on first read."""
         s = self.solutions
-        label: dict[int, int] = {}
-        for k, (w, layers) in enumerate(_sweeps(_cube(s), s)):
-            for u in _members(w, layers):
-                label[u] = k
+        cube, label = _cube(s), {}
+        for k, (w, layers) in enumerate(_sweeps(cube, s)):
+            comp = _gather(cube, w, layers)[1]
+            label.update(zip(mask_rows(comp) if isinstance(comp, int) else comp, repeat(k)))
         return tuple(map(label.__getitem__, s.words))
 
 
@@ -488,17 +505,6 @@ def shortest_path(
     return [BitVector(s.n, w) for w in reversed(path)]
 
 
-def _adjacency(s: SolutionSet) -> list[list[int]]:
-    index = {w: i for i, w in enumerate(s.words)}
-    adj: list[list[int]] = [[] for _ in s.words]
-    for i, w in enumerate(s.words):
-        for b in range(s.n):
-            j = index.get(w ^ (1 << b))
-            if j is not None:
-                adj[i].append(j)
-    return adj
-
-
 def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
     depth = {src: 0}
     queue = deque([src])
@@ -511,113 +517,91 @@ def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
     return depth
 
 
-def _far(depth: dict[int, int]) -> int:
-    top = max(depth.values())
-    return min(i for i, d in depth.items() if d == top)
-
-
 def diameter(
     s: SolutionSet, mode: str = EXACT, budget: int = DEFAULT_EXACT_DIAMETER_BUDGET
 ) -> int:
     """Largest eccentricity within any component (0 for the empty set).
 
-    LOWER_BOUND gives the double sweep's value, which lies between the
-    eccentricity of each component's smallest word and the diameter.
-    EXACT raises BudgetExceeded, before it builds a word list or an
-    adjacency list, when the components with a cycle need more than
-    `budget` BFS steps (sources x (vertices + edges)).
+    Both modes search each component from its far word, largest cap
+    first, until no cap left exceeds the answer.  LOWER_BOUND gives that
+    double sweep's value, which lies between the eccentricity of each
+    component's smallest word and the diameter.  EXACT also searches from
+    every other vertex of a component with a cycle (on a tree the double
+    sweep is exact), and raises BudgetExceeded, before it lists the
+    component's words, once those searches come to more than `budget` BFS
+    steps (sources x (vertices + edges)) in all.
     """
     if mode not in (EXACT, LOWER_BOUND):
         raise UsageError(f"bad diameter mode {mode!r}")
-    best = 0
     cube = _cube(s)
-    if mode == LOWER_BOUND:
-        unseen = _unseen(cube, s)  # each search takes its own component out
-        for cap, far in sorted(zip(*_sweep(s)[2:]), reverse=True):
-            if cap <= best:  # no component left can raise the bound
-                break
-            best = max(best, sum(1 for _ in _layers(cube, unseen.take((far,)), unseen)))
-        return best
-    reps, sizes = _sweep(s)[:2]
-    work = 0
-    # k vertices of the cube span at most k log2(k) / 2 edges (Harper), so
-    # the edges are counted, with one more search per component, only when
-    # that bound could break the budget, and before any word list is built
-    if sum(k * (k + k * k.bit_length() // 2) for k in sizes if k > 1) > budget:
-        unseen = _unseen(cube, s)
-        for w, size in zip(reps, sizes):
-            if size > 1:
-                edges = _edges(cube, w, _layers(cube, unseen.take((w,)), unseen))
-                if edges != size - 1:  # a cycle: every vertex is a source
-                    work += size * (size + edges)
-    if work > budget:
-        raise BudgetExceeded(f"exact diameter needs {work} BFS steps, over the budget of {budget}")
-    adj = _adjacency(s)
-    for w, size in zip(reps, sizes):
-        if size > 1:
-            first = bisect_left(s.words, w)
-            depth = _bfs_depths(adj, first)
-            tree = sum(len(adj[i]) for i in depth) == 2 * (size - 1)
-            best = max(best, max(depth.values()))
-            # the double sweep is exact on a tree; elsewhere every vertex is a source
-            for i in [_far(depth)] if tree else [i for i in depth if i != first]:
+    reps, sizes, caps, fars = _sweep(s)
+    # a set whose edges the cube counted, and found |V| - #components, is a forest
+    cycles = mode == EXACT and cube.edges != len(s) - len(reps)
+    unseen = _unseen(cube, s)  # each search takes its own component out
+    best = work = 0
+    for cap, far, k in sorted(zip(caps, fars, [k for k in sizes if k > 1]), reverse=True):
+        if cap <= best:  # no component left can raise the answer
+            break
+        layers = _layers(cube, unseen.take((far,)), unseen)
+        if not cycles:
+            best = max(best, sum(1 for _ in layers))
+            continue
+        depth, comp = _gather(cube, far, layers)
+        best = max(best, depth)
+        edges = _edges(cube, comp)
+        if edges == k - 1:  # a tree
+            continue
+        work += k * (k + edges)
+        if work > budget:
+            raise BudgetExceeded(
+                f"exact diameter needs {work} BFS steps, over the budget of {budget}"
+            )
+        words = mask_rows(comp) if isinstance(comp, int) else comp
+        index = {w: i for i, w in enumerate(words)}
+        adj = [[index[u] for u in map(w.__xor__, cube.flips) if u in index] for w in words]
+        for i, w in enumerate(words):
+            if w != far:
                 best = max(best, max(_bfs_depths(adj, i).values()))
     return best
-
-
-def _edges(cube: _Cube, w: int, layers) -> int:
-    """The edges of the component a search from w reaches, given its
-    layers: counted along each coordinate in the component's mask if the
-    search got thick, else as the members' neighbours that are members."""
-    words, mask = [w], 0
-    for layer in layers:
-        if isinstance(layer, int):
-            mask |= layer
-        else:
-            words.extend(layer)
-    if mask:
-        mask |= _words_mask(words, cube.n)
-        return sum(((mask & hi) >> sh & mask).bit_count() for sh, hi in cube.steps)
-    members = set(words)
-    return sum(map(members.__contains__, starmap(xor, product(words, cube.flips)))) // 2
 
 
 def is_induced_path(s: SolutionSet) -> list[BitVector] | None:
     """The path order if the graph is a chordless simple path, else None.
 
-    Degree conditions suffice: in an induced subgraph of the hypercube,
-    a connected graph whose vertices have degree <= 2 with exactly two
-    endpoints and no cycles is a path, and any chord would raise a degree.
-    The returned order starts at the endpoint with the larger word.
+    A connected set is one iff every BFS layer from its far word holds
+    one word: the far word of a path is an end, and a branch or a cycle
+    puts two words in some layer from any vertex.  The returned order
+    starts at the end with the larger word.
     """
-    if not s.words:
+    if not len(s):
         return None
-    if len(s.words) == 1:
-        return [BitVector(s.n, s.words[0])]
-    adj = _adjacency(s)
-    ends = [i for i in range(len(s.words)) if len(adj[i]) == 1]
-    if len(ends) != 2:
+    reps, _, _, fars = _sweep(s)
+    if len(reps) > 1:
         return None
-    if any(len(a) > 2 for a in adj):
-        return None
-    start = max(ends, key=lambda i: s.words[i])
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = [j for j in adj[cur] if j != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    if len(order) != len(s.words):
-        return None  # disconnected: leftover vertices form cycles elsewhere
-    return [BitVector(s.n, s.words[i]) for i in order]
+    cube, order = _cube(s), list(fars or reps)
+    unseen = _unseen(cube, s)
+    for layer in _layers(cube, unseen.take(order), unseen):
+        if isinstance(layer, int):
+            if layer & (layer - 1):
+                return None
+            order.append(layer.bit_length() - 1)
+        elif len(layer) > 1:
+            return None
+        else:
+            order.extend(layer)
+    if order[-1] > order[0]:
+        order.reverse()
+    return [BitVector(s.n, w) for w in order]
+
+
+def check_dot_size(s: SolutionSet) -> None:
+    """Refuse a set too large to draw, before any search or word list."""
+    if len(s) > 1 << 16:
+        raise TooLarge(f"{len(s)} vertices exceed DOT limit")
 
 
 def export_dot(s: SolutionSet, labeling: ComponentLabeling | None = None) -> str:
-    if len(s.words) > (1 << 16):
-        raise TooLarge(f"{len(s.words)} vertices exceed DOT limit")
+    check_dot_size(s)
     palette = [
         "lightblue", "lightgoldenrod", "lightpink", "lightgreen",
         "lightsalmon", "lightcyan", "plum", "wheat",

@@ -82,6 +82,8 @@ def truth_table_of(
         raise UsageError("dimension must be >= 0")
     if n > budget:
         raise BudgetExceeded(f"dimension {n} exceeds budget {budget}")
+    if isinstance(obj, TruthTable) and obj.n == n:
+        return obj
     gl = lower(obj)
     if gl.prefix is not None:
         from .qbf import quantified_table

@@ -31,7 +31,7 @@ from bconn import (
 from bconn import TruthTable, gen_expdiam, var_mask
 from bconn import graph
 from bconn.cli import run_cli
-from bconn.graph import EXACT, LOWER_BOUND
+from bconn.graph import DEFAULT_EXACT_DIAMETER_BUDGET, EXACT, LOWER_BOUND
 from bconn.truthtable import DEFAULT_ENUM_BUDGET, N_MAX, mask_rows
 
 from conftest import (
@@ -480,7 +480,8 @@ def test_components_and_lower_bound_diameter_share_one_sweep(monkeypatch, shift)
 
 
 # ---------------------------------------------------------------------------
-# Exact diameter: two sweeps on tree components, every source elsewhere.
+# Exact diameter: the double sweep on tree components, every other vertex
+# as a source on a component with a cycle whose cap exceeds the answer.
 
 
 def _count_bfs(monkeypatch):
@@ -516,7 +517,7 @@ def test_exact_diameter_of_expdiam_paths_takes_two_sweeps(monkeypatch):
         s = gen_expdiam(k)
         calls.clear()
         assert diameter(s, mode=EXACT) == cube_diameter(s.words, s.n) == (1 << (k + 1)) - 2
-        assert len(calls) == 2
+        assert not calls  # the component sweep and the search from the far word
 
 
 def test_exact_diameter_of_random_induced_trees(monkeypatch):
@@ -530,17 +531,169 @@ def test_exact_diameter_of_random_induced_trees(monkeypatch):
             continue
         calls.clear()
         assert diameter(s, mode=EXACT) == cube_diameter(s.words, n)
-        assert len(calls) == 2
+        assert not calls
 
 
 def test_exact_diameter_mixes_trees_and_cycles(monkeypatch):
     calls = _count_bfs(monkeypatch)
-    # a 4-cycle in the low corner and a 3-edge path far from it
-    cycle = [0b000000, 0b000001, 0b000011, 0b000010]
-    path = [0b110000, 0b111000, 0b111100, 0b111110]
-    s = rel(6, cycle + path + [0b101011])  # plus an isolated vertex
+    path = [0b110000, 0b111000, 0b111100, 0b111110]  # 3 edges: cap 3
+    alone = [0b101011]
+    # a 4-cycle in the low corner: cap 3, which cannot exceed the path's 3
+    s = rel(6, [0b000000, 0b000001, 0b000011, 0b000010] + path + alone)
     assert diameter(s, mode=EXACT) == cube_diameter(s.words, 6) == 3
-    assert len(calls) == 4 + 2  # every cycle vertex, two sweeps on the path
+    assert not calls
+    # an induced 6-cycle there instead: cap 5, so every vertex but its far
+    # word is a source, and then the path's cap no longer exceeds 3
+    s = rel(6, [0b000, 0b001, 0b011, 0b111, 0b110, 0b100] + path + alone)
+    assert diameter(s, mode=EXACT) == cube_diameter(s.words, 6) == 3
+    assert len(calls) == 6 - 1
+
+
+@pytest.mark.parametrize("shift", (0, 6, SHIPPED_SHIFT, 64))
+def test_the_cube_counts_edges_so_a_forest_needs_no_count_per_component(monkeypatch, shift):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    for name, n, bits in SHAPED:
+        for s in _both_backings(n, bits):
+            members = set(s.words)
+            edges = sum((w ^ (1 << b)) in members for w in s.words for b in range(n)) // 2
+            assert graph._cube(s).edges == (edges if graph._cube(s).mask else None), name
+    counted = []
+    real = graph._edges
+    monkeypatch.setattr(graph, "_edges", lambda cube, comp: counted.append(comp) or real(cube, comp))
+    two_paths = rel(8, [0, 1, 3, 7, 0b11110000, 0b11100000, 0b11000000])
+    assert diameter(two_paths, mode=EXACT) == 3
+    # on words the longer path's edges are counted; the shorter's cap is 2
+    assert len(counted) == (0 if graph._cube(two_paths).mask else 1)
+
+
+def _exact_oracle(words, n, budget):
+    """(the diameter, None), or (None, the running total of BFS steps at the
+    refusal): components by descending (cap, far word) until no cap left
+    exceeds the answer, each with a cycle charging k * (k + edges)."""
+    members, labels = set(words), cube_labels(words, n)
+    comps: dict[int, list[int]] = {}
+    for w in words:
+        comps.setdefault(labels[w], []).append(w)
+    rows = []
+    for comp in comps.values():
+        if len(comp) > 1:
+            dist = cube_dist_from(words, n, min(comp))
+            e = max(dist.values())
+            far = min(w for w, d in dist.items() if d == e)
+            edges = sum((w ^ (1 << b)) in members for w in comp for b in range(n)) // 2
+            rows.append((min(2 * e, len(comp) - 1), far, len(comp), edges, comp))
+    best = work = 0
+    for cap, _, k, edges, comp in sorted(rows, reverse=True):
+        if cap <= best:
+            break
+        if edges != k - 1:
+            work += k * (k + edges)
+            if work > budget:
+                return None, work
+        best = max(best, max(max(cube_dist_from(words, n, w).values()) for w in comp))
+    return best, None
+
+
+def _trees_cycles_and_isolated(rng, n):
+    """A sparse random set (isolated vertices, small trees and cycles) or an
+    induced tree, with the 4-cycles of up to two 2-faces added."""
+    words = set(random_relation(n, rng.randint(1, 1 << (n - 2)), rng.randrange(1 << 30)).words)
+    if rng.random() < 0.5:
+        words = _random_induced_tree(rng, n, rng.randint(2, 4 * n))
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.sample(range(n), 2)
+        corner = rng.randrange(1 << n) & ~(1 << i | 1 << j)
+        words |= {corner, corner | 1 << i, corner | 1 << j, corner | 1 << i | 1 << j}
+    return sorted(words)
+
+
+@pytest.mark.parametrize("shift", (0, 6, SHIPPED_SHIFT))
+def test_exact_diameter_answers_and_refuses_like_the_oracle(monkeypatch, shift):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    rng = random.Random(f"exact:{shift}")
+    refused = 0
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        words = _trees_cycles_and_isolated(rng, n)
+        for budget in (0, 40, 400, 4000, DEFAULT_EXACT_DIAMETER_BUDGET):
+            want, work = _exact_oracle(words, n, budget)
+            assert want in (None, cube_diameter(words, n))
+            for s in _both_backings(n, sum(1 << w for w in words)):
+                if want is None:
+                    with pytest.raises(BudgetExceeded, match=f"needs {work} BFS steps"):
+                        diameter(s, mode=EXACT, budget=budget)
+                else:
+                    assert diameter(s, mode=EXACT, budget=budget) == want
+            refused += want is None
+    assert refused  # the small budgets refuse some of these sets
+
+
+def _induced_path_by_degrees(s):
+    """The degree-based test the engine once ran, kept as a reference: a
+    connected set whose vertices have degree <= 2, exactly two of them 1."""
+    words = s.words
+    if not words:
+        return None
+    if len(words) == 1:
+        return [BitVector(s.n, words[0])]
+    index = {w: i for i, w in enumerate(words)}
+    adj = [[index[u] for b in range(s.n) if (u := w ^ (1 << b)) in index] for w in words]
+    ends = [i for i in range(len(words)) if len(adj[i]) == 1]
+    if len(ends) != 2 or any(len(a) > 2 for a in adj):
+        return None
+    order, prev = [max(ends, key=words.__getitem__)], -1
+    cur = order[0]
+    while nxt := [j for j in adj[cur] if j != prev]:
+        prev, cur = cur, nxt[0]
+        order.append(cur)
+    if len(order) != len(words):
+        return None  # the leftover vertices form cycles elsewhere
+    return [BitVector(s.n, words[i]) for i in order]
+
+
+def _path_like_sets(rng):
+    """Paths (relabelled gen_expdiam ones and grown walks), the same with a
+    vertex dropped, a chord or a branch added or a far vertex beside them,
+    cycles, and small random sets."""
+    out = []
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        if rng.random() < 0.4:
+            k = rng.randint(1, n // 2)
+            flip = rng.randrange(1 << (2 * k))
+            words = [w ^ flip for w in gen_expdiam(k).words]
+            n = 2 * k
+        else:
+            walk = [rng.randrange(1 << n)]  # grown at its tip, with no chord
+            for _ in range(4 * n):
+                u = walk[-1] ^ (1 << rng.randrange(n))
+                if u not in walk and sum((u ^ (1 << b)) in walk for b in range(n)) == 1:
+                    walk.append(u)
+            words = walk
+        words = set(words)
+        out.append((n, words))
+        some = rng.choice(sorted(words))
+        out.append((n, words - {some}))
+        out.append((n, words | {some ^ (1 << rng.randrange(n))}))
+        out.append((n, words | {rng.randrange(1 << n)}))
+    for n in (2, 3, 4):
+        out.append((n, set(range(1 << n))))
+        for _ in range(5):
+            out.append((n, set(random_relation(n, rng.randint(0, 1 << n), rng.randrange(99)).words)))
+    return out
+
+
+@pytest.mark.parametrize("shift", (0, 6, SHIPPED_SHIFT))
+def test_induced_path_matches_the_degree_reference(monkeypatch, shift):
+    monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
+    rng = random.Random(f"path:{shift}")
+    paths = 0
+    for n, words in _path_like_sets(rng):
+        for s in _both_backings(n, sum(1 << w for w in words)):
+            want = _induced_path_by_degrees(rel(n, words))
+            assert is_induced_path(s) == want, (n, sorted(words))
+            paths += want is not None and len(words) > 2
+    assert paths > 20
 
 
 def test_exact_diameter_budget_counts_search_work():

@@ -22,7 +22,9 @@ from bconn import (
     tt_print,
 )
 import bconn.qbf
+from bconn.circuits import tabulate
 from bconn.semantics import lower
+from bconn.truthtable import var_mask
 
 from conftest import (
     LIN_BASE,
@@ -109,6 +111,23 @@ def test_fictive_widening():
     assert tt_print(f) == "00001111"
     g = truth_table_of(tt_of("01"), STD_BASE, 2)
     assert tt_print(g) == "0011"
+
+
+def _tabulated(f, n):
+    """The table of f over x_1..x_n the way any gate list gets it."""
+    gl = lower(f)
+    return TruthTable(n, tabulate(gl, [var_mask(n, j) for j in gl.inputs], 1 << n))
+
+
+def test_a_table_of_the_requested_arity_is_its_own_table():
+    rng = random.Random(1616)
+    for n in range(11):
+        for k in range(n + 1):  # x_(k+1)..x_n fictive when k < n
+            small = TruthTable(k, rng.getrandbits(1 << k))
+            f = truth_table_of(small, STD_BASE, n)
+            assert f == _tabulated(small, n)
+            assert truth_table_of(f, STD_BASE, n) is f
+            assert f == _tabulated(f, n)
 
 
 def test_dimension_errors():

@@ -19,7 +19,9 @@ import pytest
 
 from bconn import (
     BitVector,
+    BudgetExceeded,
     SolutionSet,
+    TooLarge,
     UsageError,
     cnf_to_formula,
     components,
@@ -114,10 +116,10 @@ def _answers(s: SolutionSet, pairs, budget: int) -> dict:
     got["lower"] = diameter(s, mode=LOWER_BOUND)
     got["paths"] = [shortest_path(s, BitVector(s.n, a), BitVector(s.n, b)) for a, b in pairs]
     got["smallest"] = s.smallest() if len(s) else None
-    got["words_built"] = _has_words(s)
     got["exact"] = _answer(diameter, s, mode=EXACT, budget=budget)
-    got["labels"] = lab.labels
     got["induced"] = _answer(is_induced_path, s)
+    got["words_built"] = _has_words(s)
+    got["labels"] = lab.labels
     got["texts"] = s.texts()
     got["dot"] = export_dot(s, lab)
     return got
@@ -173,6 +175,31 @@ def test_reduce_shifts_by_the_lowest_row_without_listing_words(monkeypatch, tmp_
     assert len(made) == 1 and not _has_words(made[0])
 
 
+def test_export_dot_refuses_a_large_table_before_any_sweep(monkeypatch, tmp_path, capsys):
+    from bconn import cli
+
+    s = SolutionSet.from_table(17, (1 << (1 << 17)) - 1)
+    with pytest.raises(TooLarge, match="^131072 vertices exceed DOT limit$"):
+        export_dot(s)
+    assert not _has_words(s) and "_sweep" not in s.__dict__
+    made = []
+
+    def enumerate_and_keep(*args):
+        made.append(enumerate_solutions(*args))
+        return made[-1]
+
+    def no_sweep(sol):
+        raise AssertionError("components swept a set too large to draw")
+
+    monkeypatch.setattr(cli, "enumerate_solutions", enumerate_and_keep)
+    monkeypatch.setattr(cli, "components", no_sweep)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 18 1\n18 0\n", encoding="utf-8")  # 2^17 solutions
+    assert cli.run_cli(["export-dot", "--cnf", str(cnf)]) == 3
+    assert capsys.readouterr().err == "error [TooLarge]: 131072 vertices exceed DOT limit\n"
+    assert len(made) == 1 and not _has_words(made[0]) and "_sweep" not in made[0].__dict__
+
+
 # ---------------------------------------------------------------------------
 # Memory: the queries that run on the table build no per-word structure.
 
@@ -200,10 +227,13 @@ def test_queries_on_a_table_build_no_word_list():
         lab = components(s)
         lower = diameter(s, mode=LOWER_BOUND)
         path = shortest_path(s, low, high)
+        with pytest.raises(BudgetExceeded):
+            diameter(s, mode=EXACT)
+        induced = is_induced_path(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lab.count == 1 and lab.sizes == (count,) and path is not None
+    assert lab.count == 1 and lab.sizes == (count,) and path is not None and induced is None
     assert lower >= len(path) - 1 > 0
     assert not _has_words(s)
     # the table, the bitmap, n coordinate masks and the layers of one path
