@@ -12,7 +12,9 @@ submodule, and `bconn.X` or `from bconn import X` loads X's module and
 what it imports.  The CLI does the same per call, so a `python -m
 bconn.cli` child loads only the modules its input kind and subcommand
 run: a `--rel` query, for one, never compiles the synthesizer, the
-lattice tables or the deciders.
+lattice tables or the deciders, and `closure`, `reduce` of a
+1-reproducing CNF or a query the polynomial deciders answer never
+compiles the graph engine.
 """
 
 import sys

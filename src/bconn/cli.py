@@ -8,10 +8,13 @@ AUTO mode runs the polynomial algorithms whenever the base dispatches
 as tractable, falls back to exhaustive enumeration otherwise, and
 refuses (exit 3) when enumeration would blow the budget.
 
-Only the error, graph and truth-table layers load with this module.  Every
+Only the error and truth-table layers load with this module.  Every
 other function the commands call is a stand-in that loads its module on
 first call, and constants and classes are imported in the command that
-uses them, so a query compiles only the modules it runs.
+uses them, so a query compiles only the modules it runs: `classify`,
+`closure`, `reduce` of a 1-reproducing CNF and a query the polynomial
+deciders answer never load the graph engine.  A relation is told apart by
+its input flag (--rel), not by its class.
 """
 
 from __future__ import annotations
@@ -31,26 +34,13 @@ from .errors import (
     WitnessBudgetExceeded,
     WrongClass,
 )
-from .graph import (
-    EXACT,
-    LOWER_BOUND,
-    SolutionSet,
-    check_dot_size,
-    components,
-    diameter,
-    enumerate_solutions,
-    export_dot,
-    parse_relation,
-    print_relation,
-    random_relation,
-    shortest_path,
-)
 from .truthtable import BitVector, tt_print
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .clones import BaseSet
     from .easy import EasyAnswer
+    from .graph import SolutionSet
     from .reduce import TVariant
 
 parse_circuit = _later("circuits", "parse_circuit")
@@ -66,6 +56,15 @@ qbf_easy_decide = _later("easy", "qbf_easy_decide")
 zerosep_decide = _later("easy", "zerosep_decide")
 parse_formula = _later("formulas", "parse_formula")
 print_formula = _later("formulas", "print_formula")
+check_dot_size = _later("graph", "check_dot_size")
+components = _later("graph", "components")
+diameter = _later("graph", "diameter")
+enumerate_solutions = _later("graph", "enumerate_solutions")
+export_dot = _later("graph", "export_dot")
+parse_relation = _later("graph", "parse_relation")
+print_relation = _later("graph", "print_relation")
+random_relation = _later("graph", "random_relation")
+shortest_path = _later("graph", "shortest_path")
 parse_qbf = _later("qbf", "parse_qbf")
 print_qbf = _later("qbf", "print_qbf")
 apply_t_relation = _later("reduce", "apply_t_relation")
@@ -74,8 +73,9 @@ shift_to_one_reproducing = _later("reduce", "shift_to_one_reproducing")
 tr_combine = _later("reduce", "tr_combine")
 
 _DEFAULT_CLOSURE_BUDGET = 200_000
-# representatives per write of `components --json`
-_CHUNK = 4096
+# representatives per write of `components --json`; a chunk's texts are
+# the largest transient of the write, so a smaller one lowers the peak
+_CHUNK = 1024
 
 
 def _read(path: str) -> str:
@@ -134,14 +134,21 @@ def _load_object(args, base: BaseSet | None):
 
 
 def _load(args) -> tuple[BaseSet | None, object, int]:
-    """The base, the input object and its ambient dimension."""
+    """The base, the input object and its ambient dimension.  A query
+    sure to run the graph engine (a relation, or brute mode, the only mode
+    of a command without --mode) compiles it first, so that its code is not
+    laid out on top of the input's data.  In auto or poly mode it loads only
+    if the query falls back to enumeration."""
+    if args.rel or getattr(args, "mode", "brute") == "brute":
+        from . import graph  # noqa: F401
+
     base = _load_base(args, required=not args.rel)
     obj = _load_object(args, base)
     return base, obj, _ambient(args, obj)
 
 
 def _ambient(args, obj) -> int:
-    if isinstance(obj, SolutionSet):
+    if args.rel:
         if args.vars is not None and args.vars != obj.n:
             raise UsageError(f"relation has dimension {obj.n}, not {args.vars}")
         return obj.n
@@ -187,7 +194,7 @@ def _poly_answer(obj, base: BaseSet, n: int, s, t) -> EasyAnswer:
 def _pick_mode(args, obj, base: BaseSet | None) -> str:
     """Resolve AUTO to poly or brute; validate explicit choices."""
     mode = getattr(args, "mode", "auto")
-    if isinstance(obj, SolutionSet):
+    if args.rel:
         if mode == "poly":
             raise UsageError("--mode poly needs a formula-like input")
         return "brute"
@@ -197,8 +204,8 @@ def _pick_mode(args, obj, base: BaseSet | None) -> str:
     return "poly" if verdict.side == "EASY" else "brute"
 
 
-def _brute_guarded(obj, base: BaseSet | None, n: int) -> SolutionSet:
-    if isinstance(obj, SolutionSet):
+def _brute_guarded(args, obj, base: BaseSet | None, n: int) -> SolutionSet:
+    if args.rel:
         return obj
     try:
         return enumerate_solutions(obj, base, n)
@@ -246,7 +253,7 @@ def _cmd_conn(args) -> int:
         connected, rationale = ans.connected, ans.rationale
         extra = {}
     else:
-        sol = _brute_guarded(obj, base, n)
+        sol = _brute_guarded(args, obj, base, n)
         lab = components(sol)
         connected = lab.count <= 1
         rationale = (
@@ -271,7 +278,7 @@ def _st_answer(args) -> tuple[bool, list[BitVector] | None, str, str, int]:
     if mode == "poly":
         ans = _poly_answer(obj, base, n, s, t)
         return bool(ans.st_connected), ans.witness_path, ans.rationale, mode, n
-    sol = _brute_guarded(obj, base, n)
+    sol = _brute_guarded(args, obj, base, n)
     path = shortest_path(sol, s, t)
     if path is None:
         return False, None, "exhaustive search found no connecting path", mode, n
@@ -323,8 +330,10 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
+    from .graph import EXACT, LOWER_BOUND
+
     base, obj, n = _load(args)
-    sol = _brute_guarded(obj, base, n)
+    sol = _brute_guarded(args, obj, base, n)
     lab = components(sol)
     mode = EXACT if args.diameter_mode == "exact" else LOWER_BOUND
     d = diameter(sol, mode=mode)
@@ -338,7 +347,7 @@ def _cmd_diameter(args) -> int:
 
 def _cmd_components(args) -> int:
     base, obj, n = _load(args)
-    sol = _brute_guarded(obj, base, n)
+    sol = _brute_guarded(args, obj, base, n)
     lab = components(sol)
     if not args.json:
         print(f"components: {lab.count} (count={len(sol)})")
@@ -492,7 +501,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     base, obj, n = _load(args)
-    info, dot = _write_dot(args, _brute_guarded(obj, base, n))
+    info, dot = _write_dot(args, _brute_guarded(args, obj, base, n))
     if args.dot:
         _emit(
             args,

@@ -38,10 +38,13 @@ from .errors import (
     UsageError,
 )
 from .formulas import formula_size, parse_formula
-from .graph import SolutionSet
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
 from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, tt_parse, var_mask
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .graph import SolutionSet
 
 S12 = "S12"
 D1 = "D1"
@@ -421,6 +424,8 @@ def gen_expdiam(k: int) -> SolutionSet:
     last vertex) with 00 appended.  Each step keeps endpoints at the
     old path's head, so the all-ones endpoint is preserved.
     """
+    from .graph import SolutionSet
+
     if not 1 <= k <= _EXPDIAM_K_MAX:
         raise KTooLarge(f"k must be in [1, {_EXPDIAM_K_MAX}]")
     path = [0]
@@ -436,6 +441,8 @@ def gen_expdiam(k: int) -> SolutionSet:
 
 def apply_t_relation(r: SolutionSet, variant: TVariant) -> SolutionSet:
     """T at the relation level: the solution set of T_psi from that of psi."""
+    from .graph import SolutionSet
+
     if variant.kind == S02Q:
         raise UsageError("S02Q is quantified-only; apply it at the formula level")
     if not r.words:

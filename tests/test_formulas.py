@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -15,6 +16,7 @@ from bconn import (
     BconnError,
     BitVector,
     FormulaSyntaxError,
+    TVariant,
     UnknownFunction,
     evaluate,
     formula_size,
@@ -24,6 +26,7 @@ from bconn import (
     print_circuit,
     print_formula,
     print_qbf,
+    tr_combine,
     truth_table_of,
 )
 from bconn.circuits import GateBuilder
@@ -39,6 +42,7 @@ from conftest import (
     eval_ast_slow,
     mk_base,
     rand_ast,
+    rand_three_cnf,
     read_formula,
     text_vars,
     tt_of,
@@ -158,6 +162,87 @@ def test_shared_subterms_are_walked_once():
     out = b3.finish(b3.paste(gl, [b3.node[3]]))
     assert out.inputs == (3,) and len(out.gates) == 40
     assert formula_size(out) == 2**41 - 1
+
+
+def reference_print_formula(gl, base) -> str:
+    """The explicit-stack printer print_formula replaced, kept as a
+    reference: a join per frame, every occurrence walked from the output."""
+    names = {}
+    for name, f in sorted(base):
+        names.setdefault(f, name)
+    label = [f"x{j}" for j in gl.inputs] + [names[f] for f, _ in gl.gates]
+    kids = [()] * len(gl.inputs) + [args for _, args in gl.gates]
+    frames = []  # open gates, argument texts
+    v = gl.output
+    while True:
+        while kids[v]:
+            frames.append((v, []))
+            v = kids[v][0]
+        text = label[v]
+        while frames:
+            g, texts = frames[-1]
+            texts.append(text)
+            if len(texts) < len(kids[g]):
+                v = kids[g][len(texts)]
+                break
+            frames.pop()
+            text = ",".join(texts)
+            texts.clear()
+            text = f"{label[g]}({text})"
+        else:
+            return text
+
+
+# dup shares and's table, so the printer must pick the least name
+PRINT_TABLES = {"and": "0001", "dup": "0001", "not": "10", "c1": "1", "maj": "00010111"}
+PRINT_BASE = mk_base(PRINT_TABLES)
+_PRINT_ARITY = {fn: len(t).bit_length() - 1 for fn, t in PRINT_TABLES.items()}
+
+
+@st.composite
+def gate_lists(draw):
+    """A hash-consed gate list whose arguments are any earlier nodes, so
+    nodes are shared and repeated, and whose output is any node: an input,
+    or a gate with later gates it does not reach."""
+    inputs = tuple(sorted(draw(st.sets(st.integers(1, 6), max_size=4))))
+    b = GateBuilder(PRINT_BASE, inputs)
+    for _ in range(draw(st.integers(0 if inputs else 1, 14))):
+        nodes = len(inputs) + len(b.cons)
+        name = draw(st.sampled_from(sorted(_PRINT_ARITY) if nodes else ["c1"]))
+        b.app(name, tuple(draw(st.integers(0, nodes - 1)) for _ in range(_PRINT_ARITY[name])))
+    return b.finish(draw(st.integers(0, len(inputs) + len(b.cons) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists())
+def test_print_matches_the_explicit_stack_reference(gl):
+    text = print_formula(gl, PRINT_BASE)
+    assert text == reference_print_formula(gl, PRINT_BASE)
+    assert 1 + text.count("(") + text.count(",") == formula_size(gl)
+
+
+def test_a_dead_doubling_chain_is_never_spelled():
+    # the chain's last gate would spell 2^61 - 1 nodes
+    lines = ["input x1", "gate d0 and x1 x1"]
+    lines += [f"gate d{i} and d{i - 1} d{i - 1}" for i in range(1, 60)]
+    gl = parse_circuit("\n".join(lines + ["gate out not x1", "output out"]), STD_BASE)
+    assert len(gl.gates) == 61 and gl.output == 61
+    assert print_formula(gl, STD_BASE) == "not(x1)"
+
+
+@pytest.mark.parametrize("variant", [TVariant("D1"), TVariant("S02K", 2)], ids=str)
+def test_printing_a_reduction_peaks_no_higher_than_the_reference(variant):
+    gl = tr_combine(rand_three_cnf(random.Random(12), 12, 8), variant, STD_BASE)
+    want = reference_print_formula(gl, STD_BASE)
+    assert print_formula(gl, STD_BASE) == want
+    del want
+    peaks = []
+    for printer in (reference_print_formula, print_formula):
+        tracemalloc.start()
+        printer(gl, STD_BASE)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def _spaced(rng: random.Random, text: str) -> str:

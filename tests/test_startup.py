@@ -12,7 +12,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 MODULES = sorted(f[:-3] for f in os.listdir(os.path.join(SRC, "bconn")) if f.endswith(".py"))
 
-CORE = {"bconn", "bconn.cli", "bconn.errors", "bconn.graph", "bconn.truthtable"}
+CORE = {"bconn", "bconn.cli", "bconn.errors", "bconn.truthtable"}
 
 # the bconn modules a fresh interpreter has loaded, as the last line of stdout
 _REPORT = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bconn')))"
@@ -45,29 +45,44 @@ def inputs(tmp_path):
         "f.cnf": "p cnf 3 2\n1 -2 0\n2 3 0\n",
         "mono.tt": "and 2 0001\nor 2 0111\n",
         "f.bf": "and(x1,or(x2,x3))\n",
+        "mux.tt": "mux 3 00110101\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
 
 
+# the modules a reduction of a 1-reproducing CNF runs, none of them the graph engine
+REDUCE = {"circuits", "clones", "cnf", "formulas", "properties", "qbf", "reduce", "semantics"}
+
 # (argv, the bconn modules beyond CORE that the query may load)
 QUERIES = [
-    (["components", "--rel", "r.rel"], set()),
-    (["conn", "--rel", "r.rel"], set()),
-    (["diameter", "--rel", "r.rel"], set()),
-    (["diameter", "--rel", "r.rel", "--diameter-mode", "lower-bound"], set()),
-    (["path", "--rel", "r.rel", "--s", "0000", "--t", "1111"], set()),
-    (["stconn", "--rel", "r.rel", "--s", "0000", "--t", "1000"], set()),
+    (["components", "--rel", "r.rel"], {"graph"}),
+    (["conn", "--rel", "r.rel"], {"graph"}),
+    (["diameter", "--rel", "r.rel"], {"graph"}),
+    (["diameter", "--rel", "r.rel", "--diameter-mode", "lower-bound"], {"graph"}),
+    (["path", "--rel", "r.rel", "--s", "0000", "--t", "1111"], {"graph"}),
+    (["stconn", "--rel", "r.rel", "--s", "0000", "--t", "1000"], {"graph"}),
     (["classify", "--base", "mono.tt"], {"clones", "properties"}),
     (
         ["components", "--cnf", "f.cnf"],
-        {"clones", "properties", "cnf", "circuits", "formulas", "semantics"},
+        {"clones", "properties", "cnf", "circuits", "formulas", "semantics", "graph"},
     ),
     (
         ["conn", "--base", "mono.tt", "--formula", "f.bf"],
         {"clones", "properties", "circuits", "formulas", "semantics", "easy", "qbf"},
     ),
+    (
+        ["conn", "--base", "mono.tt", "--formula", "f.bf", "--mode", "brute"],
+        {"clones", "properties", "circuits", "formulas", "semantics", "graph"},
+    ),
+    (
+        ["stconn", "--cnf", "f.cnf", "--s", "111", "--t", "101"],
+        {"clones", "properties", "cnf", "circuits", "formulas", "semantics", "graph"},
+    ),
+    (["reduce", "--cnf", "f.cnf", "--variant", "d1"], REDUCE),
+    (["reduce", "--cnf", "f.cnf", "--variant", "s02q"], REDUCE),
+    (["closure", "--base", "mux.tt", "--vars", "2"], {"clones", "properties"}),
 ]
 
 
@@ -79,6 +94,18 @@ def test_a_cli_query_loads_only_the_modules_it_runs(inputs, argv, extra):
     )
     assert set(loaded) - CORE <= {f"bconn.{m}" for m in extra}
     assert CORE <= set(loaded)
+
+
+def test_the_input_path_loads_the_graph_engine_before_the_input(inputs):
+    # graph compiled on top of live input data raised a child's peak RSS
+    loaded = _fresh(
+        "from bconn.cli import run_cli\n"
+        f"argv = ['components', '--base', {str(inputs / 'mono.tt')!r}, "
+        f"'--formula', {str(inputs / 'f.bf')!r}]\n"
+        "assert run_cli(argv) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('bconn.')]))"
+    )
+    assert loaded.index("bconn.graph") < loaded.index("bconn.clones")
 
 
 def test_no_module_imports_dataclasses_or_inspect():
