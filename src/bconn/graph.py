@@ -6,7 +6,8 @@ connected and has diameter 0, matching the convention that the solution
 graph of an unsatisfiable formula is connected.
 
 A relation keeps its words; an enumerated set keeps only its 2^n-bit
-table (see `SolutionSet`).
+table (see `SolutionSet`).  The search depends on the side a set is on,
+not on what backs it.
 
 Breadth-first search (`_layers`) holds each frontier in one of two forms,
 switching as its size crosses a threshold (the switch of Beamer, Asanovic
@@ -14,20 +15,22 @@ and Patterson, "Direction-Optimizing Breadth-First Search", SC 2012):
 
 * A thin frontier is a collection of words.  A layer probes each word's
   neighbours against the unvisited solutions: a bitmap of one bit per row
-  for a table-backed set, a set of words for a relation.
+  on the mask side, a set of words on the word side.
 * A thick frontier is a 2^n-bit mask laid out like a truth table.  A layer
   moves it along every coordinate x_j at once,
   ((F & M_j) >> s_j) | ((F << s_j) & M_j) with M_j = var_mask(n, j) and
   s_j = 2^(n-j), and keeps the unvisited solutions (Knuth, TAOCP 4A,
-  7.1.3), read from the bitmap or word set as one mask.
+  7.1.3), read from the bitmap as one mask.
 
 A frontier is thick from 2^(n - _THICK_SHIFT) words on.  A set with fewer
 words than that can have no thick frontier, so it stays on the word side:
-it never gets a mask, and a table-backed one builds its (few) words.  On
-the mask side one pass over the coordinates finds the isolated vertices,
-which the sweep lists without a search, the coordinates along which
-some edge runs, the only ones a search probes or shifts, and the number
-of edges.
+it never gets a mask, and a table-backed one builds its (few) words.  A
+set with at least that many is on the mask side, however it is backed:
+its `_Cube` holds it as a mask (a relation's made once from its words),
+from which each search takes a bitmap.  On the mask side one pass over
+the coordinates finds the isolated vertices, which the sweep lists
+without a search, the coordinates along which some edge runs, the only
+ones a search probes or shifts, and the number of edges.
 
 A set pays for one component sweep (`_sweep`), cached on it like its
 `_Cube`.  It takes the components by ascending smallest word: isolated
@@ -107,8 +110,8 @@ class SolutionSet(Record):
     A set built from words keeps them.  An enumerated set keeps only the
     table, and builds its words on first read of `words`, which only
     `texts` (so `print_relation`), `vectors`, `labels` and `export_dot`
-    make; the searches read the table, unless the set has too few words
-    for a thick frontier (see the module docstring)."""
+    make.  The searches ask only how many words it has (see the module
+    docstring)."""
 
     __slots__ = ("n", "words", "__dict__")
 
@@ -242,42 +245,25 @@ def _spread(front: int, steps) -> int:
 
 
 class _Words(set):
-    """The unvisited solutions of a set that keeps its words, as a set of
-    words.  On the mask side it also keeps them as a mask, lazily: `rest`
-    still holds the words taken since the last thick step, listed in
-    `owed`, and `mask` brings it up to date."""
+    """The unvisited solutions on the word side, as a set of words."""
 
-    __slots__ = ("words", "n", "rest", "owed")
+    __slots__ = ("words", "flips")
 
-    def __init__(self, words: tuple[int, ...], n: int, mask: int):
+    def __init__(self, words: tuple[int, ...], flips: list[int]):
         super().__init__(words)
-        self.words, self.n, self.rest = words, n, mask
-        self.owed: list[int] | None = [] if mask else None
+        self.words, self.flips = words, flips
 
-    def take(self, words) -> set[int]:
-        """Those of `words` still unvisited, now visited."""
-        found = self.intersection(words)
+    def step(self, frontier) -> set[int]:
+        """The unvisited neighbours of the frontier's words, now visited."""
+        found = self.intersection(starmap(xor, product(frontier, self.flips)))
         self.difference_update(found)
-        if self.owed is not None:
-            self.owed.extend(found)
         return found
-
-    def mask(self) -> int:
-        self.rest ^= _words_mask(self.owed, self.n)
-        self.owed.clear()
-        return self.rest
-
-    def load(self, rest: int):
-        self.difference_update(mask_rows(self.rest ^ rest))
-        self.rest = rest
 
     def firsts(self):
         """Each time the caller asks, the smallest unvisited word, taken."""
         for w in self.words:
             if w in self:
                 self.remove(w)
-                if self.owed is not None:
-                    self.owed.append(w)
                 yield w
 
 
@@ -286,19 +272,31 @@ class _Bitmap:
     bytearray, so a thin step probes a word in O(1) and a thick step reads
     and writes the whole set as one int."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "far", "near")
 
-    def __init__(self, mask: int, n: int):
+    def __init__(self, mask: int, n: int, flips: list[int]):
         self.bits = bytearray(mask.to_bytes(((1 << n) + 7) >> 3, "little"))
+        # a flip of bit 3 or above moves to another byte, at the same bit
+        self.far = [f >> 3 for f in flips if f > 7]
+        self.near = [f for f in flips if f < 8]
 
-    def take(self, words) -> list[int]:
-        """Those of `words` still unvisited, each once, now visited."""
-        bits, found = self.bits, []
-        for w in words:
-            i, b = w >> 3, 1 << (w & 7)
-            if bits[i] & b:
-                bits[i] ^= b
-                found.append(w)
+    def discard(self, w: int):
+        self.bits[w >> 3] &= ~(1 << (w & 7))
+
+    def step(self, frontier) -> list[int]:
+        """The unvisited neighbours of the frontier's words, now visited."""
+        bits, far, near, found = self.bits, self.far, self.near, []
+        for w in frontier:
+            i, k, b = w >> 3, w & 7, 1 << (w & 7)
+            for g in far:
+                if bits[i ^ g] & b:
+                    bits[i ^ g] ^= b
+                    found.append(w ^ g << 3)
+            for f in near:
+                c = 1 << (k ^ f)
+                if bits[i] & c:
+                    bits[i] ^= c
+                    found.append(w ^ f)
         return found
 
     def mask(self) -> int:
@@ -321,32 +319,32 @@ class _Bitmap:
             b = bits[i]
 
 
-def _unseen(cube: _Cube, s: SolutionSet, alone: list[int] = ()):
-    """The words of `s`, all unvisited, but the isolated ones if `alone`
-    lists them (all of them): a bitmap for a table-backed set on the mask
-    side, else a word set."""
-    mask = cube.mask ^ cube.alone if alone else cube.mask
-    if cube.mask and "_table" in s.__dict__:
-        return _Bitmap(mask, cube.n)
-    unseen = _Words(s.words, cube.n, mask)
-    unseen.difference_update(alone)
-    return unseen
+def _unseen(cube: _Cube, s: SolutionSet, skip_alone: bool = False):
+    """The words of `s`, all unvisited, but the isolated vertices
+    `cube.alone` if `skip_alone`: a bitmap on the mask side, else a word
+    set (the word side lists no isolated vertices)."""
+    if cube.mask:
+        return _Bitmap(cube.mask ^ cube.alone if skip_alone else cube.mask, cube.n, cube.flips)
+    return _Words(s.words, cube.flips)
 
 
 def _layers(cube: _Cube, frontier, unseen):
-    """The BFS layers after `frontier`, whose words must not be in `unseen`.
+    """The BFS layers after `frontier`, whose words it takes out of `unseen`.
 
     A thin layer is a collection of words, a thick one a mask.  `unseen`
-    (a `_Words` or a `_Bitmap`) loses each word the search reaches, so a
-    search run to its end leaves exactly the words it did not reach, and
-    `unseen` must hold every word the search may reach (other components
-    may stay in it).  On the word side no frontier gets thick: the whole
-    set has fewer words than a thick frontier.
+    (from `_unseen`) loses each word the search reaches, so a search run
+    to its end leaves exactly the words it did not reach, and `unseen`
+    must hold every word the search may reach (other components may stay
+    in it).  Only the mask side's `_Bitmap` gives and takes a mask: on the
+    word side no frontier gets thick, as the whole set has fewer words
+    than a thick frontier.
     """
-    flips, thick = cube.flips, cube.thick
+    for w in frontier:
+        unseen.discard(w)
+    thick = cube.thick
     while frontier:
         if len(frontier) < thick:
-            frontier = unseen.take(starmap(xor, product(frontier, flips)))
+            frontier = unseen.step(frontier)
             if frontier:
                 yield frontier
             continue
@@ -370,11 +368,10 @@ def _sweeps(cube: _Cube, s: SolutionSet):
     must run to their end before it takes the next component.
 
     The isolated vertices come from `cube.alone`; every other component
-    is searched from the smallest word still unvisited, which on a
-    table-backed set the bitmap gives without a word list."""
-    rows = mask_rows(cube.alone)
-    unseen = _unseen(cube, s, rows)
-    alone = iter(rows)
+    is searched from the smallest word still unvisited, which on the
+    mask side the bitmap gives without a word list."""
+    alone = iter(mask_rows(cube.alone))
+    unseen = _unseen(cube, s, skip_alone=True)
     a = next(alone, None)
     for w in unseen.firsts():
         while a is not None and a < w:
@@ -485,7 +482,7 @@ def shortest_path(
         return [start]
     cube = _cube(s)
     unseen = _unseen(cube, s)
-    layers = [unseen.take((start.word,))]
+    layers = [(start.word,)]
     g = goal.word
     for layer in _layers(cube, layers[0], unseen):
         layers.append(layer)
@@ -542,7 +539,7 @@ def diameter(
     for cap, far, k in sorted(zip(caps, fars, [k for k in sizes if k > 1]), reverse=True):
         if cap <= best:  # no component left can raise the answer
             break
-        layers = _layers(cube, unseen.take((far,)), unseen)
+        layers = _layers(cube, (far,), unseen)
         if not cycles:
             best = max(best, sum(1 for _ in layers))
             continue
@@ -580,7 +577,7 @@ def is_induced_path(s: SolutionSet) -> list[BitVector] | None:
         return None
     cube, order = _cube(s), list(fars or reps)
     unseen = _unseen(cube, s)
-    for layer in _layers(cube, unseen.take(order), unseen):
+    for layer in _layers(cube, order[:1], unseen):
         if isinstance(layer, int):
             if layer & (layer - 1):
                 return None
@@ -659,7 +656,8 @@ def parse_relation(text: str) -> SolutionSet:
             if n > N_MAX:
                 raise UsageError(f"line {lineno}: dimension {n} exceeds {N_MAX}")
             continue
-        if len(line) != n or line.strip("01"):
+        # the one word of dimension 0 is written `0`, as `texts` writes it
+        if (len(line) != n or line.strip("01")) and (n or line != "0"):
             raise UsageError(f"line {lineno}: expected {n} bits")
         words.append(int(line, 2))
     if n is None:

@@ -256,6 +256,12 @@ def test_relation_file_round_trip():
     s = random_relation(4, 7, 99)
     text = print_relation(s)
     assert parse_relation(text) == s
+    for n in range(5):  # n = 0 has one word, printed `0`
+        for s in (SolutionSet(n, ()), SolutionSet(n, tuple(range(1 << n)))):
+            assert parse_relation(print_relation(s)) == s
+    assert print_relation(SolutionSet(0, (0,))) == "n 0\n0\n"
+    with pytest.raises(UsageError):
+        parse_relation("n 0\n1\n")
     assert parse_relation("# comment\nn 2\n01\n11\n").words == (1, 3)
     with pytest.raises(UsageError):
         parse_relation("01\n11\n")
@@ -271,7 +277,7 @@ def _reference_relation(text):
     if head is None or not 0 <= int(head[1]) <= N_MAX:
         return None
     n = int(head[1])
-    if any(len(r) != n or set(r) - {"0", "1"} for r in rows[1:]):
+    if any(r != "0" if n == 0 else (len(r) != n or set(r) - {"0", "1"}) for r in rows[1:]):
         return None
     return SolutionSet(n, tuple(sorted({int(r, 2) for r in rows[1:]})))
 
@@ -309,6 +315,8 @@ def _relation_texts(draw):
 @example("n 4\n+101\n")
 @example("n 4\n-101\n")
 @example("n 4\n0101 # ok\n\n10\t1\n")
+@example("n 0\n0\n 0 # again\n")
+@example("n 0\n1\n")
 def test_relation_parser_matches_a_reference_or_reports(tmp_path_factory, text):
     want = _reference_relation(text)
     try:

@@ -1,9 +1,11 @@
 """Table-backed solution sets: the same answers as word-backed ones, with no
 word list built by the queries that run on the table, and a peak memory
-that stays near the interpreter's own on a 22-variable CNF.
+that stays near the interpreter's own on a 22-variable CNF.  A dense
+relation is searched on the same bitmap, with no set of its words.
 
 Run as a script, it prints the peak RSS and wall time of `components
---cnf --json` on the seeded random 3-CNFs at n = 22 and 24:
+--cnf --json` on the seeded random 3-CNFs at n = 22 and 24, and of
+`components --rel --json` on the seeded 40,000-word relation at n = 20:
 
     PYTHONPATH=src python tests/test_table_backed.py
 """
@@ -32,6 +34,8 @@ from bconn import (
     is_connected,
     is_induced_path,
     parse_dimacs,
+    print_relation,
+    random_relation,
     shortest_path,
 )
 from bconn import graph
@@ -241,6 +245,29 @@ def test_queries_on_a_table_build_no_word_list():
     assert peak < 16 * count, (peak, count)
 
 
+def dense_relation() -> SolutionSet:
+    """A seeded random relation of 40,000 words at n = 20: on the mask side,
+    and mostly small components."""
+    return random_relation(20, 40_000, 0)
+
+
+def test_a_dense_relation_is_searched_without_a_set_of_its_words():
+    s = dense_relation()
+    tracemalloc.start()
+    try:
+        lab = components(s)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        tracemalloc.reset_peak()
+        lower = diameter(s, mode=LOWER_BOUND)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert graph._cube(s).mask and lab.count > 20_000 and lower > 0
+    # the bitmap and the sweep's per-component ints take about 2.5 MB; a set
+    # of the 40,000 words would add about 2 MB more to each query
+    assert max(peaks) < 3_700_000, peaks
+
+
 # Spawns `python argv...` from a small process of its own and prints its
 # exit code, peak RSS (KiB) and wall time.  Spawned straight from pytest, the
 # child would report pytest's peak: Linux folds the RSS high-water mark of
@@ -296,3 +323,11 @@ if __name__ == "__main__":
                 got = json.load(fh) if code == 0 else {}
             print(f"components --cnf, n={n}: exit {code}, {got.get('count')} solutions, "
                   f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
+        path = os.path.join(tmp, "r20.rel")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(print_relation(dense_relation()))
+        code, mb, wall = _peak(["-m", "bconn.cli", "components", "--rel", path, "--json"], out)
+        with open(out, encoding="utf-8") as fh:
+            got = json.load(fh) if code == 0 else {}
+        print(f"components --rel, n=20: exit {code}, {got.get('count')} words, "
+              f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
