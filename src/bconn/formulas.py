@@ -25,10 +25,14 @@ import re
 
 from .circuits import VAR_NAME, GateBuilder, GateList
 from .clones import BaseSet
-from .errors import ArityMismatch, FormulaSyntaxError, UnknownFunction
+from .errors import ArityMismatch, FormulaSyntaxError, TooLarge, UnknownFunction
 from .truthtable import TruthTable
 
 _TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
+# the most nodes print_formula spells, as the text (about three characters a
+# node) is built whole; the largest output measured, S02K(3) of a 64-clause
+# CNF, has 52.1M
+PRINT_SIZE_LIMIT = 1 << 26
 
 
 def _parse(text: str, toks: list[str], b: GateBuilder) -> int:
@@ -105,7 +109,11 @@ def print_formula(gl: GateList, base: BaseSet) -> str:
     each text the output reaches once and drops it after its last reader,
     so a gate the output does not reach is never spelled.  The peak is the
     output and the texts it is joined from, as in a recursive join (traced:
-    0.79 MB for a D1 and 1.05 MB for an S02K(2) reduction of 8 clauses)."""
+    0.79 MB for a D1 and 1.05 MB for an S02K(2) reduction of 8 clauses).
+    A formula of more than PRINT_SIZE_LIMIT nodes is refused first."""
+    size = formula_size(gl)
+    if size > PRINT_SIZE_LIMIT:
+        raise TooLarge(f"the formula has {size} nodes, over the limit of {PRINT_SIZE_LIMIT}")
     names: dict[TruthTable, str] = {}
     for name, f in sorted(base):  # names are distinct, so tables never compare
         names.setdefault(f, name)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import itemgetter
 
 from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE, BaseSet, _rounds
@@ -40,7 +41,7 @@ from .errors import (
 from .formulas import formula_size, parse_formula
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
-from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, tt_parse, var_mask
+from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -74,13 +75,7 @@ class TVariant(Record):
 
     @property
     def new_var_count(self) -> int:
-        if self.kind == S12:
-            return 1
-        if self.kind == D1:
-            return 3
-        if self.kind == S02K:
-            return self.k + 2
-        return 2
+        return len(self.pad_vector()) + (self.kind == S02Q)  # S02Q binds z
 
     def pad_vector(self) -> str:
         """Suffix appended to a solution of psi to land in the transform."""
@@ -211,54 +206,62 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
     the (size, print text, name, args) of the smallest, then first
     printed, candidate of the round that first produced it; a candidate's
     text is built only when it could win.  A group's head is sized once,
-    so each last argument t costs g0 ^ (d & t) and its own size.  The
-    target's gates are built once, at the end.  Reaching a fixpoint
+    so each last argument t costs g0 ^ (d & t) and its own size.  A round
+    first scores only the candidates that give the target and stops if one
+    is within the size cap (no other candidate can touch the target's entry,
+    as `known` is fixed in a round); else a second pass scores it whole.
+    The target's gates are built once, at the end.  Reaching a fixpoint
     without any budget-forced skip certifies the target unrealizable at
-    this arity.
+    its arity.
     """
-    n = target.n
+    n, goal = target.n, target.bits
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
     applications = 0
     skipped = False
     for count, groups in _rounds(base, n, known):
-        if target.bits in known:
-            return _gates_of(known, target.bits, base, n)
+        if goal in known:
+            return _gates_of(known, goal, base, n)
         applications += count
         if applications > budget.max_applications:
-            raise BudgetExceeded(
-                f"synthesis stopped after {budget.max_applications} applications"
-            )
-        fresh: dict[int, tuple] = {}
-        for name, head, g0, d, last in groups:
-            if last is None:  # an arity-0 function: size 1, no arguments
-                best = fresh.get(g0)
-                if g0 not in known and (best is None or (1, name) < best[:2]):
-                    fresh[g0] = (1, name, name, ())
-                continue
-            size0 = 1
-            for _, a in head:
-                size0 += known[a][0]
-            for t in last:
-                size = size0 + known[t[1]][0]
-                if size > budget.max_size:
-                    skipped = True
+            raise BudgetExceeded(f"synthesis stopped after {budget.max_applications} applications")
+        # g0 ^ (d & t) is goal iff d & t is x = g0 ^ goal (d = 0 at arity 0)
+        hits = [
+            (name, head, g0, d, last and [t for t in last if d & t[1] == x])
+            for name, head, g0, d, last in groups
+            if not (x := g0 ^ goal) & ~d
+            and (last is None or x in map(d.__and__, map(itemgetter(1), last)))
+        ]
+        for part in hits, groups:
+            fresh: dict[int, tuple] = {}
+            for name, head, g0, d, last in part:
+                if last is None:  # an arity-0 function: size 1, no arguments
+                    best = fresh.get(g0)
+                    if g0 not in known and (best is None or (1, name) < best[:2]):
+                        fresh[g0] = (1, name, name, ())
                     continue
-                out = g0 ^ (d & t[1])
-                if out in known:
-                    continue
-                best = fresh.get(out)
-                if best is not None and size > best[0]:
-                    continue
-                args = head + (t,)
-                text = f"{name}({','.join(known[a][1] for _, a in args)})"
-                if best is None or (size, text) < best[:2]:
-                    fresh[out] = (size, text, name, args)
+                size0 = 1 + sum([known[a][0] for _, a in head])
+                for t in last:
+                    size = size0 + known[t[1]][0]
+                    if size > budget.max_size:
+                        skipped = True
+                        continue
+                    out = g0 ^ (d & t[1])
+                    if out in known:
+                        continue
+                    best = fresh.get(out)
+                    if best is not None and size > best[0]:
+                        continue
+                    args = head + (t,)
+                    text = f"{name}({','.join(known[a][1] for _, a in args)})"
+                    if best is None or (size, text) < best[:2]:
+                        fresh[out] = (size, text, name, args)
+            if goal in fresh:
+                break
         known.update(fresh)
     if skipped:
         raise BudgetExceeded("synthesis size cap pruned the search")
     raise NotRealizable(
-        f"target is outside the base's closure at arity {n} "
-        f"({len(known)} realizable tables)"
+        f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
     )
 
 
@@ -334,12 +337,9 @@ def synth_bformula(
     try:
         return _synth_search(target, base, budget)
     except BudgetExceeded:
-        ops = {}
         small = SynthBudget(max_size=64, max_applications=50_000)
         try:
-            ops["not"] = _synth_search(tt_parse("10", 1), base, small)
-            ops["and"] = _synth_search(tt_parse("0001", 2), base, small)
-            ops["or"] = _synth_search(tt_parse("0111", 2), base, small)
+            ops = {op: _synth_search(f, base, small) for op, f in STANDARD_BASE}
         except (BudgetExceeded, NotRealizable):
             raise BudgetExceeded(
                 "synthesis budget exceeded and the base does not yield "

@@ -461,6 +461,25 @@ def test_reduce_refuses_an_oversized_transform_before_building_it(
     assert err == f"error [BudgetExceeded]: dimension {dimension} exceeds budget 24\n"
 
 
+@pytest.mark.parametrize("more", [[], ["--json"], ["--out", "t.bf"]])
+def test_reduce_refuses_an_output_too_large_to_print(capsys, files, tmp_path, more):
+    # 83 gates over {f} that unfold to 857,264,731 nodes: printing them
+    # would build a 2.6 GB string
+    cnf = files("f.cnf", "p cnf 4 3\n1 -2 3 0\n2 3 -4 0\n1 4 0\n")
+    base = files("f.tt", "f 3 11000000\n")
+    more = [str(tmp_path / m) if m.endswith(".bf") else m for m in more]
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "reduce", "--cnf", cnf, "--base", base, "--variant", "s12", *more)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (3, "")
+    message = "the formula has 857264731 nodes, over the limit of 67108864"
+    if "--json" in more:
+        assert json.loads(err) == {"error": {"code": "TooLarge", "message": message}}
+    else:
+        assert err == f"error [TooLarge]: {message}\n"
+    assert not (tmp_path / "t.bf").exists()
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_reduce_refuses_a_relation_transform_by_its_word_count(capsys, files, as_json):
     # dimension 2 + 22 is within budget, but S02K(20) of one word has

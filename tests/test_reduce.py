@@ -1,6 +1,8 @@
 """Hard-side machinery: transforms, combiner, synthesizer, witnesses."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -35,7 +37,7 @@ from bconn import (
     tr_combine,
     truth_table_of,
 )
-from bconn.clones import _rounds
+from bconn.clones import BaseSet, _rounds, dispatch
 from bconn.properties import ALL
 from bconn.reduce import _gates_of, _synth_search
 from bconn.truthtable import var_mask
@@ -373,6 +375,26 @@ def test_synth_search_agrees_with_the_per_application_reference():
     assert kinds == {"found", "stopped", "pruned", "outside"}
 
 
+@pytest.mark.parametrize(
+    "target, entries, budget, want",
+    [
+        # the round that first gives the target gives it only over the
+        # size cap, and the next passes the application limit: the search
+        # must go on past that round, not stop there as if it had found it
+        (
+            TruthTable(2, 11),
+            {"f0": "0", "f1": "11100001"},
+            SynthBudget(max_size=3, max_applications=8),
+            (BudgetExceeded, "synthesis stopped after 8 applications"),
+        ),
+    ],
+)
+def test_synth_search_agrees_with_the_reference_at_the_size_cap(target, entries, budget, want):
+    base = mk_base(entries)
+    assert outcome(reference_synth_search, target, base, budget) == want
+    assert outcome(_synth_search, target, base, budget) == want
+
+
 # ---------------------------------------------------------------------------
 # Balanced combiner.
 
@@ -441,6 +463,53 @@ def test_tr_builds_large_reductions_as_few_gates():
         width = 12 + variant.new_var_count
         want = t_transform(psi, variant, n0=12)
         assert truth_table_of(got, STD_BASE, width) == truth_table_of(want, STD_BASE, width)
+
+
+def hard_single_bases(arities=(2, 3)):
+    """Every single-function base of the given arities on the hard side,
+    unquantified, with the transform variant dispatch names for it."""
+    for a in arities:
+        for bits in range(1 << (1 << a)):
+            base = BaseSet({"f": TruthTable(a, bits)})
+            verdict = dispatch(base)
+            if verdict.side == "HARD":
+                yield base, TVariant(verdict.hard_variant, verdict.hard_k)
+
+
+def printed_reduction(phi, variant, base):
+    """print_formula of tr_combine's output, synthesized afresh, or the
+    type and message of what it raised."""
+    synth_bformula.cache_clear()
+    got = outcome(tr_combine, phi, variant, base)
+    return got if isinstance(got, tuple) else print_formula(got, base)
+
+
+def test_tr_agrees_with_the_per_application_reference_search(monkeypatch):
+    phi = CnfFormula(3, ((1, -2), (2, 3)))
+    rng = random.Random(8)
+    bases = list(hard_single_bases((2,))) + rng.sample(list(hard_single_bases((3,))), 40)
+    got = [printed_reduction(phi, variant, base) for base, variant in bases]
+    monkeypatch.setattr(bconn.reduce, "_synth_search", reference_synth_search)
+    want = [printed_reduction(phi, variant, base) for base, variant in bases]
+    synth_bformula.cache_clear()  # no reference answer outlives the patch
+    assert got == want
+    # outputs and refusals both
+    assert {type(w) for w in want} == {str, tuple}
+
+
+@pytest.mark.parametrize("variant", [S12, S02Q], ids=str)
+def test_tr_synthesis_peak_stays_small(variant):
+    # a round that reaches the target scores only the candidates that
+    # give it; scoring that whole round peaks near 1 MB
+    phi = CnfFormula(4, ((1, -2, 3), (2, 3, -4), (1, 4)))
+    synth_bformula.cache_clear()
+    tracemalloc.start()
+    try:
+        tr_combine(phi, variant, STD_BASE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
 
 
 def test_tr_guards():
@@ -583,3 +652,20 @@ def test_apply_t_relation_refuses_a_relation_too_large_to_build():
     with pytest.raises(BudgetExceeded, match="the transform has 16777042 words, over the budget of 1048576"):
         apply_t_relation(one, s02k(20))
     assert len(apply_t_relation(one, s02k(12))) == 2 + (2 << 2) * ((1 << 13) - 14)
+
+
+if __name__ == "__main__":
+    # The hard side over every hard single-function base of arity 2-3: how
+    # many get a reduction of one 3-clause CNF, and how long the sweep takes.
+    phi = CnfFormula(4, ((1, -2, 3), (2, 3, -4), (1, 4)))
+    split = {"output": 0, "BudgetExceeded": 0}
+    t0 = time.perf_counter()
+    for base, variant in hard_single_bases():
+        try:
+            tr_combine(phi, variant, base)
+            split["output"] += 1
+        except BudgetExceeded:
+            split["BudgetExceeded"] += 1
+    wall = time.perf_counter() - t0
+    print(f"{sum(split.values())} hard bases: {split['output']} outputs, "
+          f"{split['BudgetExceeded']} BudgetExceeded, {wall:.1f} s")
