@@ -369,10 +369,9 @@ def _cmd_components(args) -> int:
 
 
 def _variant_from(args) -> TVariant:
-    from .reduce import S02K, S02Q, TVariant
+    from .reduce import S02K, TVariant
 
-    kinds = {"s12": "S12", "d1": "D1", "s02k": S02K, "s02q": S02Q}
-    kind = kinds[args.variant]
+    kind = args.variant.upper()
     if kind == S02K:
         return TVariant(kind, args.k)
     if args.k != 2:
@@ -389,56 +388,44 @@ def _cmd_reduce(args) -> int:
     if args.rel:
         rel = parse_relation(_read(args.rel))
         out = apply_t_relation(rel, variant)
-        sidecar = {
-            "variant": str(variant),
-            "new_variable_indices": list(range(rel.n + 1, out.n + 1)),
-            "pad_vector": variant.pad_vector(),
-            "n": out.n,
-            "count": len(out),
-        }
-        _emit(args, print_relation(out).rstrip("\n"), sidecar)
-        return 0
-    if not args.cnf:
-        raise UsageError("reduce needs --cnf or --rel input")
-    phi = parse_dimacs(_read(args.cnf))
-    shifted = None
-    if not phi.is_one_reproducing():
-        sols = enumerate_solutions(phi, STANDARD_BASE, phi.n)
-        if not sols:
-            raise UsageError("CNF is unsatisfiable; no 1-reproducing shift exists")
-        anchor = BitVector(phi.n, sols.smallest())
-        phi = shift_to_one_reproducing(phi, anchor)
-        shifted = anchor.text
-    base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE
-    stats: dict = {}
-    matrix = tr_combine(phi, variant, base, stats=stats)
-    if variant.kind == S02Q:
-        result = print_qbf(with_prefix(matrix, ((FORALL, phi.n + 2),)), base)
+        n, facts = rel.n, {"n": out.n, "count": len(out)}
+        text = print_relation(out).rstrip("\n")
+    elif args.cnf:
+        phi = parse_dimacs(_read(args.cnf))
+        shifted = None
+        if not phi.is_one_reproducing():
+            sols = enumerate_solutions(phi, STANDARD_BASE, phi.n)
+            if not sols:
+                raise UsageError("CNF is unsatisfiable; no 1-reproducing shift exists")
+            anchor = BitVector(phi.n, sols.smallest())
+            phi = shift_to_one_reproducing(phi, anchor)
+            shifted = anchor.text
+        base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE
+        stats: dict = {}
+        matrix = tr_combine(phi, variant, base, stats=stats)
+        if variant.kind == S02Q:
+            text = print_qbf(with_prefix(matrix, ((FORALL, phi.n + 2),)), base)
+        else:
+            text = print_formula(matrix, base)
+        n, facts = phi.n, {"size": stats["size"], "depth": stats["depth"], "shifted_by": shifted}
     else:
-        result = print_formula(matrix, base)
+        raise UsageError("reduce needs --cnf or --rel input")
     sidecar = {
         "variant": str(variant),
-        "new_variable_indices": list(
-            range(phi.n + 1, phi.n + variant.new_var_count + 1)
-        ),
+        "new_variable_indices": list(range(n + 1, n + variant.new_var_count + 1)),
         "pad_vector": variant.pad_vector(),
-        "size": stats["size"],
-        "depth": stats["depth"],
-        "shifted_by": shifted,
+        **facts,
     }
+    # a relation's payload is its sidecar; a formula's carries the formula
+    payload = sidecar if args.rel else {"formula": text, **sidecar}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result + "\n")
+            fh.write(text + "\n")
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        _emit(
-            args,
-            f"wrote {args.out} and {args.out}.json",
-            {"formula": result, **sidecar},
-        )
-        return 0
-    _emit(args, result, {"formula": result, **sidecar})
+        text = f"wrote {args.out} and {args.out}.json"
+    _emit(args, text, payload)
     return 0
 
 
@@ -587,14 +574,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("reduce", help="hard-side transform of a CNF or relation")
-    _add_io(p)
+    p.add_argument("--base", help="base file: `name arity bits` lines")
+    p.add_argument("--cnf", help="DIMACS CNF file (standard base implied)")
+    p.add_argument("--rel", help="explicit solution-set file")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument(
         "--variant",
         choices=["s12", "d1", "s02k", "s02q"],
         required=True,
     )
     p.add_argument("--k", type=int, default=2, help="degree for --variant s02k")
-    p.add_argument("--out", help="write formula here plus a .json sidecar")
+    p.add_argument("--out", help="write the formula or relation here plus a .json sidecar")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gen-expdiam", help="exponential-diameter induced path")

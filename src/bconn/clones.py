@@ -24,7 +24,7 @@ A family whose degree exceeds the degree bound is reported at the bound.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, product
 
 from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UnknownClass, UsageError
@@ -309,9 +309,11 @@ def _rounds(base: BaseSet, m: int, known: dict):
     earlier ones old tables, later ones any table, so each tuple comes
     once, in `product` order (last position fastest).  They are the
     round's applications, counted up front; arity-0 functions apply in
-    the first round only, as no application.  Each pass over a round
-    builds its groups again; after its passes (or stopping early) the caller
-    adds the tables it accepts to `known`; the rounds end when one adds none.
+    the first round only, as no application.  A round is a generator,
+    passed over once: nothing of it is built before the caller iterates
+    it, so a caller that refuses the count builds none of it.  After its
+    pass (or stopping early) the caller adds the tables it accepts to
+    `known`; the rounds end when one adds none.
 
     The tuples come grouped by head, the first k - 1 arguments, as
     `(name, head, g0, d, last)`: base function `name` applied to
@@ -342,13 +344,9 @@ def _rounds(base: BaseSet, m: int, known: dict):
             return
         every = old + new
         applications = sum(len(every) ** k - len(old) ** k for _, k, _ in ops)
-        yield applications, _Round(_round, ops, old, new, every, full, first)
+        yield applications, _round(ops, old, new, every, full, first)
         old = every
         first = False
-
-
-class _Round(partial):  # one round's groups, built again by each pass over them
-    __iter__ = partial.__call__
 
 
 def _round(ops, old, new, every, full, first):

@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE, BaseSet, _rounds
-from .cnf import CnfFormula
+from .cnf import CnfFormula, cnf_to_formula
 from .errors import (
     BudgetExceeded,
     KTooLarge,
@@ -38,7 +38,7 @@ from .errors import (
     NotRealizable,
     UsageError,
 )
-from .formulas import formula_size, parse_formula
+from .formulas import formula_size
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
 from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, var_mask
@@ -206,10 +206,11 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
     the (size, print text, name, args) of the smallest, then first
     printed, candidate of the round that first produced it; a candidate's
     text is built only when it could win.  A group's head is sized once,
-    so each last argument t costs g0 ^ (d & t) and its own size.  A round
-    first scores only the candidates that give the target and stops if one
-    is within the size cap (no other candidate can touch the target's entry,
-    as `known` is fixed in a round); else a second pass scores it whole.
+    so each last argument t costs g0 ^ (d & t) and its own size.  A round,
+    a generator passed over once, is listed once; the search scores the
+    list's hits (the candidates that give the target) and stops if one is
+    within the size cap (no other candidate can touch the target's entry,
+    as `known` is fixed in a round); else it scores the whole list.
     The target's gates are built once, at the end.  Reaching a fixpoint
     without any budget-forced skip certifies the target unrealizable at
     its arity.
@@ -224,6 +225,7 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
         applications += count
         if applications > budget.max_applications:
             raise BudgetExceeded(f"synthesis stopped after {budget.max_applications} applications")
+        groups = list(groups)
         # g0 ^ (d & t) is goal iff d & t is x = g0 ^ goal (d = 0 at arity 0)
         hits = [
             (name, head, g0, d, last and [t for t in last if d & t[1] == x])
@@ -360,10 +362,12 @@ def tr_combine(
 
     Leaves synthesize T of a single clause (compacted to its distinct
     variables); internal nodes synthesize T of x1 AND x2 once and paste
-    the halves into it, sharing one global block of new variables.  The
-    result is one gate list over x_1..x_{n + new}, and its table equals
-    t_transform of the whole CNF (for S02Q, its matrix).  stats gets
-    the combining depth and the size of the formula the gates unfold to.
+    the halves into it, sharing one global block of new variables.  Each
+    CNF it transforms (a clause, x1 AND x2, an empty CNF's tautology) is
+    rendered by cnf_to_formula.  The result is one gate list over
+    x_1..x_{n + new}, and its table equals t_transform of the whole CNF
+    (for S02Q, its matrix).  stats gets the combining depth and the size
+    of the formula the gates unfold to.
     """
     if not phi.is_three_cnf:
         raise UsageError("Tr expects a 3-CNF")
@@ -376,13 +380,12 @@ def tr_combine(
     out = GateBuilder(base, tuple(range(1, n + extra + 1)))
     news = list(range(n, n + extra))  # the nodes of the new variables
 
-    def tee(compact_psi: GateList, arity: int) -> GateList:
-        if arity + extra > DEFAULT_ENUM_BUDGET:  # refuse before T is built
-            raise BudgetExceeded(f"dimension {arity + extra} exceeds budget {DEFAULT_ENUM_BUDGET}")
-        t = t_transform(compact_psi, variant, n0=arity)
-        if variant.kind == S02Q:
-            t = t.matrix
-        table = truth_table_of(t, STANDARD_BASE, arity + extra)
+    def tee(psi: CnfFormula) -> GateList:
+        width = psi.n + extra
+        if width > DEFAULT_ENUM_BUDGET:  # refuse before T is built
+            raise BudgetExceeded(f"dimension {width} exceeds budget {DEFAULT_ENUM_BUDGET}")
+        t = t_transform(cnf_to_formula(psi), variant, n0=psi.n)
+        table = truth_table_of(t.matrix if variant.kind == S02Q else t, STANDARD_BASE, width)
         return synth_bformula(table, base, budget)
 
     combiner: GateList | None = None
@@ -390,25 +393,21 @@ def tr_combine(
     def rec(clauses: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         nonlocal combiner
         if len(clauses) == 1:
-            clause = clauses[0]
-            cvars = sorted({abs(lit) for lit in clause})
-            b = GateBuilder(STANDARD_BASE, tuple(range(1, len(cvars) + 1)))
-            lits = [cvars.index(abs(lit)) for lit in clause]  # nodes of the compacted variables
-            psi = b.finish(_or(b, *[p if lit > 0 else _not(b, p) for p, lit in zip(lits, clause)]))
-            compact = tee(psi, len(cvars))
-            return out.paste(compact, [v - 1 for v in cvars] + news), 0
+            # the clause over its distinct variables, renumbered from 1
+            rank = {v: i for i, v in enumerate(sorted({abs(lit) for lit in clauses[0]}), 1)}
+            lits = tuple(rank[lit] if lit > 0 else -rank[-lit] for lit in clauses[0])
+            return out.paste(tee(CnfFormula(len(rank), (lits,))), [v - 1 for v in rank] + news), 0
         mid = len(clauses) // 2
         left, dl = rec(clauses[:mid])
         right, dr = rec(clauses[mid:])
         if combiner is None:
-            combiner = tee(parse_formula("and(x1,x2)", STANDARD_BASE), 2)
+            combiner = tee(CnfFormula(2, ((1,), (2,))))
         return out.paste(combiner, [left, right] + news), 1 + max(dl, dr)
 
     if phi.clauses:
         root, depth = rec(phi.clauses)
     else:
-        compact = tee(parse_formula("or(x1,not(x1))", STANDARD_BASE), 1)
-        root, depth = out.paste(compact, [0] + news), 0
+        root, depth = out.paste(tee(CnfFormula(1, ())), [0] + news), 0
     gl = out.finish(root)
     if stats is not None:
         stats["depth"] = depth

@@ -558,6 +558,23 @@ def test_reduce_relation_d1(capsys, files):
     assert payload["new_variable_indices"] == [2, 3, 4]
 
 
+def test_reduce_relation_writes_out_files(capsys, files, tmp_path):
+    # --out writes a relation and its sidecar as it does a formula
+    rel = files("r.rel", "n 1\n1\n")
+    out = str(tmp_path / "t.rel")
+    code, stdout, _ = run(capsys, "reduce", "--rel", rel, "--variant", "d1", "--out", out)
+    assert (code, stdout) == (0, f"wrote {out} and {out}.json\n")
+    got = parse_relation((tmp_path / "t.rel").read_text(encoding="utf-8"))
+    assert got.n == 4 and len(got) == 8
+    sidecar = json.loads((tmp_path / "t.rel.json").read_text(encoding="utf-8"))
+    assert sidecar == {
+        "variant": "D1", "new_variable_indices": [2, 3, 4], "pad_vector": "111",
+        "n": 4, "count": 8,
+    }
+    # the --json payload of a relation is its sidecar
+    assert jrun(capsys, "reduce", "--rel", rel, "--variant", "d1", "--out", out)[1] == sidecar
+
+
 def test_reduce_relation_rejects_s02q(capsys, files):
     rel = files("r.rel", "n 1\n1\n")
     code, _, err = run(capsys, "reduce", "--rel", rel, "--variant", "s02q")
@@ -579,6 +596,15 @@ def test_reduce_k_flag_guards(capsys, files):
     assert code == 2
     code, _, _ = run(capsys, "reduce", "--cnf", cnf, "--variant", "s02k", "--k", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--formula", "--circuit", "--qbf", "--vars"])
+def test_reduce_refuses_the_flags_it_does_not_read(capsys, files, flag):
+    cnf = files("f.cnf", "p cnf 1 1\n1 0\n")
+    value = "5" if flag == "--vars" else cnf
+    code, out, err = run(capsys, "reduce", "--cnf", cnf, "--variant", "s12", flag, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Hard-side machinery: transforms, combiner, synthesizer, witnesses."""
 
+import hashlib
 import random
 import time
 import tracemalloc
 
 import pytest
 
+import bconn.clones
 import bconn.reduce
 from bconn import (
     BitVector,
+    BudgetError,
     BudgetExceeded,
     CnfFormula,
     KTooLarge,
@@ -280,6 +283,26 @@ def test_synth_search_budget_boundary(bits, base, limit, want):
     assert print_formula(got, base) == want
     with pytest.raises(BudgetExceeded, match="applications"):
         _synth_search(target, base, SynthBudget(max_applications=limit - 1))
+
+
+def test_synth_search_passes_over_each_round_once(monkeypatch):
+    # D1 of one clause runs out of budget over the standard base, so the
+    # search scores every round it builds whole; each round, keyed by
+    # (len(old), len(new)), is still passed over once
+    passes = {}
+    kernel = bconn.clones._round
+
+    def counted(ops, old, new, every, full, first):
+        key = (len(old), len(new))
+        passes[key] = passes.get(key, 0) + 1
+        yield from kernel(ops, old, new, every, full, first)
+
+    monkeypatch.setattr(bconn.clones, "_round", counted)
+    psi = cnf_to_formula(CnfFormula(3, ((1, -2, 3),)))
+    target = truth_table_of(t_transform(psi, D1, n0=3), STD_BASE, 6)
+    with pytest.raises(BudgetExceeded, match="applications"):
+        _synth_search(target, STD_BASE, SynthBudget())
+    assert len(passes) >= 2 and set(passes.values()) == {1}
 
 
 def reference_synth_search(target, base, budget):
@@ -656,16 +679,23 @@ def test_apply_t_relation_refuses_a_relation_too_large_to_build():
 
 if __name__ == "__main__":
     # The hard side over every hard single-function base of arity 2-3: how
-    # many get a reduction of one 3-clause CNF, and how long the sweep takes.
+    # many get a printed reduction of one 3-clause CNF, how long the sweep
+    # takes, and a sha256 over each base's printed output or refusal text,
+    # in base order, so a change to the hard side can show its outputs
+    # unchanged.
     phi = CnfFormula(4, ((1, -2, 3), (2, 3, -4), (1, 4)))
-    split = {"output": 0, "BudgetExceeded": 0}
+    split = {"output": 0, "TooLarge": 0, "BudgetExceeded": 0}
+    digest = hashlib.sha256()
     t0 = time.perf_counter()
     for base, variant in hard_single_bases():
         try:
-            tr_combine(phi, variant, base)
+            text = print_formula(tr_combine(phi, variant, base), base)
             split["output"] += 1
-        except BudgetExceeded:
-            split["BudgetExceeded"] += 1
+        except BudgetError as e:
+            text = f"{type(e).__name__}: {e}"
+            split[type(e).__name__] += 1
+        digest.update(text.encode() + b"\n")
     wall = time.perf_counter() - t0
     print(f"{sum(split.values())} hard bases: {split['output']} outputs, "
-          f"{split['BudgetExceeded']} BudgetExceeded, {wall:.1f} s")
+          f"{split['TooLarge']} TooLarge, {split['BudgetExceeded']} BudgetExceeded, {wall:.1f} s")
+    print(f"sha256 of the printed outputs and refusals: {digest.hexdigest()}")
