@@ -52,7 +52,7 @@ _NAMES = {
     ),
     "qbf": "EXISTS FORALL QuantifiedFormula parse_qbf print_qbf",
     "reduce": (
-        "SynthBudget TVariant apply_t_relation gen_expdiam "
+        "TVariant apply_t_relation gen_expdiam "
         "shift_to_one_reproducing synth_bformula t_transform tr_combine"
     ),
     "semantics": "evaluate min_dimension truth_table_of",

@@ -72,7 +72,6 @@ gen_expdiam = _later("reduce", "gen_expdiam")
 shift_to_one_reproducing = _later("reduce", "shift_to_one_reproducing")
 tr_combine = _later("reduce", "tr_combine")
 
-_DEFAULT_CLOSURE_BUDGET = 200_000
 # representatives per write of `components --json`; a chunk's texts are
 # the largest transient of the write, so a smaller one lowers the peak
 _CHUNK = 1024
@@ -117,9 +116,7 @@ def _load_object(args, base: BaseSet | None):
         if (path := getattr(args, name, None))
     ]
     if len(picked) != 1:
-        raise UsageError(
-            "give exactly one of --formula/--circuit/--cnf/--qbf/--rel"
-        )
+        raise UsageError("give exactly one of --formula/--circuit/--cnf/--qbf/--rel")
     kind, path = picked[0]
     text = _read(path)
     if kind == "formula":
@@ -386,6 +383,8 @@ def _cmd_reduce(args) -> int:
 
     variant = _variant_from(args)
     if args.rel:
+        if args.cnf or args.base:
+            raise UsageError("reduce --rel reads no --cnf or --base")
         rel = parse_relation(_read(args.rel))
         out = apply_t_relation(rel, variant)
         n, facts = rel.n, {"n": out.n, "count": len(out)}
@@ -604,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="all expressible tables up to an arity")
     p.add_argument("--base", required=True)
     p.add_argument("--vars", type=int, help="maximum arity")
-    p.add_argument("--budget", type=int, default=_DEFAULT_CLOSURE_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_closure)
 

@@ -27,14 +27,13 @@ import re
 from functools import lru_cache
 from itertools import islice, product
 
-from .errors import ArityOverflow, BudgetExceeded, DuplicateName, UnknownClass, UsageError
+from .errors import ArityOverflow, DuplicateName, UnknownClass, UsageError, charge
 from .properties import (
     DEFAULT_DEGREE_BOUND,
     PropertyReport,
     property_report,
 )
 from .truthtable import (
-    DEFAULT_ENUM_BUDGET,
     N_MAX,
     Record,
     TruthTable,
@@ -372,9 +371,6 @@ def _cofactor(head, rows, full):
     return g
 
 
-CLOSURE_APPLICATION_LIMIT = 1 << 25
-
-
 def clone_closure(
     base: BaseSet, max_arity: int, budget: int | None = None
 ) -> frozenset[TruthTable]:
@@ -385,43 +381,39 @@ def clone_closure(
     application is one argument tuple holding at least one table new in
     the previous round.  Every composite over x_1..x_m denotes an m-ary
     function, so exhausting each ambient arity is a complete closure
-    within the bound.  Budget counts distinct tables across all arities;
-    exceeding it raises without returning a partial set.  Applications
-    are charged per round, up front and across all arities, against
-    CLOSURE_APPLICATION_LIMIT (2^25); a round that would pass it raises
-    before it is built.  The rounds of one ternary function at arity 3
-    charge at most 256^3 = 2^24, so no such closure is refused.  A
-    head's last pool is taken whole: one set of g0 ^ (d & t), or just g0
-    when the last argument does not matter (d = 0).
+    within the bound.  Budget counts distinct tables across all arities,
+    LIMITS["closure tables"] unless given; exceeding it raises without
+    returning a partial set.  Applications are charged per round, up
+    front and across all arities, against LIMITS["closure applications"]
+    (2^25); a round that would pass it raises before it is built.  The
+    rounds of one ternary function at arity 3 charge at most 256^3 =
+    2^24, so no such closure is refused.  An arity past LIMITS["table
+    variables"] is refused first.  A head's last pool is taken whole: one
+    set of g0 ^ (d & t), or just g0 when the last argument does not
+    matter (d = 0).
     """
     _check_arities(base)
     if max_arity < 0:
         raise UsageError("max_arity must be >= 0")
-    if max_arity > DEFAULT_ENUM_BUDGET:  # an m-ary table is a 2^m-bit mask
-        raise BudgetExceeded(f"closure arity {max_arity} exceeds {DEFAULT_ENUM_BUDGET}")
+    charge("table variables", max_arity)  # an m-ary table is a 2^m-bit mask
     result: set[TruthTable] = set()
     total = applications = 0
     for m in range(max_arity + 1):
         known = dict.fromkeys(var_mask(m, j) for j in range(1, m + 1))
         for count, groups in _rounds(base, m, known):
             applications += count
-            if applications > CLOSURE_APPLICATION_LIMIT:
-                raise BudgetExceeded(
-                    f"closure exceeds {CLOSURE_APPLICATION_LIMIT} applications at arity {m}"
-                )
+            charge("closure applications", applications)
             new: set[int] = set()
             for _, _, g0, d, last in groups:
                 outs = {g0 ^ (d & t) for _, t in last} if d else {g0}
                 new |= outs.difference(known)
-                if budget is not None and total + len(known) + len(new) > budget:
-                    raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")
+                charge("closure tables", total + len(known) + len(new), budget)
                 if len(known) + len(new) == 1 << (1 << m):
                     break  # every m-ary table is realized
             known.update(dict.fromkeys(new))
             if len(known) == 1 << (1 << m):
                 break
         total += len(known)
-        if budget is not None and total > budget:
-            raise BudgetExceeded(f"closure exceeds {budget} tables at arity {m}")
+        charge("closure tables", total, budget)
         result.update(TruthTable(m, bits) for bits in known)
     return frozenset(result)

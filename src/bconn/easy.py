@@ -13,6 +13,7 @@ from __future__ import annotations
 from .circuits import GateList, linear_form
 from .clones import BaseSet
 from .errors import (
+    LIMITS,
     NonAffineBaseFunction,
     NotASolution,
     UsageError,
@@ -27,8 +28,6 @@ from .properties import (
 from .qbf import EXISTS
 from .semantics import evaluate, lower, truth_table_of
 from .truthtable import BitVector, LinearForm, Record, _set
-
-DEFAULT_SEARCH_BUDGET = 20
 
 
 class EasyAnswer(Record):
@@ -153,7 +152,6 @@ def zerosep_decide(
     n: int,
     s: BitVector | None = None,
     t: BitVector | None = None,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> EasyAnswer:
     """Connectivity for bases of 0-separating functions.
 
@@ -161,9 +159,9 @@ def zerosep_decide(
     non-solution assigning x_i = 0, so every assignment with x_i = 1
     satisfies it.  Any two solutions connect in at most Hamming + 2
     steps: set x_i if needed, flip the other differences, reset x_i if
-    needed.  Locating i may need a semantic scan; when n exceeds the
-    search budget and no syntactic coordinate is visible, the verdicts
-    are still returned and only the path is withheld.
+    needed.  Locating i may need a semantic scan; when n exceeds
+    LIMITS["search variables"] and no syntactic coordinate is visible, the
+    verdicts are still returned and only the path is withheld.
     """
     if not all(is_separating(f, 0) for f in base.tables):
         raise WrongClass("base contains a function that is not 0-separating")
@@ -182,7 +180,8 @@ def zerosep_decide(
     i = _syntactic_coordinate(obj)
     if i is not None and i > n:
         i = None
-    if i is None and n <= search_budget:
+    limit = LIMITS["search variables"]
+    if i is None and n <= limit:
         i = separating_coordinate(truth_table_of(obj, base, n), 0)
         if i is None:
             raise AssertionError("0-separating composite lacks a pinning coordinate")
@@ -192,7 +191,7 @@ def zerosep_decide(
             True,
             None,
             rationale + " (witness path withheld: coordinate search over "
-            f"{n} variables exceeds budget {search_budget})",
+            f"{n} variables exceeds budget {limit})",
         )
     # set x_i, flip the other differences, then move x_i to t's value
     detour = [j for j in range(1, n + 1) if j != i] + [i]

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the limits whose refusals raise them.
 
 Every error the library raises deliberately is a subclass of BconnError,
 so callers (and the CLI) can distinguish usage errors from budget refusals.
@@ -133,3 +133,33 @@ class NotRealizable(BconnError):
 
 class KTooLarge(UsageError):
     pass
+
+
+# --- limits ---
+
+# The most of each kind of work an exact computation may do, by name; the
+# unit is the name's last word.  A refusal reads "{used} {name} over the
+# limit of {limit}".  Tests swap an entry with monkeypatch.setitem.
+LIMITS = {
+    "table variables": 24,  # a table over n variables is 2^n bits
+    "search variables": 20,  # above it, zerosep_decide withholds the path
+    "bound variables": 20,
+    "relation words": 1 << 24,
+    "BFS steps": 1 << 25,  # sources x (vertices + edges), exact diameter
+    "closure applications": 1 << 25,
+    "closure tables": 200_000,
+    "synthesis applications": 120_000,
+    "synthesis nodes": 100_000,  # a candidate's formula size
+    "transform words": 1 << 20,
+    "formula nodes": 1 << 26,  # print_formula builds the text whole
+    "cover states": 1 << 22,
+    "DOT vertices": 1 << 16,
+}
+
+
+def charge(name: str, used: int, limit: int | None = None, error=BudgetExceeded) -> None:
+    """Raise error if used passes the limit, LIMITS[name] unless given."""
+    if limit is None:
+        limit = LIMITS[name]
+    if used > limit:
+        raise error(f"{used} {name} over the limit of {limit}")

@@ -54,7 +54,7 @@ The double sweep is exact on a tree (|E| = |V| - 1), so the exact
 `diameter` needs nothing more on a forest, which the cube's edge count
 shows on the mask side.  Otherwise it counts a component's edges after
 its far search, charges a component with a cycle its BFS steps against
-the budget, and only then lists that component's words, with adjacency
+the limit, and only then lists that component's words, with adjacency
 lists among them, to run `_bfs_depths` from every other vertex.
 """
 
@@ -68,15 +68,8 @@ from itertools import chain, product, repeat, starmap
 from operator import lt, xor
 
 from . import _later
-from .errors import (
-    BudgetExceeded,
-    NotASolution,
-    SizeOverflow,
-    TooLarge,
-    UsageError,
-)
+from .errors import NotASolution, SizeOverflow, TooLarge, UsageError, charge
 from .truthtable import (
-    DEFAULT_ENUM_BUDGET,
     N_MAX,
     BitVector,
     Record,
@@ -91,10 +84,6 @@ if TYPE_CHECKING:
 
 # tabulation loads the semantics layer on first use; a relation never does
 truth_table_of = _later("semantics", "truth_table_of")
-
-# BFS steps (sources x (vertices + edges)) of an exact diameter, summed over
-# the components with a cycle; trees cost two searches and are not counted
-DEFAULT_EXACT_DIAMETER_BUDGET = 1 << 25
 
 # one mask layer costs about as much as probing 2^(n-11) frontier words
 _THICK_SHIFT = 11
@@ -181,13 +170,11 @@ def _increasing(words: tuple[int, ...]) -> bool:
     return all(map(lt, chain((-1,), words), words))
 
 
-def enumerate_solutions(
-    obj, base: BaseSet, n: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> SolutionSet:
+def enumerate_solutions(obj, base: BaseSet, n: int) -> SolutionSet:
     """Exactly the assignments the object maps to 1, as a table-backed set:
     the table is the only form built here, and the sweep, `shortest_path`
     and the lower-bound diameter never build another."""
-    return SolutionSet.from_table(n, truth_table_of(obj, base, n, budget).bits)
+    return SolutionSet.from_table(n, truth_table_of(obj, base, n).bits)
 
 
 class _Cube:
@@ -514,9 +501,7 @@ def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
     return depth
 
 
-def diameter(
-    s: SolutionSet, mode: str = EXACT, budget: int = DEFAULT_EXACT_DIAMETER_BUDGET
-) -> int:
+def diameter(s: SolutionSet, mode: str = EXACT) -> int:
     """Largest eccentricity within any component (0 for the empty set).
 
     Both modes search each component from its far word, largest cap
@@ -525,8 +510,9 @@ def diameter(
     component's smallest word and the diameter.  EXACT also searches from
     every other vertex of a component with a cycle (on a tree the double
     sweep is exact), and raises BudgetExceeded, before it lists the
-    component's words, once those searches come to more than `budget` BFS
-    steps (sources x (vertices + edges)) in all.
+    component's words, once those searches come to more than LIMITS["BFS
+    steps"] (sources x (vertices + edges)) in all; trees cost two searches
+    and are not counted.
     """
     if mode not in (EXACT, LOWER_BOUND):
         raise UsageError(f"bad diameter mode {mode!r}")
@@ -549,10 +535,7 @@ def diameter(
         if edges == k - 1:  # a tree
             continue
         work += k * (k + edges)
-        if work > budget:
-            raise BudgetExceeded(
-                f"exact diameter needs {work} BFS steps, over the budget of {budget}"
-            )
+        charge("BFS steps", work)
         words = mask_rows(comp) if isinstance(comp, int) else comp
         index = {w: i for i, w in enumerate(words)}
         adj = [[index[u] for u in map(w.__xor__, cube.flips) if u in index] for w in words]
@@ -593,8 +576,7 @@ def is_induced_path(s: SolutionSet) -> list[BitVector] | None:
 
 def check_dot_size(s: SolutionSet) -> None:
     """Refuse a set too large to draw, before any search or word list."""
-    if len(s) > 1 << 16:
-        raise TooLarge(f"{len(s)} vertices exceed DOT limit")
+    charge("DOT vertices", len(s), error=TooLarge)
 
 
 def export_dot(s: SolutionSet, labeling: ComponentLabeling | None = None) -> str:
@@ -627,8 +609,7 @@ def random_relation(n: int, size: int, seed: int) -> SolutionSet:
         raise UsageError(f"dimension {n} exceeds {N_MAX}")
     if size > (1 << n) or size < 0:
         raise SizeOverflow(f"cannot pick {size} distinct words in {n} bits")
-    if size > (1 << DEFAULT_ENUM_BUDGET):
-        raise BudgetExceeded(f"{size} words exceed the budget of 2^{DEFAULT_ENUM_BUDGET}")
+    charge("relation words", size)
     import random  # only gen-random samples
 
     rng = random.Random(seed)

@@ -22,15 +22,13 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import and_
 
-from .errors import BudgetExceeded, DegreeBoundTooSmall
+from .errors import DegreeBoundTooSmall, charge
 from .truthtable import LinearForm, Record, TruthTable, _set, dual, mask_rows, var_mask
 
 # sep_degree sentinel: separation holds at every finite degree
 ALL = "ALL"
 
 DEFAULT_DEGREE_BOUND = 8
-
-_COVER_STATE_CAP = 1 << 22
 
 
 def is_reproducing(f: TruthTable, c: int) -> bool:
@@ -178,8 +176,7 @@ def _min_cover_size(present: int, n: int) -> int | None:
             return size
         frontier = reach & ~seen
         seen |= frontier
-        if seen.bit_count() > _COVER_STATE_CAP:
-            raise BudgetExceeded("coordinate-cover search too large")
+        charge("cover states", seen.bit_count())
         if not frontier:
             # unreachable: the full union covers, so BFS must terminate
             raise AssertionError("cover search stalled")

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from .circuits import VAR_NAME, GateList, lane_mask, tabulate
 from .clones import BaseSet
-from .errors import BudgetExceeded, FormulaSyntaxError, UsageError
+from .errors import FormulaSyntaxError, UsageError, charge
 from .formulas import parse_formula, print_formula
 from .truthtable import Record, TruthTable, _set, replace, var_mask
 
-DEFAULT_EXPANSION_BUDGET = 20
 _LANE_ROWS = 1 << 12  # rows one batched evaluation tabulates at most
 
 EXISTS = "E"
@@ -102,7 +101,7 @@ def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:
     return mask
 
 
-def quantified_value(q: GateList, points: list, budget: int = DEFAULT_EXPANSION_BUDGET) -> int:
+def quantified_value(q: GateList, points: list) -> int:
     """Values of a lowered quantified formula under free-variable
     assignments (None when it has no free variables): bit i of the mask
     is its value under points[i].
@@ -112,8 +111,7 @@ def quantified_value(q: GateList, points: list, budget: int = DEFAULT_EXPANSION_
     tiled under every bound assignment.  A chunk spans at most _LANE_ROWS
     rows, or 2^b when the prefix alone passes that: one point at a time."""
     b = len(q.prefix)
-    if b > budget:
-        raise BudgetExceeded(f"{b} quantifiers exceed budget {budget}")
+    charge("bound variables", b)
     free = q.free_vars()
     for a in points:
         if free and (a is None or a.n != len(free)):
@@ -131,7 +129,7 @@ def quantified_value(q: GateList, points: list, budget: int = DEFAULT_EXPANSION_
     return out
 
 
-def quantified_table(q: GateList, n: int, budget: int) -> TruthTable:
+def quantified_table(q: GateList, n: int) -> TruthTable:
     """Table of a lowered quantified formula over its n free variables."""
     free = q.free_vars()
     if n != len(free):
@@ -139,8 +137,7 @@ def quantified_table(q: GateList, n: int, budget: int) -> TruthTable:
             f"quantified formula has {len(free)} free variables, dimension {n} requested"
         )
     m = len(q.prefix) + n
-    if m > budget:
-        raise BudgetExceeded(f"ambient dimension {m} exceeds budget {budget}")
+    charge("table variables", m)
     b = len(q.prefix)
     masks = {j: var_mask(m, b + p) for p, j in enumerate(free, start=1)}
     return TruthTable(n, _quantified_mask(q, m, masks) & ((1 << (1 << n)) - 1))

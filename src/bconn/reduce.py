@@ -31,17 +31,19 @@ from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE, BaseSet, _rounds
 from .cnf import CnfFormula, cnf_to_formula
 from .errors import (
+    LIMITS,
     BudgetExceeded,
     KTooLarge,
     NotASolution,
     NotOneReproducing,
     NotRealizable,
     UsageError,
+    charge,
 )
 from .formulas import formula_size
 from .qbf import FORALL, QuantifiedFormula
 from .semantics import evaluate, truth_table_of
-from .truthtable import DEFAULT_ENUM_BUDGET, BitVector, Record, TruthTable, _set, var_mask
+from .truthtable import BitVector, Record, TruthTable, _set, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -53,8 +55,6 @@ S02K = "S02K"
 S02Q = "S02Q"
 
 _EXPDIAM_K_MAX = 14
-# the most words apply_t_relation builds
-T_RELATION_WORD_LIMIT = 1 << 20
 
 
 class TVariant(Record):
@@ -89,25 +89,6 @@ class TVariant(Record):
 
     def __str__(self) -> str:
         return f"S02K({self.k})" if self.kind == S02K else self.kind
-
-
-class SynthBudget(Record):
-    """Caps for the bottom-up synthesizer.  An application is one argument
-    tuple containing at least one table new in the previous round
-    (clones._rounds); every one counts, realized or duplicate, and a round
-    that would pass max_applications is refused whole.  max_size caps a
-    candidate's formula size; a candidate over it is skipped."""
-
-    __slots__ = ("max_size", "max_applications")
-
-    def __init__(self, max_size: int = 100_000, max_applications: int = 120_000):
-        if max_size <= 0 or max_applications <= 0:
-            raise UsageError("synthesis budget fields must be positive")
-        _set(self, "max_size", max_size)
-        _set(self, "max_applications", max_applications)
-
-
-DEFAULT_SYNTH_BUDGET = SynthBudget()
 
 
 def shift_to_one_reproducing(phi: CnfFormula, s: BitVector) -> CnfFormula:
@@ -200,7 +181,9 @@ def t_transform(
     return QuantifiedFormula(((FORALL, z),), matrix)
 
 
-def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> GateList:
+def _synth_search(
+    target: TruthTable, base: BaseSet, max_size: int, max_applications: int
+) -> GateList:
     """Bottom-up closure rounds (clones._rounds) seeded with the
     projections, with observational-equivalence memoing: each table keeps
     the (size, print text, name, args) of the smallest, then first
@@ -211,20 +194,25 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
     list's hits (the candidates that give the target) and stops if one is
     within the size cap (no other candidate can touch the target's entry,
     as `known` is fixed in a round); else it scores the whole list.
-    The target's gates are built once, at the end.  Reaching a fixpoint
-    without any budget-forced skip certifies the target unrealizable at
-    its arity.
+    The target's gates are built once, at the end.
+
+    An application is one argument tuple holding at least one table new
+    in the previous round; every one counts, realized or duplicate, and a
+    round that would pass max_applications is refused whole.  A
+    candidate of more than max_size formula nodes is skipped, and a
+    fixpoint reached with a skip is refused by the largest one skipped.
+    Reaching a fixpoint without one certifies the target unrealizable at
+    its arity.  synth_bformula passes LIMITS["synthesis nodes"] and
+    LIMITS["synthesis applications"].
     """
     n, goal = target.n, target.bits
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
-    applications = 0
-    skipped = False
+    applications = skipped = 0  # skipped: the largest candidate over max_size
     for count, groups in _rounds(base, n, known):
         if goal in known:
             return _gates_of(known, goal, base, n)
         applications += count
-        if applications > budget.max_applications:
-            raise BudgetExceeded(f"synthesis stopped after {budget.max_applications} applications")
+        charge("synthesis applications", applications, max_applications)
         groups = list(groups)
         # g0 ^ (d & t) is goal iff d & t is x = g0 ^ goal (d = 0 at arity 0)
         hits = [
@@ -244,8 +232,8 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
                 size0 = 1 + sum([known[a][0] for _, a in head])
                 for t in last:
                     size = size0 + known[t[1]][0]
-                    if size > budget.max_size:
-                        skipped = True
+                    if size > max_size:
+                        skipped = max(skipped, size)
                         continue
                     out = g0 ^ (d & t[1])
                     if out in known:
@@ -260,8 +248,7 @@ def _synth_search(target: TruthTable, base: BaseSet, budget: SynthBudget) -> Gat
             if goal in fresh:
                 break
         known.update(fresh)
-    if skipped:
-        raise BudgetExceeded("synthesis size cap pruned the search")
+    charge("synthesis nodes", skipped, max_size)
     raise NotRealizable(
         f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
     )
@@ -325,23 +312,24 @@ def _shannon(
 
 
 @functools.lru_cache(maxsize=256)
-def synth_bformula(
-    target: TruthTable, base: BaseSet, budget: SynthBudget = DEFAULT_SYNTH_BUDGET
-) -> GateList:
+def synth_bformula(target: TruthTable, base: BaseSet) -> GateList:
     """A gate list over the base and x_1..x_n whose table equals the target.
 
-    Exhaustive bottom-up search first; if its budget trips and the base
-    can express not/and/or, fall back to Shannon expansion built from
-    those synthesized connectives.  NotRealizable is only raised on a
-    genuine closure fixpoint, never on a budget stop.  Answers are cached
-    per (target, base, budget), least recently used first out.
+    Exhaustive bottom-up search first, within the synthesis limits; if
+    it is refused and the base can express not/and/or, fall back to
+    Shannon expansion built from those connectives, each searched within
+    64 nodes and 50,000 applications.  NotRealizable is only raised on a
+    genuine closure fixpoint, never on a refusal.  Answers are cached per
+    (target, base), least recently used first out, so a test that swaps a
+    synthesis limit clears the cache before and after.
     """
     try:
-        return _synth_search(target, base, budget)
+        return _synth_search(
+            target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"]
+        )
     except BudgetExceeded:
-        small = SynthBudget(max_size=64, max_applications=50_000)
         try:
-            ops = {op: _synth_search(f, base, small) for op, f in STANDARD_BASE}
+            ops = {op: _synth_search(f, base, 64, 50_000) for op, f in STANDARD_BASE}
         except (BudgetExceeded, NotRealizable):
             raise BudgetExceeded(
                 "synthesis budget exceeded and the base does not yield "
@@ -355,7 +343,6 @@ def tr_combine(
     phi: CnfFormula,
     variant: TVariant,
     base: BaseSet,
-    budget: SynthBudget = DEFAULT_SYNTH_BUDGET,
     stats: dict | None = None,
 ) -> GateList:
     """Balanced clause-by-clause transform over an arbitrary base.
@@ -382,11 +369,10 @@ def tr_combine(
 
     def tee(psi: CnfFormula) -> GateList:
         width = psi.n + extra
-        if width > DEFAULT_ENUM_BUDGET:  # refuse before T is built
-            raise BudgetExceeded(f"dimension {width} exceeds budget {DEFAULT_ENUM_BUDGET}")
+        charge("table variables", width)  # before T is built
         t = t_transform(cnf_to_formula(psi), variant, n0=psi.n)
         table = truth_table_of(t.matrix if variant.kind == S02Q else t, STANDARD_BASE, width)
-        return synth_bformula(table, base, budget)
+        return synth_bformula(table, base)
 
     combiner: GateList | None = None
 
@@ -447,10 +433,7 @@ def apply_t_relation(r: SolutionSet, variant: TVariant) -> SolutionSet:
     if not r.words:
         raise UsageError("the transform needs a nonempty solution set")
     n = r.n
-    if n + variant.new_var_count > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"dimension {n + variant.new_var_count} exceeds budget {DEFAULT_ENUM_BUDGET}"
-        )
+    charge("table variables", n + variant.new_var_count)
     ones = (1 << n) - 1
     have = set(r.words)
     if ones not in have:
@@ -466,10 +449,7 @@ def apply_t_relation(r: SolutionSet, variant: TVariant) -> SolutionSet:
         count = 4 << n
     else:
         count = len(have) + (2 << n) * ((1 << (variant.k + 1)) - variant.k - 2) + 1
-    if count > T_RELATION_WORD_LIMIT:
-        raise BudgetExceeded(
-            f"the transform has {count} words, over the budget of {T_RELATION_WORD_LIMIT}"
-        )
+    charge("transform words", count)
     if variant.kind == D1:
         out = set()
         for w in r.words:

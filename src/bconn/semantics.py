@@ -22,8 +22,8 @@ layers load when an object of their kind comes in.
 from __future__ import annotations
 
 from .circuits import GateList, lane_mask, tabulate
-from .errors import BudgetExceeded, MissingVariable, UsageError
-from .truthtable import DEFAULT_ENUM_BUDGET, TruthTable, var_mask
+from .errors import MissingVariable, UsageError, charge
+from .truthtable import TruthTable, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -74,21 +74,18 @@ def min_dimension(obj) -> int:
     return lower(obj).dim
 
 
-def truth_table_of(
-    obj, base: BaseSet, n: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> TruthTable:
+def truth_table_of(obj, base: BaseSet, n: int) -> TruthTable:
     """Exact table of the object over x_1..x_n (fictive variables allowed)."""
     if n < 0:
         raise UsageError("dimension must be >= 0")
-    if n > budget:
-        raise BudgetExceeded(f"dimension {n} exceeds budget {budget}")
+    charge("table variables", n)
     if isinstance(obj, TruthTable) and obj.n == n:
         return obj
     gl = lower(obj)
     if gl.prefix is not None:
         from .qbf import quantified_table
 
-        return quantified_table(gl, n, budget)
+        return quantified_table(gl, n)
     if gl.dim > n:
         raise MissingVariable(f"x{gl.dim} exceeds dimension {n}")
     return TruthTable(n, tabulate(gl, [var_mask(n, j) for j in gl.inputs], 1 << n))

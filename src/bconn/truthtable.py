@@ -23,8 +23,6 @@ from .errors import (
 )
 
 N_MAX = 30
-# the most variables an exact table is built over by default
-DEFAULT_ENUM_BUDGET = 24
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
 

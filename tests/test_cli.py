@@ -458,7 +458,7 @@ def test_reduce_refuses_an_oversized_transform_before_building_it(
     code, out, err = run(capsys, "reduce", kind, path, "--variant", "s02k", "--k", str(k))
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (3, "")
-    assert err == f"error [BudgetExceeded]: dimension {dimension} exceeds budget 24\n"
+    assert err == f"error [BudgetExceeded]: {dimension} table variables over the limit of 24\n"
 
 
 @pytest.mark.parametrize("more", [[], ["--json"], ["--out", "t.bf"]])
@@ -472,7 +472,7 @@ def test_reduce_refuses_an_output_too_large_to_print(capsys, files, tmp_path, mo
     code, out, err = run(capsys, "reduce", "--cnf", cnf, "--base", base, "--variant", "s12", *more)
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (3, "")
-    message = "the formula has 857264731 nodes, over the limit of 67108864"
+    message = "857264731 formula nodes over the limit of 67108864"
     if "--json" in more:
         assert json.loads(err) == {"error": {"code": "TooLarge", "message": message}}
     else:
@@ -490,7 +490,7 @@ def test_reduce_refuses_a_relation_transform_by_its_word_count(capsys, files, as
     code, out, err = run(capsys, *args)
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (3, "")
-    message = "the transform has 16777042 words, over the budget of 1048576"
+    message = "16777042 transform words over the limit of 1048576"
     if as_json:
         assert json.loads(err) == {"error": {"code": "BudgetExceeded", "message": message}}
     else:
@@ -545,6 +545,21 @@ def test_reduce_unsatisfiable_cnf_is_refused(capsys, files):
     cnf = files("f.cnf", "p cnf 1 2\n1 0\n-1 0\n")
     code, _, err = run(capsys, "reduce", "--cnf", cnf, "--variant", "s12")
     assert code == 2 and "unsatisfiable" in err
+
+
+@pytest.mark.parametrize("extra", [["--cnf"], ["--base"], ["--cnf", "--base"]])
+def test_reduce_of_a_relation_refuses_a_cnf_or_a_base(capsys, files, extra):
+    # a relation is transformed as it is: a CNF or base beside it would
+    # go unread, so the query is refused before anything is parsed
+    given = {"--cnf": files("f.cnf", "p cnf 2 1\n1 2 0\n"), "--base": files("nand.tt", "nand 2 1110\n")}
+    rel = files("r.rel", "n 2\n11\n")
+    argv = [a for flag in extra for a in (flag, given[flag])]
+    code, out, err = run(capsys, "reduce", "--rel", rel, *argv, "--variant", "s12")
+    assert (code, out) == (2, "")
+    assert err == "error [UsageError]: reduce --rel reads no --cnf or --base\n"
+    code, out, err = run(capsys, "reduce", "--variant", "s12")
+    assert (code, out) == (2, "")
+    assert err == "error [UsageError]: reduce needs --cnf or --rel input\n"
 
 
 def test_reduce_relation_d1(capsys, files):
@@ -663,7 +678,9 @@ def test_closure_refuses_an_arity_past_the_table_limit(capsys, files):
     code, payload, err = jrun(capsys, "closure", "--base", base, "--vars", "40")
     assert time.perf_counter() - t0 < 0.5
     assert code == 3 and payload is None
-    assert json.loads(err)["error"]["code"] == "BudgetExceeded"
+    assert json.loads(err)["error"] == {
+        "code": "BudgetExceeded", "message": "40 table variables over the limit of 24"
+    }
 
 
 def test_closure_refuses_a_runaway_round_by_its_applications(files):
@@ -678,7 +695,8 @@ def test_closure_refuses_a_runaway_round_by_its_applications(files):
     )
     assert done.returncode == 3 and done.stdout == ""
     error = json.loads(done.stderr)["error"]
-    assert error["code"] == "BudgetExceeded" and "applications" in error["message"]
+    assert error["code"] == "BudgetExceeded"
+    assert error["message"].endswith(" closure applications over the limit of 33554432")
 
 
 def test_closure_lists_xor_tables(capsys, files):

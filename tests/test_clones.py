@@ -182,7 +182,7 @@ def test_closure_includes_zero_ary_constants_from_constants():
 
 
 def test_closure_budget_is_enforced():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^25 closure tables over the limit of 20$"):
         clone_closure(mk_base(["and", "or", "not"]), 3, budget=20)
     with pytest.raises(UsageError):
         clone_closure(mk_base(["and"]), -1)

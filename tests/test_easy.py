@@ -5,6 +5,7 @@ import random
 import pytest
 
 import bconn.easy
+from bconn.errors import LIMITS
 from bconn import (
     BitVector,
     LinearForm,
@@ -190,17 +191,36 @@ def test_zerosep_random_paths_meet_the_detour_bound():
             assert all(w in members for w in words)
 
 
-def test_zerosep_budget_withholds_only_the_path():
+def test_zerosep_budget_withholds_only_the_path(monkeypatch):
     # the pinning coordinate is hidden behind a nested application, so the
-    # syntactic probe fails and the semantic scan is over budget
+    # syntactic probe fails and the semantic scan is over the limit
     ast = parse_formula("imp(x1,imp(x2,x3))", IMP_BASE)
-    ans = zerosep_decide(ast, IMP_BASE, 3, bv("000"), bv("011"), search_budget=2)
+    monkeypatch.setitem(LIMITS, "search variables", 2)
+    ans = zerosep_decide(ast, IMP_BASE, 3, bv("000"), bv("011"))
     assert ans.connected and ans.st_connected
     assert ans.witness_path is None
-    assert "withheld" in ans.rationale
-    # with the default budget the same query carries a witness
+    assert ans.rationale.endswith(
+        "(witness path withheld: coordinate search over 3 variables exceeds budget 2)"
+    )
+    # with the default limit the same query carries a witness
+    monkeypatch.undo()
     full = zerosep_decide(ast, IMP_BASE, 3, bv("000"), bv("011"))
     assert full.witness_path is not None
+
+
+def test_zerosep_search_variables_limit_is_inclusive(monkeypatch):
+    # n at the limit scans for the coordinate; n one past it withholds
+    # the path and nothing else
+    ast = parse_formula("imp(x1,imp(x2,x3))", IMP_BASE)
+    monkeypatch.setitem(LIMITS, "search variables", 4)
+    at = zerosep_decide(ast, IMP_BASE, 4, bv("0000"), bv("0110"))
+    assert [v.text for v in at.witness_path] == ["0000", "0010", "0110"]
+    monkeypatch.setitem(LIMITS, "search variables", 3)
+    over = zerosep_decide(ast, IMP_BASE, 4, bv("0000"), bv("0110"))
+    assert (over.connected, over.st_connected, over.witness_path) == (True, True, None)
+    assert over.rationale == at.rationale + (
+        " (witness path withheld: coordinate search over 4 variables exceeds budget 3)"
+    )
 
 
 def test_zerosep_trivial_pair():

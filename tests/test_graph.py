@@ -31,8 +31,9 @@ from bconn import (
 from bconn import TruthTable, gen_expdiam, var_mask
 from bconn import graph
 from bconn.cli import run_cli
-from bconn.graph import DEFAULT_EXACT_DIAMETER_BUDGET, EXACT, LOWER_BOUND
-from bconn.truthtable import DEFAULT_ENUM_BUDGET, N_MAX, mask_rows
+from bconn.errors import LIMITS
+from bconn.graph import EXACT, LOWER_BOUND
+from bconn.truthtable import N_MAX, mask_rows
 
 from conftest import (
     STD_BASE,
@@ -79,8 +80,8 @@ def test_enumerate_solutions_matches_row_oracle():
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_solutions(parse_formula("x1", STD_BASE), STD_BASE, 26, budget=24)
+    with pytest.raises(BudgetExceeded, match="^26 table variables over the limit of 24$"):
+        enumerate_solutions(parse_formula("x1", STD_BASE), STD_BASE, 26)
 
 
 def _count_sweeps(monkeypatch):
@@ -184,11 +185,12 @@ def test_diameter_lower_bound_never_exceeds_exact():
         assert lo <= diameter(s, mode=EXACT)
 
 
-def test_diameter_exact_budget():
+def test_diameter_exact_budget(monkeypatch):
     s = rel(3, [0, 1, 2, 3])
-    with pytest.raises(BudgetExceeded):
-        diameter(s, mode=EXACT, budget=3)
-    assert diameter(s, mode=LOWER_BOUND, budget=3) == 2
+    monkeypatch.setitem(LIMITS, "BFS steps", 3)
+    with pytest.raises(BudgetExceeded, match="^32 BFS steps over the limit of 3$"):
+        diameter(s, mode=EXACT)
+    assert diameter(s, mode=LOWER_BOUND) == 2
 
 
 def test_induced_path_accepts_a_chain():
@@ -248,8 +250,8 @@ def test_random_relation_bounds_the_count_before_sampling(monkeypatch):
         raise AssertionError("sampled before the count was checked")
 
     monkeypatch.setattr(random.Random, "sample", sample)
-    with pytest.raises(BudgetExceeded):
-        random_relation(N_MAX, (1 << DEFAULT_ENUM_BUDGET) + 1, 0)
+    with pytest.raises(BudgetExceeded, match="^16777217 relation words over the limit of 16777216$"):
+        random_relation(N_MAX, LIMITS["relation words"] + 1, 0)
 
 
 def test_relation_file_round_trip():
@@ -620,18 +622,21 @@ def test_exact_diameter_answers_and_refuses_like_the_oracle(monkeypatch, shift):
     monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
     rng = random.Random(f"exact:{shift}")
     refused = 0
+    shipped = LIMITS["BFS steps"]
     for _ in range(40):
         n = rng.randint(4, 9)
         words = _trees_cycles_and_isolated(rng, n)
-        for budget in (0, 40, 400, 4000, DEFAULT_EXACT_DIAMETER_BUDGET):
+        for budget in (0, 40, 400, 4000, shipped):
+            monkeypatch.setitem(LIMITS, "BFS steps", budget)
             want, work = _exact_oracle(words, n, budget)
             assert want in (None, cube_diameter(words, n))
             for s in _both_backings(n, sum(1 << w for w in words)):
                 if want is None:
-                    with pytest.raises(BudgetExceeded, match=f"needs {work} BFS steps"):
-                        diameter(s, mode=EXACT, budget=budget)
+                    message = f"^{work} BFS steps over the limit of {budget}$"
+                    with pytest.raises(BudgetExceeded, match=message):
+                        diameter(s, mode=EXACT)
                 else:
-                    assert diameter(s, mode=EXACT, budget=budget) == want
+                    assert diameter(s, mode=EXACT) == want
             refused += want is None
     assert refused  # the small budgets refuse some of these sets
 
@@ -704,10 +709,13 @@ def test_induced_path_matches_the_degree_reference(monkeypatch, shift):
     assert paths > 20
 
 
-def test_exact_diameter_budget_counts_search_work():
+def test_exact_diameter_budget_counts_search_work(monkeypatch):
     cycle = rel(2, [0, 1, 2, 3])  # 4 vertices, 4 edges: 4 * (4 + 4) steps
-    assert diameter(cycle, mode=EXACT, budget=32) == 2
-    with pytest.raises(BudgetExceeded):
-        diameter(cycle, mode=EXACT, budget=31)
-    # a tree costs nothing against the budget
-    assert diameter(gen_expdiam(6), mode=EXACT, budget=0) == (1 << 7) - 2
+    monkeypatch.setitem(LIMITS, "BFS steps", 32)
+    assert diameter(cycle, mode=EXACT) == 2
+    monkeypatch.setitem(LIMITS, "BFS steps", 31)
+    with pytest.raises(BudgetExceeded, match="^32 BFS steps over the limit of 31$"):
+        diameter(cycle, mode=EXACT)
+    # a tree costs nothing against the limit
+    monkeypatch.setitem(LIMITS, "BFS steps", 0)
+    assert diameter(gen_expdiam(6), mode=EXACT) == (1 << 7) - 2

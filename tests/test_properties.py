@@ -7,7 +7,7 @@ from operator import or_
 
 import pytest
 
-import bconn.properties
+from bconn.errors import LIMITS
 from bconn import (
     BudgetExceeded,
     DegreeBoundTooSmall,
@@ -298,7 +298,7 @@ def reference_min_cover(masks, universe, cap=1 << 22):
                     seen.add(c | m)
                     new.add(c | m)
         if len(seen) > cap:
-            raise BudgetExceeded("coordinate-cover search too large")
+            raise BudgetExceeded(f"{len(seen)} cover states over the limit of {cap}")
         assert new
         frontier = new
 
@@ -341,13 +341,13 @@ def test_cover_state_cap_refuses_where_the_pairwise_search_does(monkeypatch):
     rng = random.Random(1618)
     refused = 0
     for cap in (3, 12, 40):
-        monkeypatch.setattr(bconn.properties, "_COVER_STATE_CAP", cap)
+        monkeypatch.setitem(LIMITS, "cover states", cap)
         for n, masks in random_families(rng, 150, 8):
             try:
                 want = reference_min_cover(masks, (1 << n) - 1, cap)
-            except BudgetExceeded:
+            except BudgetExceeded as e:
                 refused += 1
-                with pytest.raises(BudgetExceeded):
+                with pytest.raises(BudgetExceeded, match=f"^{e}$"):
                     _min_cover_size(lattice_of(masks), n)
                 continue
             assert _min_cover_size(lattice_of(masks), n) == want, (cap, n, sorted(masks))
@@ -361,5 +361,5 @@ def test_cover_state_cap_refuses_the_singletons_of_23_coordinates():
     n = 23
     zeros = sum(1 << (1 << i) for i in range(n))  # f is 0 on weight-1 rows
     f = TruthTable(n, ((1 << (1 << n)) - 1) ^ zeros)
-    with pytest.raises(BudgetExceeded, match="coordinate-cover search too large"):
+    with pytest.raises(BudgetExceeded, match="^5546382 cover states over the limit of 4194304$"):
         max_separation_degree(f, 0)

@@ -15,6 +15,7 @@ from bconn import (
     parse_qbf,
     print_qbf,
 )
+from bconn.errors import LIMITS
 from bconn.qbf import quantified_value, with_prefix
 
 from conftest import (
@@ -88,8 +89,17 @@ def test_quantifying_a_fictive_variable_is_allowed():
 def test_prefix_budget():
     matrix = parse_formula("x1", STD_BASE)
     prefix = tuple(("E", j) for j in range(2, 30))
-    with pytest.raises(BudgetExceeded):
-        quantified_value(with_prefix(matrix, prefix), [BitVector.parse("1")], budget=5)
+    with pytest.raises(BudgetExceeded, match="^28 bound variables over the limit of 20$"):
+        quantified_value(with_prefix(matrix, prefix), [BitVector.parse("1")])
+
+
+def test_bound_variables_limit_is_inclusive(monkeypatch):
+    monkeypatch.setitem(LIMITS, "bound variables", 3)
+    q = parse_qbf("E x2 A x3 E x4 : or(x1,and(x2,or(x3,x4)))", STD_BASE)
+    assert evaluate(q, STD_BASE, [BitVector.parse("0"), BitVector.parse("1")]) == 0b11
+    monkeypatch.setitem(LIMITS, "bound variables", 2)
+    with pytest.raises(BudgetExceeded, match="^3 bound variables over the limit of 2$"):
+        evaluate(q, STD_BASE, BitVector.parse("0"))
 
 
 def test_eval_matches_naive_expansion():

@@ -15,7 +15,6 @@ from bconn import (
     LinearForm,
     QuantifiedFormula,
     SolutionSet,
-    SynthBudget,
     TruthTable,
     TVariant,
     UsageError,
@@ -46,7 +45,6 @@ def _instances():
         "ComponentLabeling": components(SolutionSet(2, (0, 3))),
         "QuantifiedFormula": QuantifiedFormula((("A", 2),), parse_formula("not(x2)", STD)),
         "TVariant": TVariant("S02K", 3),
-        "SynthBudget": SynthBudget(),
     }
 
 
@@ -71,7 +69,6 @@ REPRS = [
     ("QuantifiedFormula", "QuantifiedFormula(prefix=(('A', 2),), matrix=GateList(inputs=(2,), "
      "gates=((TruthTable(n=1, bits=1), (0,)),), output=1, dim=2, prefix=None))"),
     ("TVariant", "TVariant(kind='S02K', k=3)"),
-    ("SynthBudget", "SynthBudget(max_size=100000, max_applications=120000)"),
 ]
 
 
@@ -134,7 +131,6 @@ def test_bit_vectors_order_by_dimension_then_word():
         (lambda: TVariant("S13"), UsageError, "unknown transform variant 'S13'"),
         (lambda: TVariant("S02K"), UsageError, "S02K needs a degree parameter k >= 2"),
         (lambda: TVariant("D1", 2), UsageError, "D1 takes no degree parameter"),
-        (lambda: SynthBudget(max_size=0), UsageError, "synthesis budget fields must be positive"),
         (lambda: QuantifiedFormula((("A", 1), ("E", 1)), parse_formula("x1", STD)), UsageError,
          "x1 quantified twice"),
         (lambda: QuantifiedFormula((("Q", 1),), parse_formula("x1", STD)), UsageError,
@@ -149,7 +145,6 @@ def test_validation_keeps_its_errors(make, error, message):
 
 def test_defaults_and_keywords():
     assert TVariant("S12").k is None and TVariant(kind="S02K", k=2).k == 2
-    assert SynthBudget(max_applications=5) == SynthBudget(100_000, 5)
     assert parse_formula("x1", STD).prefix is None
 
 

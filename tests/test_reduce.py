@@ -19,7 +19,6 @@ from bconn import (
     NotOneReproducing,
     NotRealizable,
     QuantifiedFormula,
-    SynthBudget,
     TVariant,
     TruthTable,
     UsageError,
@@ -41,6 +40,7 @@ from bconn import (
     truth_table_of,
 )
 from bconn.clones import BaseSet, _rounds, dispatch
+from bconn.errors import LIMITS
 from bconn.properties import ALL
 from bconn.reduce import _gates_of, _synth_search
 from bconn.truthtable import var_mask
@@ -87,11 +87,6 @@ def test_variant_sizes_and_pads():
     assert S02Q.new_var_count == 2 and S02Q.pad_vector() == "1"
     assert str(s02k(3)) == "S02K(3)"
     assert str(D1) == "D1"
-
-
-def test_synth_budget_validation():
-    with pytest.raises(UsageError):
-        SynthBudget(max_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +219,31 @@ def test_synth_certifies_or_unrealizable():
     assert tt_of("0001") in closure
 
 
-def test_synth_budget_exhaustion_is_inconclusive():
+@pytest.fixture
+def swap_limit(monkeypatch):
+    """Sets a LIMITS entry for one test.  synth_bformula's cache is keyed
+    on (target, base), so it is cleared before and after."""
+    synth_bformula.cache_clear()
+    yield lambda name, value: monkeypatch.setitem(LIMITS, name, value)
+    synth_bformula.cache_clear()
+
+
+def test_synth_budget_exhaustion_is_inconclusive(swap_limit):
     # xor is realizable from nimp but not at size 2, and nimp cannot
     # express "not", so the structural fallback fails too
     base = mk_base({"h": "0010"})
-    tiny = SynthBudget(max_size=2, max_applications=3)
+    swap_limit("synthesis nodes", 2)
+    swap_limit("synthesis applications", 3)
     with pytest.raises(BudgetExceeded, match="not/and/or"):
-        synth_bformula(tt_of("0110"), base, tiny)
+        synth_bformula(tt_of("0110"), base)
 
 
-def test_synth_structural_fallback_over_a_complete_base():
+def test_synth_structural_fallback_over_a_complete_base(swap_limit):
     rng = random.Random(18)
-    small = SynthBudget(max_size=100_000, max_applications=500)
+    swap_limit("synthesis applications", 500)
     for _ in range(5):
         target = TruthTable(4, rng.randrange(1 << 16))
-        got = synth_bformula(target, STD_BASE, small)
+        got = synth_bformula(target, STD_BASE)
         assert truth_table_of(got, STD_BASE, 4) == target
 
 
@@ -249,15 +254,19 @@ def test_synth_is_deterministic():
     assert print_formula(a, base) == print_formula(b, base)
 
 
-def test_synth_cache_keeps_answers_apart_per_budget():
-    # the tight budget trips the search, so its answer is the Shannon
-    # fallback; the default budget must still get the searched formula
+def test_synth_cache_keeps_answers_apart_per_budget(monkeypatch, swap_limit):
+    # the tight limit trips the search, so its answer is the Shannon
+    # fallback; with the cache cleared, the default limit must still get
+    # the searched formula
     xor = tt_of("0110")
-    fallback = synth_bformula(xor, STD_BASE, SynthBudget(max_applications=5))
+    swap_limit("synthesis applications", 5)
+    fallback = synth_bformula(xor, STD_BASE)
     assert print_formula(fallback, STD_BASE) == (
         "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
         "and(x2,and(x2,not(x2))))))"
     )
+    monkeypatch.undo()
+    synth_bformula.cache_clear()
     assert print_formula(synth_bformula(xor, STD_BASE), STD_BASE) == "and(not(and(x1,x2)),or(x1,x2))"
 
 
@@ -275,14 +284,16 @@ def test_synth_cache_keeps_answers_apart_per_budget():
         ),
     ],
 )
-def test_synth_search_budget_boundary(bits, base, limit, want):
+def test_synth_search_budget_boundary(swap_limit, bits, base, limit, want):
     # `limit` applications complete the round that realizes the target;
-    # one fewer trips the budget in that round
+    # one fewer refuses that round whole
     target = tt_of(bits)
-    got = _synth_search(target, base, SynthBudget(max_applications=limit))
-    assert print_formula(got, base) == want
-    with pytest.raises(BudgetExceeded, match="applications"):
-        _synth_search(target, base, SynthBudget(max_applications=limit - 1))
+    swap_limit("synthesis applications", limit)
+    assert print_formula(synth_bformula(target, base), base) == want
+    swap_limit("synthesis applications", limit - 1)
+    message = f"^{limit} synthesis applications over the limit of {limit - 1}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        _synth_search(target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"])
 
 
 def test_synth_search_passes_over_each_round_once(monkeypatch):
@@ -300,31 +311,33 @@ def test_synth_search_passes_over_each_round_once(monkeypatch):
     monkeypatch.setattr(bconn.clones, "_round", counted)
     psi = cnf_to_formula(CnfFormula(3, ((1, -2, 3),)))
     target = truth_table_of(t_transform(psi, D1, n0=3), STD_BASE, 6)
-    with pytest.raises(BudgetExceeded, match="applications"):
-        _synth_search(target, STD_BASE, SynthBudget())
+    with pytest.raises(BudgetExceeded, match="^1391946 synthesis applications over the limit of 120000$"):
+        _synth_search(target, STD_BASE, LIMITS["synthesis nodes"], LIMITS["synthesis applications"])
     assert len(passes) >= 2 and set(passes.values()) == {1}
 
 
-def reference_synth_search(target, base, budget):
+def reference_synth_search(target, base, max_size, max_applications):
     """_synth_search as it read the rounds one application at a time,
     summing every argument's size per application."""
     n = target.n
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
     charged = 0
-    skipped = False
+    skipped = []
     for count, tuples in expanded_rounds(base, n, known):
         if target.bits in known:
             return _gates_of(known, target.bits, base, n)
         charged += count
-        if charged > budget.max_applications:
-            raise BudgetExceeded(f"synthesis stopped after {budget.max_applications} applications")
+        if charged > max_applications:
+            raise BudgetExceeded(
+                f"{charged} synthesis applications over the limit of {max_applications}"
+            )
         fresh = {}
         for name, args, out in tuples:
             size = 1
             for _, a in args:
                 size += known[a][0]
-            if size > budget.max_size:
-                skipped = True
+            if size > max_size:
+                skipped.append(size)
                 continue
             if out in known:
                 continue
@@ -336,7 +349,7 @@ def reference_synth_search(target, base, budget):
                 fresh[out] = (size, text, name, args)
         known.update(fresh)
     if skipped:
-        raise BudgetExceeded("synthesis size cap pruned the search")
+        raise BudgetExceeded(f"{max(skipped)} synthesis nodes over the limit of {max_size}")
     raise NotRealizable(
         f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
     )
@@ -357,7 +370,7 @@ def round_ends(base, n, cap):
 
 
 def synth_cases(count, seed=1692):
-    """Seeded (target, base, budget) triples: bases of one to three
+    """Seeded (target, base, max_size, max_applications) cases: bases of one to three
     functions of arity 0-3 (the standard base among them), targets of
     arity 0-3, size caps from 1 up, and application limits at the end of
     a round, one under it, or drawn at random."""
@@ -380,22 +393,22 @@ def synth_cases(count, seed=1692):
             limit = rng.choice(ends) - (pick < 0.3)
         else:
             limit = rng.randint(1, cap)
-        yield target, base, SynthBudget(max_size=max_size, max_applications=max(limit, 1))
+        yield target, base, max_size, max(limit, 1)
 
 
 def test_synth_search_agrees_with_the_per_application_reference():
     kinds = set()
-    for target, base, budget in synth_cases(1692):
-        got = outcome(_synth_search, target, base, budget)
-        want = outcome(reference_synth_search, target, base, budget)
+    for target, base, *limits in synth_cases(1692):
+        got = outcome(_synth_search, target, base, *limits)
+        want = outcome(reference_synth_search, target, base, *limits)
         if isinstance(got, tuple):
-            kinds.add(next(w for w in ("stopped", "pruned", "outside") if w in got[1]))
+            kinds.add(next(w for w in ("applications", "nodes", "outside") if w in got[1]))
         else:
             got, want = print_formula(got, base), print_formula(want, base)
             kinds.add("found")
-        assert got == want, (target, base, budget)
+        assert got == want, (target, base, limits)
     # found, refused per application and per size, and certified outside
-    assert kinds == {"found", "stopped", "pruned", "outside"}
+    assert kinds == {"found", "applications", "nodes", "outside"}
 
 
 @pytest.mark.parametrize(
@@ -407,15 +420,15 @@ def test_synth_search_agrees_with_the_per_application_reference():
         (
             TruthTable(2, 11),
             {"f0": "0", "f1": "11100001"},
-            SynthBudget(max_size=3, max_applications=8),
-            (BudgetExceeded, "synthesis stopped after 8 applications"),
+            (3, 8),  # max_size, max_applications
+            (BudgetExceeded, "27 synthesis applications over the limit of 8"),
         ),
     ],
 )
 def test_synth_search_agrees_with_the_reference_at_the_size_cap(target, entries, budget, want):
     base = mk_base(entries)
-    assert outcome(reference_synth_search, target, base, budget) == want
-    assert outcome(_synth_search, target, base, budget) == want
+    assert outcome(reference_synth_search, target, base, *budget) == want
+    assert outcome(_synth_search, target, base, *budget) == want
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +673,11 @@ def test_apply_t_relation_counts_its_words_before_building_them(monkeypatch):
         r = SolutionSet(n, tuple(sorted(words)))
         for variant in (D1, s02k(2), s02k(3), s02k(5)):
             count = len(apply_t_relation(r, variant))
-            monkeypatch.setattr(bconn.reduce, "T_RELATION_WORD_LIMIT", count - 1)
-            with pytest.raises(BudgetExceeded, match=f"the transform has {count} words"):
+            monkeypatch.setitem(LIMITS, "transform words", count - 1)
+            message = f"^{count} transform words over the limit of {count - 1}$"
+            with pytest.raises(BudgetExceeded, match=message):
                 apply_t_relation(r, variant)
-            monkeypatch.setattr(bconn.reduce, "T_RELATION_WORD_LIMIT", count)
+            monkeypatch.setitem(LIMITS, "transform words", count)
             assert len(apply_t_relation(r, variant)) == count
             monkeypatch.undo()
 
@@ -672,7 +686,7 @@ def test_apply_t_relation_refuses_a_relation_too_large_to_build():
     from bconn import SolutionSet
 
     one = SolutionSet(2, (0b11,))
-    with pytest.raises(BudgetExceeded, match="the transform has 16777042 words, over the budget of 1048576"):
+    with pytest.raises(BudgetExceeded, match="^16777042 transform words over the limit of 1048576$"):
         apply_t_relation(one, s02k(20))
     assert len(apply_t_relation(one, s02k(12))) == 2 + (2 << 2) * ((1 << 13) - 14)
 

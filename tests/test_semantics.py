@@ -23,6 +23,7 @@ from bconn import (
 )
 import bconn.qbf
 from bconn.circuits import tabulate
+from bconn.errors import LIMITS
 from bconn.semantics import lower
 from bconn.truthtable import var_mask
 
@@ -149,8 +150,23 @@ def test_qbf_dimension_must_equal_free_count():
 
 def test_enumeration_budget():
     ast = parse_formula("x1", STD_BASE)
-    with pytest.raises(BudgetExceeded):
-        truth_table_of(ast, STD_BASE, 28, budget=24)
+    with pytest.raises(BudgetExceeded, match="^28 table variables over the limit of 24$"):
+        truth_table_of(ast, STD_BASE, 28)
+
+
+def test_table_variables_limit_is_inclusive(monkeypatch):
+    # a plain table is over its n variables, a quantified one over its
+    # free and bound ones
+    monkeypatch.setitem(LIMITS, "table variables", 3)
+    ast = parse_formula("or(x1,x3)", STD_BASE)
+    assert truth_table_of(ast, STD_BASE, 3) == TruthTable(3, 0b11111010)
+    with pytest.raises(BudgetExceeded, match="^4 table variables over the limit of 3$"):
+        truth_table_of(ast, STD_BASE, 4)
+    q = parse_qbf("E x3 : and(x1,or(x2,x3))", STD_BASE)
+    assert truth_table_of(q, STD_BASE, 2) == TruthTable(2, 0b1100)
+    monkeypatch.setitem(LIMITS, "table variables", 2)
+    with pytest.raises(BudgetExceeded, match="^3 table variables over the limit of 2$"):
+        truth_table_of(q, STD_BASE, 2)
 
 
 def test_min_dimension():

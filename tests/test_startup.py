@@ -132,3 +132,32 @@ def test_every_exported_name_resolves_and_is_listed():
     )
     assert len(got) == len(set(got)) > 100
     assert {"parse_formula", "SolutionSet", "BitVector", "tr_combine", "UsageError"} <= set(got)
+
+
+def test_every_limit_lives_in_the_errors_table():
+    """No module but errors.py binds a limit of its own, no exported
+    function takes a budget but clone_closure (whose --budget the CLI
+    sets), and every entry of LIMITS is charged somewhere."""
+    import ast
+    import inspect
+
+    import bconn
+    from bconn.errors import LIMITS
+
+    texts = {}
+    for m in MODULES:
+        with open(os.path.join(SRC, "bconn", m + ".py"), encoding="utf-8") as fh:
+            texts[m] = fh.read()
+        if m == "errors":
+            continue
+        for node in ast.parse(texts[m]).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for t in targets:
+                name = getattr(t, "id", "")
+                assert not name.endswith(("_BUDGET", "_LIMIT", "_CAP")), (m, name)
+    for name in bconn.__all__:
+        fn = getattr(bconn, name)
+        if callable(fn) and not inspect.isclass(fn) and name != "clone_closure":
+            assert not {"budget", "search_budget"} & set(inspect.signature(fn).parameters), name
+    for entry in LIMITS:
+        assert any(f'"{entry}"' in text for m, text in texts.items() if m != "errors"), entry

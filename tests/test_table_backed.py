@@ -40,6 +40,7 @@ from bconn import (
 )
 from bconn import graph
 from bconn.clones import STANDARD_BASE
+from bconn.errors import LIMITS
 from bconn.graph import EXACT, LOWER_BOUND
 from bconn.truthtable import mask_rows
 
@@ -112,7 +113,7 @@ def _answer(query, *args, **kwargs):
         return type(e).__name__, str(e)
 
 
-def _answers(s: SolutionSet, pairs, budget: int) -> dict:
+def _answers(s: SolutionSet, pairs) -> dict:
     """Everything the engine says about s, those that run on a table first."""
     got: dict = {"sweep": graph._sweep(s)}
     lab = components(s)
@@ -120,7 +121,7 @@ def _answers(s: SolutionSet, pairs, budget: int) -> dict:
     got["lower"] = diameter(s, mode=LOWER_BOUND)
     got["paths"] = [shortest_path(s, BitVector(s.n, a), BitVector(s.n, b)) for a, b in pairs]
     got["smallest"] = s.smallest() if len(s) else None
-    got["exact"] = _answer(diameter, s, mode=EXACT, budget=budget)
+    got["exact"] = _answer(diameter, s, mode=EXACT)
     got["induced"] = _answer(is_induced_path, s)
     got["words_built"] = _has_words(s)
     got["labels"] = lab.labels
@@ -138,14 +139,15 @@ def test_table_and_word_backings_give_the_same_answers(monkeypatch, name, n, bit
         pairs = [tuple(rng.choice(words) for _ in "st") for _ in range(3)]
         pairs.append((words[0], words[-1]))
     shifts = (0, 3, 6, SHIPPED_SHIFT, 64) if n <= 9 else (3, 6, SHIPPED_SHIFT)
+    monkeypatch.setitem(LIMITS, "BFS steps", 20_000)
     for shift in shifts:
         monkeypatch.setattr(graph, "_THICK_SHIFT", shift)
         table, rel = SolutionSet.from_table(n, bits), SolutionSet(n, words)
         assert len(table) == len(words) and not _has_words(table)
         for w in (-1, 0, (1 << n) - 1, 1 << n):
             assert (w in table) == (w in rel)
-        want = _answers(rel, pairs, budget=20_000)
-        got = _answers(table, pairs, budget=20_000)
+        want = _answers(rel, pairs)
+        got = _answers(table, pairs)
         # a set with a thick frontier's worth of words runs on its table
         # alone; a thinner one builds its words, few as they are
         thick = max(1, (1 << n) >> shift)
@@ -183,7 +185,7 @@ def test_export_dot_refuses_a_large_table_before_any_sweep(monkeypatch, tmp_path
     from bconn import cli
 
     s = SolutionSet.from_table(17, (1 << (1 << 17)) - 1)
-    with pytest.raises(TooLarge, match="^131072 vertices exceed DOT limit$"):
+    with pytest.raises(TooLarge, match="^131072 DOT vertices over the limit of 65536$"):
         export_dot(s)
     assert not _has_words(s) and "_sweep" not in s.__dict__
     made = []
@@ -200,7 +202,7 @@ def test_export_dot_refuses_a_large_table_before_any_sweep(monkeypatch, tmp_path
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 18 1\n18 0\n", encoding="utf-8")  # 2^17 solutions
     assert cli.run_cli(["export-dot", "--cnf", str(cnf)]) == 3
-    assert capsys.readouterr().err == "error [TooLarge]: 131072 vertices exceed DOT limit\n"
+    assert capsys.readouterr().err == "error [TooLarge]: 131072 DOT vertices over the limit of 65536\n"
     assert len(made) == 1 and not _has_words(made[0]) and "_sweep" not in made[0].__dict__
 
 
