@@ -46,11 +46,11 @@ _NAMES = {
         "parse_relation print_relation random_relation shortest_path"
     ),
     "properties": (
-        "ALL PropertyReport affine_form_of is_affine is_monotone is_reproducing "
+        "ALL affine_form_of is_affine is_monotone is_reproducing "
         "is_self_dual is_separating max_separation_degree property_report "
         "separating_coordinate"
     ),
-    "qbf": "EXISTS FORALL QuantifiedFormula parse_qbf print_qbf",
+    "qbf": "EXISTS FORALL parse_qbf print_qbf",
     "reduce": (
         "TVariant apply_t_relation gen_expdiam "
         "shift_to_one_reproducing synth_bformula t_transform tr_combine"

@@ -378,8 +378,6 @@ def _variant_from(args) -> TVariant:
 
 def _cmd_reduce(args) -> int:
     from .clones import STANDARD_BASE
-    from .qbf import FORALL, with_prefix
-    from .reduce import S02Q
 
     variant = _variant_from(args)
     if args.rel:
@@ -401,11 +399,8 @@ def _cmd_reduce(args) -> int:
             shifted = anchor.text
         base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE
         stats: dict = {}
-        matrix = tr_combine(phi, variant, base, stats=stats)
-        if variant.kind == S02Q:
-            text = print_qbf(with_prefix(matrix, ((FORALL, phi.n + 2),)), base)
-        else:
-            text = print_formula(matrix, base)
+        gl = tr_combine(phi, variant, base, stats=stats)
+        text = (print_qbf if gl.prefix else print_formula)(gl, base)
         n, facts = phi.n, {"size": stats["size"], "depth": stats["depth"], "shifted_by": shifted}
     else:
         raise UsageError("reduce needs --cnf or --rel input")

@@ -3,10 +3,11 @@
 Post's lattice is kept as data: a generator base for each of the 38
 fixed closed classes, and the degree families S{c}{tail}^k, each the
 join of S{c}{tail} with the threshold T^{k+1}_k (dualized for c = 0).
-The atoms are the property predicates of properties.py: reproducing,
-monotone, self-dual, affine, separating (also of degree k), and so on.
-Every atom is closed under composition, so a set of functions lies in
-an atom exactly when the clone it generates does.  Hence the atoms a
+The atoms are the classes properties.property_report names, and it
+returns the set of them a function lies in: reproducing, monotone,
+self-dual, affine, separating (also of degree k), and so on.  Every
+atom is closed under composition, so a set of functions lies in an atom
+exactly when the clone it generates does.  Hence the atoms a
 class's generators share are the atoms every member of the class has,
 its signature; and the atoms a base's functions share are the signature
 of the clone they generate.  clone_identify looks that set up in a
@@ -28,11 +29,7 @@ from functools import lru_cache
 from itertools import islice, product
 
 from .errors import ArityOverflow, DuplicateName, UnknownClass, UsageError, charge
-from .properties import (
-    DEFAULT_DEGREE_BOUND,
-    PropertyReport,
-    property_report,
-)
+from .properties import DEFAULT_DEGREE_BOUND, property_report
 from .truthtable import (
     N_MAX,
     Record,
@@ -186,31 +183,16 @@ def _signatures(dmax: int) -> dict[frozenset, str]:
         threshold = threshold_tt(k + 1, k, dualize=c == "0")
         for tail in ("", "2", "1", "0"):
             classes[f"S{c}{tail}^{k}"] = classes[f"S{c}{tail}"] + [threshold]
-    atoms = {
-        f: _function_atoms(_uncached_report(f, max(dmax, 2)), dmax)
-        for f in set().union(*classes.values())
-    }
+    atoms = {f: _uncached_report(f, max(dmax, 2)) for f in set().union(*classes.values())}
     return {
-        frozenset.intersection(*(atoms[f] for f in gens)): name
+        _upto(frozenset.intersection(*(atoms[f] for f in gens)), dmax): name
         for name, gens in classes.items()
     }
 
 
-# each atom is a closed class, decided by one flag of the property report
-_FLAG_ATOMS = {
-    "R0": "reproducing0", "R1": "reproducing1", "M": "monotone", "D": "self_dual",
-    "L": "affine", "S0": "separating0", "S1": "separating1", "E": "conjunction_like",
-    "V": "disjunction_like", "N": "essentially_unary", "I": "projection_or_constant",
-}
-
-
-def _function_atoms(rep: PropertyReport, dmax: int) -> frozenset:
-    """The atoms holding of one function, with separation degrees up to dmax."""
-    degrees = product((0, 1), range(2, dmax + 1))
-    return frozenset(
-        [atom for atom, flag in _FLAG_ATOMS.items() if getattr(rep, flag)]
-        + [(f"S{c}d", k) for c, k in degrees if rep.separating_of_degree(c, k)]
-    )
+def _upto(atoms: frozenset, dmax: int) -> frozenset:
+    """The atoms, with separation degrees up to dmax only."""
+    return frozenset(a for a in atoms if isinstance(a, str) or a[1] <= dmax)
 
 
 def _check_arities(base: BaseSet):
@@ -229,7 +211,7 @@ def _shared_atoms(base: BaseSet, degree_bound: int, report_bound: int) -> tuple[
     # an a-ary function's finite separation degree is at most a - 1
     dmax = min(degree_bound, max(f.n for f in base.tables))
     reports = [property_report(f, report_bound) for f in base.tables]
-    return frozenset.intersection(*(_function_atoms(r, dmax) for r in reports)), dmax
+    return _upto(frozenset.intersection(*reports), dmax), dmax
 
 
 def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> str:

@@ -190,8 +190,7 @@ def zerosep_decide(
             True,
             True,
             None,
-            rationale + " (witness path withheld: coordinate search over "
-            f"{n} variables exceeds budget {limit})",
+            f"{rationale} (witness path withheld: {n} search variables over the limit of {limit})",
         )
     # set x_i, flip the other differences, then move x_i to t's value
     detour = [j for j in range(1, n + 1) if j != i] + [i]

@@ -23,9 +23,9 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import DegreeBoundTooSmall, charge
-from .truthtable import LinearForm, Record, TruthTable, _set, dual, mask_rows, var_mask
+from .truthtable import LinearForm, TruthTable, dual, mask_rows, var_mask
 
-# sep_degree sentinel: separation holds at every finite degree
+# max_separation_degree sentinel: separation holds at every finite degree
 ALL = "ALL"
 
 DEFAULT_DEGREE_BOUND = 8
@@ -202,57 +202,23 @@ def max_separation_degree(f: TruthTable, c: int) -> int | str:
     return max(kappa, 1) - 1
 
 
-class PropertyReport(Record):
-    """Exact per-function property flags driving classification.  Every
-    field is a bool but linear_form (LinearForm | None) and the separation
-    degrees (int | ALL | None)."""
-
-    __slots__ = (
-        "reproducing0", "reproducing1", "monotone", "self_dual", "affine", "linear_form",
-        "separating0", "separating1", "sep_degree0", "sep_degree1", "conjunction_like",
-        "disjunction_like", "essentially_unary", "projection_or_constant",
-    )
-
-    def __init__(self, **fields):  # every field, by name
-        for f in self._fields:
-            _set(self, f, fields[f])
-
-    def separating_of_degree(self, c: int, m: int) -> bool:
-        d = self.sep_degree0 if c == 0 else self.sep_degree1
-        if d == ALL:
-            return True
-        return d is not None and isinstance(d, int) and d >= m
-
-
-def _degree_field(f: TruthTable, c: int, m_max: int) -> int | str | None:
-    d = max_separation_degree(f, c)
-    if d == ALL:
-        return ALL
-    if d < 2:
-        return None
-    return min(d, m_max)
-
-
 @lru_cache(maxsize=1024)
-def property_report(f: TruthTable, degree_bound: int = DEFAULT_DEGREE_BOUND) -> PropertyReport:
-    """The report of one table, computed once per (table, degree bound):
+def property_report(f: TruthTable, degree_bound: int = DEFAULT_DEGREE_BOUND) -> frozenset:
+    """The atoms f lies in, each a closed class: R0, R1, M, D, L, S0, S1,
+    E, V, N and I, and ("S{c}d", k) for each degree k in 2..degree_bound at
+    which f is c-separating.  Computed once per (table, degree bound):
     classify asks for each base table in clone_identify and both dispatches."""
     if degree_bound < 2:
         raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
-    form = affine_form_of(f)
-    return PropertyReport(
-        reproducing0=is_reproducing(f, 0),
-        reproducing1=is_reproducing(f, 1),
-        monotone=is_monotone(f),
-        self_dual=is_self_dual(f),
-        affine=form is not None,
-        linear_form=form,
-        separating0=is_separating(f, 0),
-        separating1=is_separating(f, 1),
-        sep_degree0=_degree_field(f, 0, degree_bound),
-        sep_degree1=_degree_field(f, 1, degree_bound),
-        conjunction_like=is_conjunction_like(f),
-        disjunction_like=is_disjunction_like(f),
-        essentially_unary=is_essentially_unary(f),
-        projection_or_constant=is_projection_or_constant(f),
-    )
+    flags = {
+        "R0": is_reproducing(f, 0), "R1": is_reproducing(f, 1), "M": is_monotone(f),
+        "D": is_self_dual(f), "L": is_affine(f), "S0": is_separating(f, 0),
+        "S1": is_separating(f, 1), "E": is_conjunction_like(f), "V": is_disjunction_like(f),
+        "N": is_essentially_unary(f), "I": is_projection_or_constant(f),
+    }
+    atoms = [atom for atom, holds in flags.items() if holds]
+    for c in (0, 1):
+        d = max_separation_degree(f, c)
+        top = degree_bound if d == ALL else min(d, degree_bound)
+        atoms += [(f"S{c}d", k) for k in range(2, top + 1)]
+    return frozenset(atoms)

@@ -7,8 +7,9 @@ Concrete syntax puts the prefix before a ':', e.g.
 All variables share the xN namespace; a variable is bound iff it appears
 in the prefix.  The solution graph ranges over the free variables taken
 in index order.  A quantified formula is its matrix's gate list with the
-prefix kept beside it (GateList.prefix); QuantifiedFormula only pairs a
-prefix with a matrix for the S02Q transform to return.
+prefix kept beside it (GateList.prefix), as parse_qbf reads it and as
+with_prefix puts a matrix under a prefix; the S02Q transform returns one
+too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .circuits import VAR_NAME, GateList, lane_mask, tabulate
 from .clones import BaseSet
 from .errors import FormulaSyntaxError, UsageError, charge
 from .formulas import parse_formula, print_formula
-from .truthtable import Record, TruthTable, _set, replace, var_mask
+from .truthtable import TruthTable, var_mask
 
 _LANE_ROWS = 1 << 12  # rows one batched evaluation tabulates at most
 
@@ -35,15 +36,14 @@ def _check_prefix(prefix: tuple[tuple[str, int], ...]):
         seen.add(j)
 
 
-class QuantifiedFormula(Record):
-    """A prefix over a gate-list matrix, as the S02Q transform returns it."""
+class QuantifiedFormula(GateList):
+    """The class of with_prefix's gate lists; its `matrix` is the same
+    gates without the prefix.  The package reads neither: the name stays
+    for bench/selftest.py, which unwraps an S02Q transform through it."""
 
-    __slots__ = ("prefix", "matrix")
-
-    def __init__(self, prefix: tuple[tuple[str, int], ...], matrix: GateList):
-        _check_prefix(prefix)  # (quantifier, variable index) pairs
-        _set(self, "prefix", prefix)
-        _set(self, "matrix", matrix)
+    @property
+    def matrix(self) -> GateList:
+        return GateList(self.inputs, self.gates, self.output, max(self.inputs, default=0))
 
 
 def parse_qbf(text: str, base: BaseSet) -> GateList:
@@ -61,9 +61,7 @@ def parse_qbf(text: str, base: BaseSet) -> GateList:
         if not VAR_NAME.match(v):
             raise FormulaSyntaxError(f"bad quantified variable {v!r}")
         prefix.append((q, int(v[1:])))
-    matrix = parse_formula(body, base)
-    _check_prefix(prefix)
-    return with_prefix(matrix, tuple(prefix))
+    return with_prefix(parse_formula(body, base), tuple(prefix))
 
 
 def print_qbf(q: GateList, base: BaseSet) -> str:
@@ -77,8 +75,9 @@ def print_qbf(q: GateList, base: BaseSet) -> str:
 
 def with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:
     """The matrix's gates under the prefix; dim counts the free variables."""
+    _check_prefix(prefix)
     bound = {j for _, j in prefix}
-    return replace(m, dim=len(set(m.inputs) - bound), prefix=prefix)
+    return QuantifiedFormula(m.inputs, m.gates, m.output, len(set(m.inputs) - bound), prefix)
 
 
 def _quantified_mask(q: GateList, m: int, free: dict[int, int]) -> int:

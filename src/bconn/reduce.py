@@ -41,9 +41,9 @@ from .errors import (
     charge,
 )
 from .formulas import formula_size
-from .qbf import FORALL, QuantifiedFormula
+from .qbf import FORALL, with_prefix
 from .semantics import evaluate, truth_table_of
-from .truthtable import BitVector, Record, TruthTable, _set, var_mask
+from .truthtable import BitVector, Record, TruthTable, _set, replace, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -75,7 +75,12 @@ class TVariant(Record):
 
     @property
     def new_var_count(self) -> int:
-        return len(self.pad_vector()) + (self.kind == S02Q)  # S02Q binds z
+        return len(self.pad_vector()) + len(self.prefix(0) or ())
+
+    def prefix(self, n0: int) -> tuple[tuple[str, int], ...] | None:
+        """The quantifiers of T over inputs x_1..x_{n0}: S02Q binds z =
+        x_{n0+2}, after y; the other variants are unquantified (None)."""
+        return ((FORALL, n0 + 2),) if self.kind == S02Q else None
 
     def pad_vector(self) -> str:
         """Suffix appended to a solution of psi to land in the transform."""
@@ -127,10 +132,9 @@ def _pattern(b: GateBuilder, indices: list[int], bits: str) -> int:
     return _and(b, *parts)
 
 
-def t_transform(
-    psi: GateList, variant: TVariant, n0: int | None = None
-) -> GateList | QuantifiedFormula:
-    """The standard-connective rendering of T_psi, as gates.
+def t_transform(psi: GateList, variant: TVariant, n0: int | None = None) -> GateList:
+    """The standard-connective rendering of T_psi, as gates; for S02Q the
+    gates are its matrix under the variant's prefix (TVariant.prefix).
 
     n0 fixes where the new variables start (input variables occupy
     x_1..x_{n0}); it defaults to the highest input of psi.  For
@@ -176,9 +180,9 @@ def t_transform(
             _or(b, *pairs),
             _and(b, _pattern(b, ps, "1" * len(ps)), x[y], _pattern(b, zs, "1" + "0" * (len(zs) - 1))),
         ))
-    z = y + 1
-    matrix = b.finish(_or(b, _and(b, p, x[y]), x[z]))
-    return QuantifiedFormula(((FORALL, z),), matrix)
+    prefix = variant.prefix(n0)
+    ((_, z),) = prefix
+    return with_prefix(b.finish(_or(b, _and(b, p, x[y]), x[z])), prefix)
 
 
 def _synth_search(
@@ -327,13 +331,12 @@ def synth_bformula(target: TruthTable, base: BaseSet) -> GateList:
         return _synth_search(
             target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"]
         )
-    except BudgetExceeded:
+    except BudgetExceeded as e:
         try:
             ops = {op: _synth_search(f, base, 64, 50_000) for op, f in STANDARD_BASE}
         except (BudgetExceeded, NotRealizable):
             raise BudgetExceeded(
-                "synthesis budget exceeded and the base does not yield "
-                "not/and/or for a structural fallback"
+                f"{e}; the base does not yield not/and/or for a structural fallback"
             ) from None
         b = GateBuilder(base, tuple(range(1, max(target.n, 1) + 1)))
         return b.finish(_shannon(target, ops, b, {}))
@@ -352,9 +355,10 @@ def tr_combine(
     the halves into it, sharing one global block of new variables.  Each
     CNF it transforms (a clause, x1 AND x2, an empty CNF's tautology) is
     rendered by cnf_to_formula.  The result is one gate list over
-    x_1..x_{n + new}, and its table equals t_transform of the whole CNF
-    (for S02Q, its matrix).  stats gets the combining depth and the size
-    of the formula the gates unfold to.
+    x_1..x_{n + new}, and its table equals t_transform of the whole CNF;
+    for S02Q both are matrices under the variant's prefix, and the pieces
+    are synthesized from the matrices' tables.  stats gets the combining
+    depth and the size of the formula the gates unfold to.
     """
     if not phi.is_three_cnf:
         raise UsageError("Tr expects a 3-CNF")
@@ -371,7 +375,7 @@ def tr_combine(
         width = psi.n + extra
         charge("table variables", width)  # before T is built
         t = t_transform(cnf_to_formula(psi), variant, n0=psi.n)
-        table = truth_table_of(t.matrix if variant.kind == S02Q else t, STANDARD_BASE, width)
+        table = truth_table_of(replace(t, prefix=None), STANDARD_BASE, width)
         return synth_bformula(table, base)
 
     combiner: GateList | None = None
@@ -395,6 +399,9 @@ def tr_combine(
     else:
         root, depth = out.paste(tee(CnfFormula(1, ())), [0] + news), 0
     gl = out.finish(root)
+    prefix = variant.prefix(n)
+    if prefix:
+        gl = with_prefix(gl, prefix)
     if stats is not None:
         stats["depth"] = depth
         stats["size"] = formula_size(gl)

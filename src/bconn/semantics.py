@@ -2,10 +2,10 @@
 
 Every kind is, or lowers once in `lower` to, the hash-consed gate list
 of circuits.py.  Formula, circuit and quantified-formula text parse
-straight into gates, and so do the reductions; a CNF lowers through its
-not/and/or rendering, a truth table to one gate over x_1..x_k, and the
-quantified formula a reduction returns to its matrix with the prefix
-kept beside it.  Lowering a gate list returns it unchanged.
+straight into gates, and so do the reductions (a quantified one keeps its
+prefix beside its matrix, GateList.prefix); a CNF lowers through its
+not/and/or rendering and a truth table to one gate over x_1..x_k.
+Lowering a gate list returns it unchanged.
 
 `evaluate` and `truth_table_of` share one loop over the gates
 (circuits.tabulate), in which every node carries a bit mask.  For a
@@ -15,8 +15,8 @@ masks with a handful of bigint operations, instead of 2^n walks or one
 walk per point.  The gates carry their tables, so the `base` argument
 of `evaluate` and `truth_table_of` is not read.
 
-Only the gate layer loads with this module: the CNF and quantified-formula
-layers load when an object of their kind comes in.
+Only the gate layer loads with this module: the CNF layer loads when a
+CNF comes in, and the quantified-formula layer when a prefix does.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ def lower(obj) -> GateList:
         return obj
     if isinstance(obj, TruthTable):  # one gate over x_1..x_k
         return GateList(tuple(range(1, obj.n + 1)), ((obj, tuple(range(obj.n))),), obj.n, obj.n)
-    # an object of a kind below exists only once its module is loaded
+    # a CNF exists only once its module is loaded
     from .cnf import CnfFormula, cnf_to_formula
 
     if isinstance(obj, CnfFormula):
         return cnf_to_formula(obj)
-    from .qbf import QuantifiedFormula, with_prefix
-
-    if isinstance(obj, QuantifiedFormula):
-        return with_prefix(obj.matrix, obj.prefix)
     raise UsageError(f"cannot lower {type(obj).__name__}")
 
 

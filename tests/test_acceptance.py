@@ -15,9 +15,7 @@ import time
 
 from bconn import (
     EXACT,
-    FORALL,
     NotRealizable,
-    QuantifiedFormula,
     SolutionSet,
     TVariant,
     apply_t_relation,
@@ -48,7 +46,7 @@ from bconn import (
     truth_table_of,
     zerosep_decide,
 )
-from bconn.truthtable import BitVector
+from bconn.truthtable import BitVector, replace
 from bconn.cli import run_cli
 
 from conftest import (
@@ -326,18 +324,19 @@ def test_criterion_06_reduction_postconditions():
             out = t_transform(psi, variant, n0=n)
             if variant.kind == "S02Q":
                 dim, pad = n + 1, "1"
-                rep = property_report(truth_table_of(out.matrix, STD_BASE, n + 2))
-                assert rep.separating0
+                matrix = replace(out, prefix=None)
+                rep = property_report(truth_table_of(matrix, STD_BASE, n + 2))
+                assert "S0" in rep
             else:
                 dim, pad = n + variant.new_var_count, variant.pad_vector()
                 rep = property_report(truth_table_of(out, STD_BASE, dim))
                 if variant.kind == "S12":
-                    assert rep.separating1
+                    assert "S1" in rep
                 elif variant.kind == "D1":
-                    assert rep.self_dual
+                    assert "D" in rep
                 else:
-                    assert rep.separating_of_degree(0, variant.k)
-            assert rep.reproducing0 and rep.reproducing1, str(variant)
+                    assert ("S0d", variant.k) in rep
+            assert {"R0", "R1"} <= rep, str(variant)
             t_sols = enumerate_solutions(out, STD_BASE, dim)
             t_labels = cube_labels(t_sols.words, dim)
             t_count = len(set(t_labels.values()))
@@ -364,8 +363,9 @@ def test_criterion_07_tr_equals_t():
             stats = {}
             got = tr_combine(phi, variant, STD_BASE, stats=stats)
             want = t_transform(psi, variant, n0=n)
-            if variant.kind == "S02Q":
-                want = want.matrix
+            assert got.prefix == want.prefix, (phi, str(variant))
+            # for S02Q, the matrices: the prefix binds one of the width
+            got, want = replace(got, prefix=None), replace(want, prefix=None)
             width = n + variant.new_var_count
             assert truth_table_of(got, STD_BASE, width) == truth_table_of(
                 want, STD_BASE, width
@@ -481,7 +481,7 @@ def test_criterion_11_empty_graph_convention(tmp_path, capsys):
     ans = linear_decide(parse_formula("xor(x1,x1)", LIN_BASE), LIN_BASE)
     assert ans.connected is True
     # quantified poly path: a universally quantified non-fictive variable
-    q = QuantifiedFormula(((FORALL, 2),), parse_formula("xor(x1,x2)", LIN_BASE))
+    q = parse_qbf("A x2 : xor(x1,x2)", LIN_BASE)
     assert qbf_easy_decide(q, LIN_BASE).connected is True
     # CLI surface
     rel = tmp_path / "empty.rel"

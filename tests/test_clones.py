@@ -12,6 +12,7 @@ from bconn import (
     ArityOverflow,
     BaseSet,
     BudgetExceeded,
+    DegreeBoundTooSmall,
     DichotomyVerdict,
     STANDARD_BASE,
     TruthTable,
@@ -27,7 +28,16 @@ from bconn import (
 )
 from bconn.circuits import tabulate
 from bconn.clones import _check_arities, _rounds
-from bconn.properties import ALL, property_report, separating_coordinate
+from bconn.properties import (
+    ALL,
+    is_affine,
+    is_monotone,
+    is_self_dual,
+    is_separating,
+    max_separation_degree,
+    property_report,
+    separating_coordinate,
+)
 from bconn.semantics import lower
 from bconn.truthtable import mask_rows, var_mask
 
@@ -362,24 +372,25 @@ def test_dispatch_hard_k_respects_degree_bound():
 
 
 def reference_dispatch(base, quantified=False, degree_bound=8):
-    """dispatch as it read the property flags of each function, before it
-    read the atoms the functions share."""
+    """dispatch read off the property predicates of each function, with
+    neither property_report nor the atoms."""
     _check_arities(base)
-    reports = [property_report(f, degree_bound) for f in base.tables]
-    if all(r.monotone for r in reports):
+    if degree_bound < 2:
+        raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
+    fs = base.tables
+    if all(is_monotone(f) for f in fs):
         return DichotomyVerdict("EASY", easy_class="MONOTONE", quantified=quantified)
-    if all(r.affine for r in reports):
+    if all(is_affine(f) for f in fs):
         return DichotomyVerdict("EASY", easy_class="LINEAR", quantified=quantified)
-    if not quantified and all(r.separating0 for r in reports):
+    if not quantified and all(is_separating(f, 0) for f in fs):
         return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING", quantified=quantified)
-    if all(r.self_dual for r in reports):
+    if all(is_self_dual(f) for f in fs):
         return DichotomyVerdict("HARD", hard_variant="D1", quantified=quantified)
     common_k = degree_bound
-    for r in reports:
-        d = r.sep_degree0
-        if d == ALL:
-            continue
-        common_k = min(common_k, d if isinstance(d, int) else 0)
+    for f in fs:
+        d = max_separation_degree(f, 0)
+        if d != ALL:
+            common_k = min(common_k, d)
     if common_k >= 2:
         return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=common_k, quantified=quantified)
     return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
@@ -531,6 +542,26 @@ def test_identify_agrees_with_the_closure_on_every_pair_of_arity_two_or_less():
         if clone_identify(closed) != clone_identify(base):
             mismatches.append((a, b))
     assert len(SMALL_TABLES) == 22 and not mismatches
+
+
+def test_each_class_is_the_closure_of_its_generators_at_arities_one_to_three():
+    """For each of the 54 classes at degree cap 3, the functions of arity
+    1-3 its generators express are those whose atoms hold its signature.
+    Arity 0 is left out: 11 classes lack 0-ary constants their atoms admit."""
+    tables = [TruthTable(a, bits) for a in (1, 2, 3) for bits in range(1 << (1 << a))]
+    atoms = {f: property_report(f, 3) for f in tables}
+    signatures = bconn.clones._signatures(3)
+    mismatches = []
+    for signature, name in signatures.items():
+        fixed, _, k = name.partition("^")
+        gens = [tt_of(t) for t in bconn.clones._GENERATORS[fixed]]
+        if k:
+            gens.append(threshold_tt(int(k) + 1, int(k), dualize=fixed[1] == "0"))
+        base = BaseSet({f"g{i}": g for i, g in enumerate(gens)})
+        got = {f for f in clone_closure(base, 3) if f.n >= 1}
+        if got != {f for f in tables if signature <= atoms[f]}:
+            mismatches.append(name)
+    assert len(signatures) == 54 and not mismatches
 
 
 def test_signatures_match_the_table_the_pairwise_cover_search_builds(monkeypatch):

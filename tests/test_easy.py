@@ -200,7 +200,7 @@ def test_zerosep_budget_withholds_only_the_path(monkeypatch):
     assert ans.connected and ans.st_connected
     assert ans.witness_path is None
     assert ans.rationale.endswith(
-        "(witness path withheld: coordinate search over 3 variables exceeds budget 2)"
+        "(witness path withheld: 3 search variables over the limit of 2)"
     )
     # with the default limit the same query carries a witness
     monkeypatch.undo()
@@ -219,7 +219,7 @@ def test_zerosep_search_variables_limit_is_inclusive(monkeypatch):
     over = zerosep_decide(ast, IMP_BASE, 4, bv("0000"), bv("0110"))
     assert (over.connected, over.st_connected, over.witness_path) == (True, True, None)
     assert over.rationale == at.rationale + (
-        " (witness path withheld: coordinate search over 4 variables exceeds budget 3)"
+        " (witness path withheld: 4 search variables over the limit of 3)"
     )
 
 

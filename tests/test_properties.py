@@ -238,29 +238,29 @@ def test_separating_examples():
     assert separating_coordinate(tt_of("1"), 0) == 1  # vacuous: no zeros at all
 
 
+def degrees(atoms, c):
+    return sorted(a[1] for a in atoms if a[0] == f"S{c}d")
+
+
 def test_property_report_majority():
+    # monotone, self-dual, both reproducing, and separating of degree 2 only
     rep = property_report(tt_of(TABLES["maj"]))
-    assert rep.monotone and rep.self_dual
-    assert rep.reproducing0 and rep.reproducing1
-    assert not rep.affine and rep.linear_form is None
-    assert rep.sep_degree0 == 2 and rep.sep_degree1 == 2
-    assert rep.separating_of_degree(0, 2)
-    assert not rep.separating_of_degree(0, 3)
+    assert rep == {"R0", "R1", "M", "D", ("S0d", 2), ("S1d", 2)}
 
 
 def test_property_report_degree_field_is_capped():
     f = threshold_tt(5, 4, dualize=True)  # degree 4 at either bound
-    assert property_report(f, degree_bound=3).sep_degree0 == 3
-    assert property_report(f, degree_bound=8).sep_degree0 == 4
+    assert degrees(property_report(f, degree_bound=3), 0) == [2, 3]
+    assert degrees(property_report(f, degree_bound=8), 0) == [2, 3, 4]
 
 
 def test_property_report_degree_sentinel_and_none():
+    # separating at every degree: each degree up to the bound
     rep = property_report(tt_of(TABLES["imp"]))
-    assert rep.sep_degree0 == ALL
-    assert rep.separating_of_degree(0, 100)
+    assert "S0" in rep and degrees(rep, 0) == list(range(2, 9))
+    assert degrees(property_report(tt_of(TABLES["imp"]), 20), 0) == list(range(2, 21))
     rep = property_report(tt_of(TABLES["and"]))
-    assert rep.sep_degree0 is None
-    assert not rep.separating_of_degree(0, 2)
+    assert "S0" not in rep and degrees(rep, 0) == []
 
 
 def test_property_report_rejects_tiny_degree_bound():

@@ -8,7 +8,6 @@ from bconn import (
     BitVector,
     BudgetExceeded,
     FormulaSyntaxError,
-    QuantifiedFormula,
     UsageError,
     evaluate,
     parse_formula,
@@ -57,10 +56,12 @@ def test_parse_errors():
         parse_qbf("E : x1", STD_BASE)
     with pytest.raises(FormulaSyntaxError):
         parse_qbf("E x0 : x1", STD_BASE)
-    with pytest.raises(UsageError):
-        QuantifiedFormula((("E", 1), ("A", 1)), parse_formula("x1", STD_BASE))
-    with pytest.raises(UsageError):
-        QuantifiedFormula((("X", 1),), parse_formula("x1", STD_BASE))
+    with pytest.raises(UsageError, match="^x1 quantified twice$"):
+        parse_qbf("E x1 A x1 : x1", STD_BASE)
+    with pytest.raises(UsageError, match="^x1 quantified twice$"):
+        with_prefix(parse_formula("x1", STD_BASE), (("E", 1), ("A", 1)))
+    with pytest.raises(UsageError, match="^bad quantifier 'X'$"):
+        with_prefix(parse_formula("x1", STD_BASE), (("X", 1),))
 
 
 def test_quantifier_order_matters():
@@ -120,6 +121,6 @@ def test_eval_matches_naive_expansion():
 
 
 def test_quantified_formula_lowers_to_its_matrix_under_the_prefix():
-    q = QuantifiedFormula((("A", 2),), parse_formula("or(x1,x2)", STD_BASE))
+    q = with_prefix(parse_formula("or(x1,x2)", STD_BASE), (("A", 2),))
     assert evaluate(q, STD_BASE, BitVector.parse("1")) == 1
     assert evaluate(q, STD_BASE, BitVector.parse("0")) == 0

@@ -13,7 +13,6 @@ from bconn import (
     EasyAnswer,
     LengthMismatch,
     LinearForm,
-    QuantifiedFormula,
     SolutionSet,
     TruthTable,
     TVariant,
@@ -26,7 +25,7 @@ from bconn import (
     parse_formula,
     parse_qbf,
 )
-from bconn.properties import property_report
+from bconn.qbf import with_prefix
 
 STD = parse_base_file("not 1 10\nand 2 0001\nor 2 0111\n")
 
@@ -38,12 +37,12 @@ def _instances():
         "LinearForm": LinearForm(frozenset({1, 3}), 1),
         "GateList": parse_formula("or(x2,not(x2))", STD),
         "DichotomyVerdict": dispatch(STD),
-        "PropertyReport": property_report(TruthTable(3, 0b11101000)),
         "CnfFormula": parse_dimacs("p cnf 2 1\n1 -2 0\n"),
         "EasyAnswer": EasyAnswer(True, True, [BitVector(1, 1)], "monotone"),
         "SolutionSet": SolutionSet(2, (0, 1, 3)),
         "ComponentLabeling": components(SolutionSet(2, (0, 3))),
-        "QuantifiedFormula": QuantifiedFormula((("A", 2),), parse_formula("not(x2)", STD)),
+        # the class of the gate lists with_prefix and parse_qbf return
+        "QuantifiedFormula": parse_qbf("A x2 : not(x2)", STD),
         "TVariant": TVariant("S02K", 3),
     }
 
@@ -56,18 +55,14 @@ REPRS = [
      "(TruthTable(n=2, bits=14), (0, 1))), output=2, dim=2, prefix=None)"),
     ("DichotomyVerdict", "DichotomyVerdict(side='HARD', easy_class=None, "
      "hard_variant='S12', hard_k=None, quantified=False)"),
-    ("PropertyReport", "PropertyReport(reproducing0=True, reproducing1=True, monotone=True, "
-     "self_dual=True, affine=False, linear_form=None, separating0=False, separating1=False, "
-     "sep_degree0=2, sep_degree1=2, conjunction_like=False, disjunction_like=False, "
-     "essentially_unary=False, projection_or_constant=False)"),
     ("CnfFormula", "CnfFormula(n=2, clauses=((1, -2),))"),
     ("EasyAnswer", "EasyAnswer(connected=True, st_connected=True, "
      "witness_path=[BitVector(n=1, word=1)], rationale='monotone')"),
     ("SolutionSet", "SolutionSet(n=2, words=(0, 1, 3))"),
     # the labeling's solution set is left out
     ("ComponentLabeling", "ComponentLabeling(count=2, representatives=(0, 3), sizes=(1, 1))"),
-    ("QuantifiedFormula", "QuantifiedFormula(prefix=(('A', 2),), matrix=GateList(inputs=(2,), "
-     "gates=((TruthTable(n=1, bits=1), (0,)),), output=1, dim=2, prefix=None))"),
+    ("QuantifiedFormula", "QuantifiedFormula(inputs=(2,), gates=((TruthTable(n=1, bits=1), (0,)),), "
+     "output=1, dim=0, prefix=(('A', 2),))"),
     ("TVariant", "TVariant(kind='S02K', k=3)"),
 ]
 
@@ -131,9 +126,9 @@ def test_bit_vectors_order_by_dimension_then_word():
         (lambda: TVariant("S13"), UsageError, "unknown transform variant 'S13'"),
         (lambda: TVariant("S02K"), UsageError, "S02K needs a degree parameter k >= 2"),
         (lambda: TVariant("D1", 2), UsageError, "D1 takes no degree parameter"),
-        (lambda: QuantifiedFormula((("A", 1), ("E", 1)), parse_formula("x1", STD)), UsageError,
+        (lambda: with_prefix(parse_formula("x1", STD), (("A", 1), ("E", 1))), UsageError,
          "x1 quantified twice"),
-        (lambda: QuantifiedFormula((("Q", 1),), parse_formula("x1", STD)), UsageError,
+        (lambda: with_prefix(parse_formula("x1", STD), (("Q", 1),)), UsageError,
          "bad quantifier 'Q'"),
     ],
 )

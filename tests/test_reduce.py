@@ -18,7 +18,6 @@ from bconn import (
     NotASolution,
     NotOneReproducing,
     NotRealizable,
-    QuantifiedFormula,
     TVariant,
     TruthTable,
     UsageError,
@@ -43,7 +42,7 @@ from bconn.clones import BaseSet, _rounds, dispatch
 from bconn.errors import LIMITS
 from bconn.properties import ALL
 from bconn.reduce import _gates_of, _synth_search
-from bconn.truthtable import var_mask
+from bconn.truthtable import replace, var_mask
 
 from conftest import (
     STD_BASE,
@@ -85,6 +84,8 @@ def test_variant_sizes_and_pads():
     assert s02k(2).new_var_count == 4 and s02k(2).pad_vector() == "1000"
     assert s02k(4).new_var_count == 6 and s02k(4).pad_vector() == "100000"
     assert S02Q.new_var_count == 2 and S02Q.pad_vector() == "1"
+    assert S02Q.prefix(5) == (("A", 7),)
+    assert S12.prefix(5) is None and D1.prefix(5) is None and s02k(2).prefix(5) is None
     assert str(s02k(3)) == "S02K(3)"
     assert str(D1) == "D1"
 
@@ -140,7 +141,7 @@ def test_s12_transform_example():
     sols = enumerate_solutions(out, STD_BASE, 3)
     assert sols.texts() == ["011", "101", "111"]
     rep = property_report(truth_table_of(out, STD_BASE, 3))
-    assert rep.separating1 and rep.reproducing0 and rep.reproducing1
+    assert {"S1", "R0", "R1"} <= rep
 
 
 def test_d1_transform_example():
@@ -149,7 +150,7 @@ def test_d1_transform_example():
     expected = {"1111", "1000", "0100", "1100", "0010", "1010", "1001", "1110"}
     assert set(sols.texts()) == expected
     rep = property_report(truth_table_of(out, STD_BASE, 4))
-    assert rep.self_dual and rep.reproducing0 and rep.reproducing1
+    assert {"D", "R0", "R1"} <= rep
     assert len(set(cube_labels(sols.words, 4).values())) == 1
 
 
@@ -159,19 +160,17 @@ def test_s02k_transform_properties():
         out = t_transform(psi, s02k(k))
         n = 2 + k + 2
         rep = property_report(truth_table_of(out, STD_BASE, n))
-        assert rep.reproducing0 and rep.reproducing1
+        assert {"R0", "R1"} <= rep
         # degree exactly k: the whole point of the z block
-        assert rep.sep_degree0 == k
+        assert ("S0d", k) in rep and ("S0d", k + 1) not in rep
 
 
 def test_s02q_transform_shape():
     out = t_transform(parse_formula("x1", STD_BASE), S02Q)
-    assert isinstance(out, QuantifiedFormula)
-    assert out.prefix == (("A", 3),)
-    rep = property_report(truth_table_of(out.matrix, STD_BASE, 3))
-    assert rep.separating0 and rep.reproducing0 and rep.reproducing1
+    assert out.prefix == (("A", 3),) and out.dim == 2
+    matrix = truth_table_of(replace(out, prefix=None), STD_BASE, 3)
+    assert {"S0", "R0", "R1"} <= property_report(matrix)
     # all vectors that are not solutions of the matrix have z = 0
-    matrix = truth_table_of(out.matrix, STD_BASE, 3)
     for row in range(8):
         if not matrix.value(row):
             assert row & 1 == 0
@@ -183,7 +182,7 @@ def test_transform_requires_one_reproducing_input():
         with pytest.raises(NotOneReproducing):
             t_transform(psi, variant)
     # S02Q places no such requirement
-    assert isinstance(t_transform(psi, S02Q), QuantifiedFormula)
+    assert t_transform(psi, S02Q).prefix == (("A", 3),)
 
 
 def test_transform_ambient_width_override():
@@ -234,7 +233,11 @@ def test_synth_budget_exhaustion_is_inconclusive(swap_limit):
     base = mk_base({"h": "0010"})
     swap_limit("synthesis nodes", 2)
     swap_limit("synthesis applications", 3)
-    with pytest.raises(BudgetExceeded, match="not/and/or"):
+    message = (
+        "^4 synthesis applications over the limit of 3; "
+        "the base does not yield not/and/or for a structural fallback$"
+    )
+    with pytest.raises(BudgetExceeded, match=message):
         synth_bformula(tt_of("0110"), base)
 
 
@@ -439,8 +442,9 @@ def variants_all():
     return (S12, D1, s02k(2), S02Q)
 
 
-def matrix_of(obj):
-    return obj.matrix if isinstance(obj, QuantifiedFormula) else obj
+def matrix_of(gl):
+    """The gates without their prefix: for S02Q, the matrix."""
+    return replace(gl, prefix=None)
 
 
 def test_tr_single_clause_is_the_leaf_transform():
@@ -479,10 +483,11 @@ def test_tr_matches_transform_for_every_variant():
         phi = rand_three_cnf(rng, n, rng.randint(1, 4))
         for variant in variants_all():
             got = tr_combine(phi, variant, STD_BASE)
-            want = matrix_of(t_transform(cnf_to_formula(phi), variant, n0=n))
+            want = t_transform(cnf_to_formula(phi), variant, n0=n)
+            assert got.prefix == want.prefix == variant.prefix(n), (phi, str(variant))
             width = n + variant.new_var_count  # S02Q matrix keeps z as a position
-            assert truth_table_of(got, STD_BASE, width) == truth_table_of(
-                want, STD_BASE, width
+            assert truth_table_of(matrix_of(got), STD_BASE, width) == truth_table_of(
+                matrix_of(want), STD_BASE, width
             ), (phi, str(variant))
 
 
