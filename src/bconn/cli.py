@@ -81,8 +81,16 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from None
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 def _emit(args, text: str, payload: dict):
@@ -413,11 +421,8 @@ def _cmd_reduce(args) -> int:
     # a relation's payload is its sidecar; a formula's carries the formula
     payload = sidecar if args.rel else {"formula": text, **sidecar}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(args.out, text + "\n")
+        _write(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         text = f"wrote {args.out} and {args.out}.json"
     _emit(args, text, payload)
     return 0
@@ -429,8 +434,7 @@ def _write_dot(args, sol: SolutionSet) -> tuple[dict, str]:
     lab = components(sol)
     dot = export_dot(sol, lab)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write(args.dot, dot)
     return {"vertices": len(sol), "components": lab.count, "dot": args.dot}, dot
 
 
@@ -463,7 +467,7 @@ def _cmd_closure(args) -> int:
     base = _load_base(args, required=True)
     if args.vars is None:
         raise UsageError("--vars (the maximum arity) is required")
-    tables = clone_closure(base, args.vars, budget=args.budget)
+    tables = clone_closure(base, args.vars)
     ordered = sorted(tables, key=lambda f: (f.n, f.bits))
     lines = [f"f{i} {f.n} {tt_print(f)}" for i, f in enumerate(ordered, start=1)]
     _emit(
@@ -598,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="all expressible tables up to an arity")
     p.add_argument("--base", required=True)
     p.add_argument("--vars", type=int, help="maximum arity")
-    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_closure)
 
@@ -611,9 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -353,9 +353,7 @@ def _cofactor(head, rows, full):
     return g
 
 
-def clone_closure(
-    base: BaseSet, max_arity: int, budget: int | None = None
-) -> frozenset[TruthTable]:
+def clone_closure(base: BaseSet, max_arity: int) -> frozenset[TruthTable]:
     """All functions of arity <= max_arity the base can express.
 
     Least fixpoint per ambient arity (_rounds): seed with the
@@ -363,8 +361,8 @@ def clone_closure(
     application is one argument tuple holding at least one table new in
     the previous round.  Every composite over x_1..x_m denotes an m-ary
     function, so exhausting each ambient arity is a complete closure
-    within the bound.  Budget counts distinct tables across all arities,
-    LIMITS["closure tables"] unless given; exceeding it raises without
+    within the bound.  Distinct tables across all arities are charged
+    against LIMITS["closure tables"]; exceeding it raises without
     returning a partial set.  Applications are charged per round, up
     front and across all arities, against LIMITS["closure applications"]
     (2^25); a round that would pass it raises before it is built.  The
@@ -389,13 +387,13 @@ def clone_closure(
             for _, _, g0, d, last in groups:
                 outs = {g0 ^ (d & t) for _, t in last} if d else {g0}
                 new |= outs.difference(known)
-                charge("closure tables", total + len(known) + len(new), budget)
+                charge("closure tables", total + len(known) + len(new))
                 if len(known) + len(new) == 1 << (1 << m):
                     break  # every m-ary table is realized
             known.update(dict.fromkeys(new))
             if len(known) == 1 << (1 << m):
                 break
         total += len(known)
-        charge("closure tables", total, budget)
+        charge("closure tables", total)
         result.update(TruthTable(m, bits) for bits in known)
     return frozenset(result)

@@ -157,9 +157,8 @@ LIMITS = {
 }
 
 
-def charge(name: str, used: int, limit: int | None = None, error=BudgetExceeded) -> None:
-    """Raise error if used passes the limit, LIMITS[name] unless given."""
-    if limit is None:
-        limit = LIMITS[name]
+def charge(name: str, used: int, error=BudgetExceeded) -> None:
+    """Raise error if used passes LIMITS[name]."""
+    limit = LIMITS[name]
     if used > limit:
         raise error(f"{used} {name} over the limit of {limit}")

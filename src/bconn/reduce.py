@@ -185,9 +185,7 @@ def t_transform(psi: GateList, variant: TVariant, n0: int | None = None) -> Gate
     return with_prefix(b.finish(_or(b, _and(b, p, x[y]), x[z])), prefix)
 
 
-def _synth_search(
-    target: TruthTable, base: BaseSet, max_size: int, max_applications: int
-) -> GateList:
+def _synth_search(target: TruthTable, base: BaseSet) -> GateList:
     """Bottom-up closure rounds (clones._rounds) seeded with the
     projections, with observational-equivalence memoing: each table keeps
     the (size, print text, name, args) of the smallest, then first
@@ -202,21 +200,21 @@ def _synth_search(
 
     An application is one argument tuple holding at least one table new
     in the previous round; every one counts, realized or duplicate, and a
-    round that would pass max_applications is refused whole.  A
-    candidate of more than max_size formula nodes is skipped, and a
-    fixpoint reached with a skip is refused by the largest one skipped.
-    Reaching a fixpoint without one certifies the target unrealizable at
-    its arity.  synth_bformula passes LIMITS["synthesis nodes"] and
-    LIMITS["synthesis applications"].
+    round that would pass LIMITS["synthesis applications"] is refused
+    whole.  A candidate of more than LIMITS["synthesis nodes"] formula
+    nodes is skipped, and a fixpoint reached with a skip is refused by the
+    largest one skipped.  Reaching a fixpoint without one certifies the
+    target unrealizable at its arity.
     """
     n, goal = target.n, target.bits
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
+    max_size = LIMITS["synthesis nodes"]
     applications = skipped = 0  # skipped: the largest candidate over max_size
     for count, groups in _rounds(base, n, known):
         if goal in known:
             return _gates_of(known, goal, base, n)
         applications += count
-        charge("synthesis applications", applications, max_applications)
+        charge("synthesis applications", applications)
         groups = list(groups)
         # g0 ^ (d & t) is goal iff d & t is x = g0 ^ goal (d = 0 at arity 0)
         hits = [
@@ -252,7 +250,7 @@ def _synth_search(
             if goal in fresh:
                 break
         known.update(fresh)
-    charge("synthesis nodes", skipped, max_size)
+    charge("synthesis nodes", skipped)
     raise NotRealizable(
         f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
     )
@@ -322,18 +320,16 @@ def synth_bformula(target: TruthTable, base: BaseSet) -> GateList:
     Exhaustive bottom-up search first, within the synthesis limits; if
     it is refused and the base can express not/and/or, fall back to
     Shannon expansion built from those connectives, each searched within
-    64 nodes and 50,000 applications.  NotRealizable is only raised on a
-    genuine closure fixpoint, never on a refusal.  Answers are cached per
-    (target, base), least recently used first out, so a test that swaps a
-    synthesis limit clears the cache before and after.
+    the same limits.  NotRealizable is only raised on a genuine closure
+    fixpoint, never on a refusal.  Answers are cached per (target, base),
+    least recently used first out, so a test that swaps a synthesis limit
+    clears the cache before and after.
     """
     try:
-        return _synth_search(
-            target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"]
-        )
+        return _synth_search(target, base)
     except BudgetExceeded as e:
         try:
-            ops = {op: _synth_search(f, base, 64, 50_000) for op, f in STANDARD_BASE}
+            ops = {op: _synth_search(f, base) for op, f in STANDARD_BASE}
         except (BudgetExceeded, NotRealizable):
             raise BudgetExceeded(
                 f"{e}; the base does not yield not/and/or for a structural fallback"

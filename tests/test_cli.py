@@ -26,6 +26,7 @@ from bconn import (
     truth_table_of,
 )
 from bconn.cli import run_cli
+from bconn.errors import LIMITS
 from bconn.properties import property_report
 
 from conftest import STD_BASE
@@ -622,6 +623,61 @@ def test_reduce_refuses_the_flags_it_does_not_read(capsys, files, flag):
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("components", "--cnf", "{bad}"),
+        ("components", "--rel", "{bad}"),
+        ("components", "--base", "{bad}", "--formula", "{formula}"),
+        ("components", "--base", "{base}", "--formula", "{bad}"),
+        ("components", "--base", "{base}", "--circuit", "{bad}"),
+        ("components", "--base", "{base}", "--qbf", "{bad}"),
+        ("classify", "--base", "{bad}"),
+        ("closure", "--base", "{bad}", "--vars", "1"),
+        ("reduce", "--cnf", "{bad}", "--variant", "s12"),
+        ("reduce", "--cnf", "{cnf}", "--base", "{bad}", "--variant", "s12"),
+        ("reduce", "--rel", "{bad}", "--variant", "s12"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_an_input_file_that_is_not_utf8_is_a_usage_error(capsys, files, tmp_path, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    paths = {
+        "bad": str(bad),
+        "base": files("std.tt", STD_TT),
+        "formula": files("f.txt", "and(x1,x2)\n"),
+        "cnf": files("f.cnf", "p cnf 1 1\n1 0\n"),
+    }
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error [UsageError]: cannot read {bad}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-random", "--vars", "2", "--count", "2", "--dot", "{out}"),
+        ("gen-expdiam", "--k", "1", "--dot", "{out}"),
+        ("export-dot", "--rel", "{rel}", "--dot", "{out}"),
+        ("reduce", "--cnf", "{cnf}", "--variant", "s12", "--out", "{out}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_output_path_is_a_usage_error(capsys, files, tmp_path, argv):
+    out_path = str(tmp_path / "missing" / "o")
+    paths = {
+        "out": out_path,
+        "rel": files("r.rel", "n 2\n00\n01\n"),
+        "cnf": files("f.cnf", "p cnf 1 1\n1 0\n"),
+    }
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error [UsageError]: cannot write {out_path}: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # generators / closure / export
 
@@ -699,15 +755,24 @@ def test_closure_refuses_a_runaway_round_by_its_applications(files):
     assert error["message"].endswith(" closure applications over the limit of 33554432")
 
 
-def test_closure_lists_xor_tables(capsys, files):
+def test_closure_lists_xor_tables(capsys, files, monkeypatch):
     base = files("xor.tt", XOR_TT)
     code, payload, _ = jrun(capsys, "closure", "--base", base, "--vars", "2")
     assert code == 0
     assert payload["count"] == 6
     tables = {(t["arity"], t["table"]) for t in payload["tables"]}
     assert (2, "0110") in tables and (1, "01") in tables
-    code, _, _ = run(capsys, "closure", "--base", base, "--vars", "2", "--budget", "1")
+    monkeypatch.setitem(LIMITS, "closure tables", 1)
+    code, _, _ = run(capsys, "closure", "--base", base, "--vars", "2")
     assert code == 3
+
+
+def test_closure_refuses_a_budget_flag(capsys, files):
+    # a limit's value lives in errors.LIMITS only
+    base = files("xor.tt", XOR_TT)
+    code, out, err = run(capsys, "closure", "--base", base, "--vars", "2", "--budget", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --budget 1" in err
 
 
 def test_export_dot_stdout_and_file(capsys, files, tmp_path):

@@ -28,6 +28,7 @@ from bconn import (
 )
 from bconn.circuits import tabulate
 from bconn.clones import _check_arities, _rounds
+from bconn.errors import LIMITS
 from bconn.properties import (
     ALL,
     is_affine,
@@ -191,9 +192,10 @@ def test_closure_includes_zero_ary_constants_from_constants():
     assert (0, "1") in {(f.n, tt_print(f)) for f in closure}
 
 
-def test_closure_budget_is_enforced():
+def test_closure_budget_is_enforced(monkeypatch):
+    monkeypatch.setitem(LIMITS, "closure tables", 20)
     with pytest.raises(BudgetExceeded, match="^25 closure tables over the limit of 20$"):
-        clone_closure(mk_base(["and", "or", "not"]), 3, budget=20)
+        clone_closure(mk_base(["and", "or", "not"]), 3)
     with pytest.raises(UsageError):
         clone_closure(mk_base(["and"]), -1)
 
@@ -326,12 +328,13 @@ def test_closure_rounds_pin_the_row_pattern_kernel(entries):
         assert logged_rounds(expanded_rounds, base, m) == want
 
 
-def test_closure_members_satisfy_the_identified_class_predicate():
+def test_closure_members_satisfy_the_identified_class_predicate(monkeypatch):
     # everything the search realizes must still satisfy the class atoms
+    monkeypatch.setitem(LIMITS, "closure tables", 100_000)
     for names in (["imp"], ["xor"], ["and", "or"], ["maj"]):
         base = mk_base(names)
         cls = clone_identify(base)
-        for f in clone_closure(base, 3, budget=100_000):
+        for f in clone_closure(base, 3):
             single = BaseSet({"f": f})
             # the singleton's class sits at or below the base's class
             merged = BaseSet({"f": f, **dict(base)})

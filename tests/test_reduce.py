@@ -258,11 +258,12 @@ def test_synth_is_deterministic():
 
 
 def test_synth_cache_keeps_answers_apart_per_budget(monkeypatch, swap_limit):
-    # the tight limit trips the search, so its answer is the Shannon
-    # fallback; with the cache cleared, the default limit must still get
-    # the searched formula
+    # the tight limit trips the search (xor's needs 406 applications), so
+    # its answer is the Shannon fallback, whose searches share the limit
+    # (its "and" needs 10); with the cache cleared, the default limit must
+    # still get the searched formula
     xor = tt_of("0110")
-    swap_limit("synthesis applications", 5)
+    swap_limit("synthesis applications", 100)
     fallback = synth_bformula(xor, STD_BASE)
     assert print_formula(fallback, STD_BASE) == (
         "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
@@ -296,7 +297,7 @@ def test_synth_search_budget_boundary(swap_limit, bits, base, limit, want):
     swap_limit("synthesis applications", limit - 1)
     message = f"^{limit} synthesis applications over the limit of {limit - 1}$"
     with pytest.raises(BudgetExceeded, match=message):
-        _synth_search(target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"])
+        _synth_search(target, base)
 
 
 def test_synth_search_passes_over_each_round_once(monkeypatch):
@@ -315,13 +316,14 @@ def test_synth_search_passes_over_each_round_once(monkeypatch):
     psi = cnf_to_formula(CnfFormula(3, ((1, -2, 3),)))
     target = truth_table_of(t_transform(psi, D1, n0=3), STD_BASE, 6)
     with pytest.raises(BudgetExceeded, match="^1391946 synthesis applications over the limit of 120000$"):
-        _synth_search(target, STD_BASE, LIMITS["synthesis nodes"], LIMITS["synthesis applications"])
+        _synth_search(target, STD_BASE)
     assert len(passes) >= 2 and set(passes.values()) == {1}
 
 
 def reference_synth_search(target, base, max_size, max_applications):
     """_synth_search as it read the rounds one application at a time,
-    summing every argument's size per application."""
+    summing every argument's size per application, under the given
+    synthesis limits."""
     n = target.n
     known = {var_mask(n, j): (1, f"x{j}", None, j) for j in range(1, n + 1)}
     charged = 0
@@ -356,6 +358,13 @@ def reference_synth_search(target, base, max_size, max_applications):
     raise NotRealizable(
         f"target is outside the base's closure at arity {n} ({len(known)} realizable tables)"
     )
+
+
+def capped_synth_search(monkeypatch, target, base, max_size, max_applications):
+    """_synth_search with its two LIMITS entries swapped to the given caps."""
+    monkeypatch.setitem(LIMITS, "synthesis nodes", max_size)
+    monkeypatch.setitem(LIMITS, "synthesis applications", max_applications)
+    return _synth_search(target, base)
 
 
 def round_ends(base, n, cap):
@@ -399,10 +408,10 @@ def synth_cases(count, seed=1692):
         yield target, base, max_size, max(limit, 1)
 
 
-def test_synth_search_agrees_with_the_per_application_reference():
+def test_synth_search_agrees_with_the_per_application_reference(monkeypatch):
     kinds = set()
     for target, base, *limits in synth_cases(1692):
-        got = outcome(_synth_search, target, base, *limits)
+        got = outcome(capped_synth_search, monkeypatch, target, base, *limits)
         want = outcome(reference_synth_search, target, base, *limits)
         if isinstance(got, tuple):
             kinds.add(next(w for w in ("applications", "nodes", "outside") if w in got[1]))
@@ -428,10 +437,12 @@ def test_synth_search_agrees_with_the_per_application_reference():
         ),
     ],
 )
-def test_synth_search_agrees_with_the_reference_at_the_size_cap(target, entries, budget, want):
+def test_synth_search_agrees_with_the_reference_at_the_size_cap(
+    monkeypatch, target, entries, budget, want
+):
     base = mk_base(entries)
     assert outcome(reference_synth_search, target, base, *budget) == want
-    assert outcome(_synth_search, target, base, *budget) == want
+    assert outcome(capped_synth_search, monkeypatch, target, base, *budget) == want
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +541,13 @@ def test_tr_agrees_with_the_per_application_reference_search(monkeypatch):
     rng = random.Random(8)
     bases = list(hard_single_bases((2,))) + rng.sample(list(hard_single_bases((3,))), 40)
     got = [printed_reduction(phi, variant, base) for base, variant in bases]
-    monkeypatch.setattr(bconn.reduce, "_synth_search", reference_synth_search)
+    monkeypatch.setattr(
+        bconn.reduce,
+        "_synth_search",
+        lambda target, base: reference_synth_search(
+            target, base, LIMITS["synthesis nodes"], LIMITS["synthesis applications"]
+        ),
+    )
     want = [printed_reduction(phi, variant, base) for base, variant in bases]
     synth_bformula.cache_clear()  # no reference answer outlives the patch
     assert got == want

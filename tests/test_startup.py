@@ -136,13 +136,15 @@ def test_every_exported_name_resolves_and_is_listed():
 
 def test_every_limit_lives_in_the_errors_table():
     """No module but errors.py binds a limit of its own, no exported
-    function takes a budget but clone_closure (whose --budget the CLI
-    sets), and every entry of LIMITS is charged somewhere."""
+    function takes a budget, charge reads its limit from LIMITS only,
+    the synthesis search takes no caps, and every entry of LIMITS is
+    charged somewhere."""
     import ast
     import inspect
 
     import bconn
-    from bconn.errors import LIMITS
+    from bconn.errors import LIMITS, charge
+    from bconn.reduce import _synth_search
 
     texts = {}
     for m in MODULES:
@@ -157,7 +159,9 @@ def test_every_limit_lives_in_the_errors_table():
                 assert not name.endswith(("_BUDGET", "_LIMIT", "_CAP")), (m, name)
     for name in bconn.__all__:
         fn = getattr(bconn, name)
-        if callable(fn) and not inspect.isclass(fn) and name != "clone_closure":
+        if callable(fn) and not inspect.isclass(fn):
             assert not {"budget", "search_budget"} & set(inspect.signature(fn).parameters), name
+    assert list(inspect.signature(charge).parameters) == ["name", "used", "error"]
+    assert list(inspect.signature(_synth_search).parameters) == ["target", "base"]
     for entry in LIMITS:
         assert any(f'"{entry}"' in text for m, text in texts.items() if m != "errors"), entry
