@@ -30,7 +30,7 @@ from .errors import (
     WrongClass,
 )
 from .properties import affine_form_of
-from .truthtable import LinearForm, Record, TruthTable, _set, mask_rows, tt_print
+from .truthtable import LinearForm, Record, TruthTable, _lines, _set, mask_rows, tt_print
 
 VAR_NAME = re.compile(r"x[1-9][0-9]*\Z")  # a variable x_j in every text format
 
@@ -42,7 +42,7 @@ def parse_circuit(text: str, base: BaseSet) -> GateList:
     node: dict[str, int] = {}  # wire name -> node
     b: GateBuilder | None = None
     output: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

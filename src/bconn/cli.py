@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, suppress
+from errno import EISDIR
 from itertools import repeat
 
 from . import _later
@@ -85,12 +88,34 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {e}") from None
 
 
-def _write(path: str, text: str):
+@contextmanager
+def _writing(*paths: str):
+    """A list for the block to put one text per path in, written all or
+    none.  Each path gets a temporary file beside it on entry, so that an
+    unwritable path is refused before the block's work; the temporaries
+    replace the paths once every text is written, and are removed if any
+    step fails."""
+    temps: list = []
+    texts: list[str] = []
+    path = ""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise UsageError(f"cannot write {path}: {e}") from None
+        for path in paths:
+            if os.path.isdir(path):  # which os.replace would refuse only at the end
+                raise IsADirectoryError(EISDIR, os.strerror(EISDIR), path)
+            temps.append(open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8"))
+        yield texts
+        for path, fh, text in zip(paths, temps, texts):
+            with fh:
+                fh.write(text)
+        for path, fh in zip(paths, temps):
+            os.replace(fh.name, path)
+    except OSError as e:  # named by its path, not the temporary's
+        raise UsageError(f"cannot write {path}: {OSError(e.errno, e.strerror, path)}") from None
+    finally:
+        for fh in temps:
+            fh.close()
+            with suppress(FileNotFoundError):
+                os.remove(fh.name)
 
 
 def _emit(args, text: str, payload: dict):
@@ -421,8 +446,8 @@ def _cmd_reduce(args) -> int:
     # a relation's payload is its sidecar; a formula's carries the formula
     payload = sidecar if args.rel else {"formula": text, **sidecar}
     if args.out:
-        _write(args.out, text + "\n")
-        _write(args.out + ".json", json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        with _writing(args.out, args.out + ".json") as texts:
+            texts += text + "\n", json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         text = f"wrote {args.out} and {args.out}.json"
     _emit(args, text, payload)
     return 0
@@ -430,11 +455,11 @@ def _cmd_reduce(args) -> int:
 
 def _write_dot(args, sol: SolutionSet) -> tuple[dict, str]:
     """The DOT rendering, written to --dot if given, and its summary."""
-    check_dot_size(sol)  # before the component sweep
-    lab = components(sol)
-    dot = export_dot(sol, lab)
-    if args.dot:
-        _write(args.dot, dot)
+    check_dot_size(sol)  # before the component sweep, as is an unwritable --dot
+    with _writing(*filter(None, [args.dot])) as texts:
+        lab = components(sol)
+        dot = export_dot(sol, lab)
+        texts.append(dot)
     return {"vertices": len(sol), "components": lab.count, "dot": args.dot}, dot
 
 

@@ -34,6 +34,7 @@ from .truthtable import (
     N_MAX,
     Record,
     TruthTable,
+    _lines,
     _set,
     threshold_tt,
     tt_parse,
@@ -97,7 +98,7 @@ STANDARD_BASE = BaseSet(
 def parse_base_file(text: str) -> BaseSet:
     """Parse `name arity bits` lines; '#' comments and blank lines ignored."""
     entries: dict[str, TruthTable] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

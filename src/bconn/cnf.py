@@ -9,7 +9,7 @@ from __future__ import annotations
 from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE
 from .errors import EmptyClause, HeaderMismatch, LiteralOutOfRange
-from .truthtable import Record, _set, replace
+from .truthtable import Record, _lines, _set, replace
 
 
 class CnfFormula(Record):
@@ -33,7 +33,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     declared = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _lines(text):
         line = raw.strip()
         if line == "%":
             break

@@ -12,8 +12,9 @@ function named like `x1` is not reachable from the concrete syntax.
 A formula is a circuit whose gates have fan-out 1, and its text spells
 that circuit out per occurrence.  So a formula has no type of its own:
 the parser hash-conses each application straight into a GateList, and
-the printer unfolds a GateList back into text.  The parser is one loop
-over the tokens of one regex: an application's '(' opens a frame on an
+the printer unfolds a GateList back into text.  The parser reads each
+token once, as the text is tokenized a slice at a time after a first
+pass finds the variables: an application's '(' opens a frame on an
 explicit stack and its ')' reduces the frame, so nesting depth is
 unbounded.  The printer is one pass over the gates in order: it builds
 each text the output reaches once and keeps it only until its last reader.
@@ -22,62 +23,70 @@ each text the output reaches once and keeps it only until its last reader.
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import length_hint
 
 from .circuits import VAR_NAME, GateBuilder, GateList
 from .clones import BaseSet
 from .errors import ArityMismatch, FormulaSyntaxError, TooLarge, UnknownFunction, charge
-from .truthtable import TruthTable
+from .truthtable import TruthTable, _slices
 
 _TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
+_NONWORD = re.compile(r"\W")  # no token spans a cut just after one
+_XWORD = re.compile(r"x(?<!\wx)\w*")  # an identifier starting with x, as variables do
 
 
-def _parse(text: str, toks: list[str], b: GateBuilder) -> int:
+def _parse(text: str, b: GateBuilder) -> int:
     """The output node, each application hash-consed into b as its frame
-    closes, reduced left to right on an explicit stack."""
+    closes, reduced left to right on an explicit stack.  Each token is
+    read once; tok is the one after what has been reduced."""
     heads: dict[str, tuple] = {}  # token -> (None, input node) or (arity, name)
     frames: list[tuple[str, int, list]] = []  # open applications
-    i = 0
-    while True:  # an expression starts at token i
-        i += 1
-        want, value = heads.get(toks[i - 1]) or _head(text, toks, i - 1, b, heads)
+    nxt, index = _tokens(text)
+    tok = nxt()
+    while True:  # an expression starts at tok
+        want, value = heads.get(tok) or _head(text, tok, index, b, heads)
+        tok = nxt()
         if want is not None:
-            if toks[i] == "(":
-                i += 1
-                if toks[i] != ")" or want:
+            if tok == "(":
+                tok = nxt()
+                if tok != ")" or want:
                     frames.append((value, want, []))
                     continue
-                i += 1
+                tok = nxt()
             elif want:
                 raise ArityMismatch(f"{value} takes {want} args, got 0")
             value = b.app(value, ())
         while frames:  # close the frames that value completes
             frames[-1][2].append(value)
-            i += 1
-            if toks[i - 1] == ",":
+            if tok == ",":
+                tok = nxt()
                 break
-            if toks[i - 1] != ")":
-                raise FormulaSyntaxError("expected ',' or ')'", _at(text, i - 1))
+            if tok != ")":
+                raise FormulaSyntaxError("expected ',' or ')'", _at(text, index()))
+            tok = nxt()
             name, want, args = frames.pop()
             if len(args) != want:
                 raise ArityMismatch(f"{name} takes {want} args, got {len(args)}")
             value = b.app(name, tuple(args))
         else:
-            if toks[i]:
-                raise FormulaSyntaxError("trailing input", _at(text, i))
+            if tok:
+                raise FormulaSyntaxError("trailing input", _at(text, index()))
             return value
 
 
-def _head(text: str, toks: list[str], k: int, b: GateBuilder, heads: dict) -> tuple:
-    """Classify token k, which starts an expression, and remember it."""
-    tok = toks[k]
+def _head(text: str, tok: str, index, b: GateBuilder, heads: dict) -> tuple:
+    """Classify tok, which starts an expression, and remember it."""
     if VAR_NAME.match(tok):
         heads[tok] = (None, b.node[int(tok[1:])])
     elif not tok[:1].isalnum() and tok[:1] != "_":
-        raise FormulaSyntaxError("expected identifier", _at(text, k))
+        raise FormulaSyntaxError("expected identifier", _at(text, index()))
     elif tok not in b.base:
         # an expression starts right after a comma, before any whitespace;
         # elsewhere at its own first token (the first one at offset 0)
-        start = 0 if k == 0 else _at(text, k - 1) + 1 if toks[k - 1] == "," else _at(text, k)
+        k = index()
+        comma = k and text[_at(text, k - 1)] == ","
+        start = 0 if k == 0 else _at(text, k - 1) + 1 if comma else _at(text, k)
         raise UnknownFunction(f"unknown function {tok!r} at position {start}")
     else:
         heads[tok] = (b.base[tok].n, tok)
@@ -90,11 +99,29 @@ def _at(text: str, k: int) -> int:
     return starts[k] if k < len(starts) else len(text)
 
 
+def _tokens(text: str):
+    """next() over the tokens of text and then "" for its end, found one
+    slice at a time, and index(), the index of the token next() last gave."""
+    at: list = [0, []]  # tokens of the slices before; this slice's tokens, iterator
+
+    def enter(toks: list[str]):
+        at[:] = at[0] + len(at[1]), toks, iter(toks)
+        return at[2]
+
+    def index() -> int:
+        return at[0] + len(at[1]) - length_hint(at[2]) - 1
+
+    found = (_TOKEN.findall(text, *span) for span in _slices(text, _NONWORD))
+    return chain.from_iterable(map(enter, chain(found, [[""]]))).__next__, index
+
+
 def parse_formula(text: str, base: BaseSet) -> GateList:
-    """The formula as a hash-consed gate list over the variables it names."""
-    toks = _TOKEN.findall(text) + [""]  # "" ends the input
-    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if VAR_NAME.match(t))))
-    return b.finish(_parse(text, toks, b))
+    """The formula as a hash-consed gate list over the variables it names,
+    which a first pass over the text finds."""
+    spans = _slices(text, _NONWORD)
+    names = set(chain.from_iterable(_XWORD.findall(text, *span) for span in spans))
+    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in names if VAR_NAME.match(t))))
+    return b.finish(_parse(text, b))
 
 
 def print_formula(gl: GateList, base: BaseSet) -> str:

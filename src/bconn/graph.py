@@ -73,6 +73,7 @@ from .truthtable import (
     N_MAX,
     BitVector,
     Record,
+    _line_slices,
     _set,
     mask_rows,
     var_mask,
@@ -87,6 +88,8 @@ truth_table_of = _later("semantics", "truth_table_of")
 
 # one mask layer costs about as much as probing 2^(n-11) frontier words
 _THICK_SHIFT = 11
+
+_BITS = str.maketrans("", "", "01")  # translate deletes 0 and 1
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -619,28 +622,33 @@ def random_relation(n: int, size: int, seed: int) -> SolutionSet:
 
 def parse_relation(text: str) -> SolutionSet:
     n = None
-    words = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    words: list[int] = []
+    for first, lines in _line_slices(text):
+        # a slice of bare n-bit words converts whole; others walk their lines
+        if set(map(len, lines)) == {n} and not "".join(lines).translate(_BITS):
+            words += map(int, lines, repeat(2))
             continue
-        if n is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "n":
-                raise UsageError(f"line {lineno}: expected header `n <dim>`")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise UsageError(f"line {lineno}: bad dimension {parts[1]!r}") from None
-            if n < 0:
-                raise UsageError(f"line {lineno}: negative dimension")
-            if n > N_MAX:
-                raise UsageError(f"line {lineno}: dimension {n} exceeds {N_MAX}")
-            continue
-        # the one word of dimension 0 is written `0`, as `texts` writes it
-        if (len(line) != n or line.strip("01")) and (n or line != "0"):
-            raise UsageError(f"line {lineno}: expected {n} bits")
-        words.append(int(line, 2))
+        for lineno, raw in enumerate(lines, first):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if n is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "n":
+                    raise UsageError(f"line {lineno}: expected header `n <dim>`")
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    raise UsageError(f"line {lineno}: bad dimension {parts[1]!r}") from None
+                if n < 0:
+                    raise UsageError(f"line {lineno}: negative dimension")
+                if n > N_MAX:
+                    raise UsageError(f"line {lineno}: dimension {n} exceeds {N_MAX}")
+                continue
+            # the one word of dimension 0 is written `0`, as `texts` writes it
+            if (len(line) != n or line.strip("01")) and (n or line != "0"):
+                raise UsageError(f"line {lineno}: expected {n} bits")
+            words.append(int(line, 2))
     if n is None:
         raise UsageError("missing `n <dim>` header")
     return SolutionSet.from_words(n, words)

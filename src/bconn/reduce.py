@@ -75,7 +75,8 @@ class TVariant(Record):
 
     @property
     def new_var_count(self) -> int:
-        return len(self.pad_vector()) + len(self.prefix(0) or ())
+        """The pad vector's length plus S02Q's bound z, without building it."""
+        return self.k + 2 if self.kind == S02K else {S12: 1, D1: 3, S02Q: 2}[self.kind]
 
     def prefix(self, n0: int) -> tuple[tuple[str, int], ...] | None:
         """The quantifiers of T over inputs x_1..x_{n0}: S02Q binds z =
@@ -364,14 +365,16 @@ def tr_combine(
     if n < 1:
         raise UsageError("Tr needs at least one variable")
     extra = variant.new_var_count
+    # the widest CNF tee tabulates (a clause over its distinct variables,
+    # x1 AND x2, an empty CNF's tautology), charged before anything is built
+    widths = [len({abs(lit) for lit in c}) for c in phi.clauses]
+    charge("table variables", max(widths + [2 if len(widths) > 1 else 1]) + extra)
     out = GateBuilder(base, tuple(range(1, n + extra + 1)))
     news = list(range(n, n + extra))  # the nodes of the new variables
 
     def tee(psi: CnfFormula) -> GateList:
-        width = psi.n + extra
-        charge("table variables", width)  # before T is built
         t = t_transform(cnf_to_formula(psi), variant, n0=psi.n)
-        table = truth_table_of(replace(t, prefix=None), STANDARD_BASE, width)
+        table = truth_table_of(replace(t, prefix=None), STANDARD_BASE, psi.n + extra)
         return synth_bformula(table, base)
 
     combiner: GateList | None = None

@@ -1,4 +1,5 @@
-"""Truth tables, assignment vectors, and linear forms.
+"""Truth tables, assignment vectors, and linear forms; and the reader
+every text parser takes its input through, a bounded slice at a time.
 
 Conventions pinned here and used everywhere else:
 
@@ -11,7 +12,9 @@ Conventions pinned here and used everywhere else:
 
 from __future__ import annotations
 
+import re
 import struct
+from itertools import chain
 from operator import attrgetter, eq, ge, gt, le, lt
 
 from .errors import (
@@ -23,6 +26,11 @@ from .errors import (
 )
 
 N_MAX = 30
+
+# characters of input text read at a time; a slice of formula tokens
+# takes about 20 bytes a character
+_SLICE = 1 << 14
+_NEWLINE = re.compile("\n")
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
 
@@ -261,3 +269,29 @@ class LinearForm(Record):
         if self.c or not terms:
             terms.append(str(self.c))
         return " + ".join(terms)
+
+
+def _slices(text: str, cut: re.Pattern):
+    """(start, end) of consecutive slices covering text, each about _SLICE
+    characters long and ending just after a match of cut, or at the end."""
+    start = 0
+    while start < len(text):
+        m = cut.search(text, start + _SLICE)
+        end = m.end() if m else len(text)
+        yield start, end
+        start = end
+
+
+def _line_slices(text: str):
+    """(number of the first line, lines) per slice cut just after a '\\n',
+    which no line break spans: the lines are those of text.splitlines()."""
+    first = 1
+    for start, end in _slices(text, _NEWLINE):
+        lines = text[start:end].splitlines()
+        yield first, lines
+        first += len(lines)
+
+
+def _lines(text: str):
+    """(line number, line) for each line of text.splitlines()."""
+    return chain.from_iterable(enumerate(lines, first) for first, lines in _line_slices(text))

@@ -295,6 +295,34 @@ def rand_linear_circuit(rng: random.Random, n: int, gate_count: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def and_or_formula(rng: random.Random, leaves: int, n: int) -> str:
+    """A random and/or tree over x1..xn with the given number of leaves,
+    about eight characters a leaf: 30,000 leaves at n = 30 is the size of
+    the benchmark's largest formula."""
+    names = [f"x{rng.randint(1, n)}" for _ in range(leaves)]
+
+    def tree(lo: int, hi: int) -> str:
+        if hi - lo == 1:
+            return names[lo]
+        mid = rng.randrange(lo + 1, hi)
+        return f"{rng.choice(('and', 'or'))}({tree(lo, mid)},{tree(mid, hi)})"
+
+    return tree(0, leaves)
+
+
+def affine_circuit(rng: random.Random, gates: int, n: int) -> str:
+    """Circuit text over xor/eqv on inputs x1..xn, each gate reading any
+    earlier wire and one of the last 200, the last gate the output: the
+    shape of the benchmark's largest circuit at 20,000 gates and n = 30."""
+    wires = [f"x{j}" for j in range(1, n + 1)]
+    lines = [f"input {w}" for w in wires]
+    for g in range(1, gates + 1):
+        fn, a, b = rng.choice(("xor", "eqv")), rng.choice(wires), rng.choice(wires[-200:])
+        lines.append(f"gate g{g} {fn} {a} {b}")
+        wires.append(f"g{g}")
+    return "\n".join(lines + [f"output {wires[-1]}"]) + "\n"
+
+
 def compact_cnf(phi: CnfFormula) -> CnfFormula:
     """Relabel so every ambient variable occurs in some clause."""
     used = sorted({abs(lit) for c in phi.clauses for lit in c})

@@ -678,6 +678,82 @@ def test_an_unwritable_output_path_is_a_usage_error(capsys, files, tmp_path, arg
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("taken", ["o", "o.json"])
+def test_reduce_out_writes_both_files_or_neither(capsys, files, tmp_path, taken):
+    cnf = files("f.cnf", "p cnf 2 1\n1 2 0\n")
+    (tmp_path / taken).mkdir()  # a path no file can be written to
+    out = str(tmp_path / "o")
+    code, stdout, err = run(capsys, "reduce", "--cnf", cnf, "--variant", "s12", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error [UsageError]: cannot write {tmp_path / taken}: [Errno 21] " \
+        f"Is a directory: '{tmp_path / taken}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["f.cnf", taken])
+    assert (tmp_path / taken).is_dir() and not any((tmp_path / taken).iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-random", "--vars", "4", "--count", "5"),
+    ("gen-expdiam", "--k", "2"),
+    ("export-dot", "--rel", "{rel}"),
+])
+@pytest.mark.parametrize("where, why", [
+    ("missing/x.dot", "[Errno 2] No such file or directory"),
+    ("dir", "[Errno 21] Is a directory"),
+])
+def test_an_unwritable_dot_path_is_refused_before_the_sweep(
+    capsys, monkeypatch, files, tmp_path, argv, where, why
+):
+    from bconn import cli
+
+    def no_sweep(sol):
+        raise AssertionError("the component sweep ran")
+
+    monkeypatch.setattr(cli, "components", no_sweep)
+    (tmp_path / "dir").mkdir()
+    rel = files("r.rel", "n 2\n00\n01\n")
+    dot = str(tmp_path / where)
+    code, out, err = run(capsys, *(a.format(rel=rel) for a in argv), "--dot", dot)
+    assert (code, out) == (2, "")
+    assert err == f"error [UsageError]: cannot write {dot}: {why}: '{dot}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "r.rel"]
+
+
+@pytest.mark.parametrize("kind, text, width", [
+    ("--cnf", "p cnf 3 2\n1 -2 0\n2 3 -1 0\n", 3),  # the widest clause
+    ("--cnf", "p cnf 2 2\n1 0\n2 0\n", 2),  # x1 AND x2, the combiner
+    ("--rel", "n 2\n11\n01\n", 2),
+])
+def test_reduce_s02k_counts_new_variables_before_building_any(
+    capsys, monkeypatch, files, kind, text, width
+):
+    path = files("in.txt", text)
+    padded = []
+
+    def pad_vector(v):
+        padded.append(v.k)
+        assert v.k < 100, "a pad vector built for a degree past the limit"
+        return "1" + "0" * (v.k + 1)
+
+    monkeypatch.setattr(TVariant, "pad_vector", pad_vector)
+    # S02K(k) adds y and z_1..z_{k+1}: at the limit the query runs, one past
+    # it the query is refused before any pad vector is built
+    k = 3
+    monkeypatch.setitem(LIMITS, "table variables", width + k + 2)
+    code, _, err = run(capsys, "reduce", kind, path, "--variant", "s02k", "--k", str(k))
+    assert (code, err, padded) == (0, "", [k])
+    monkeypatch.setitem(LIMITS, "table variables", width + k + 1)
+    code, out, err = run(capsys, "reduce", kind, path, "--variant", "s02k", "--k", str(k))
+    assert (code, out, padded) == (3, "", [k])
+    limit = width + k + 1
+    assert err == f"error [BudgetExceeded]: {width + k + 2} table variables over the limit of {limit}\n"
+    # a degree whose pad vector would not fit in memory is refused the same way
+    monkeypatch.setitem(LIMITS, "table variables", 24)
+    k = 99_999_999_999
+    code, out, err = run(capsys, "reduce", kind, path, "--variant", "s02k", "--k", str(k))
+    assert (code, out, padded) == (3, "", [3])
+    assert err == f"error [BudgetExceeded]: {width + k + 2} table variables over the limit of 24\n"
+
+
 # ---------------------------------------------------------------------------
 # generators / closure / export
 

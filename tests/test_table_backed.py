@@ -4,8 +4,10 @@ that stays near the interpreter's own on a 22-variable CNF.  A dense
 relation is searched on the same bitmap, with no set of its words.
 
 Run as a script, it prints the peak RSS and wall time of `components
---cnf --json` on the seeded random 3-CNFs at n = 22 and 24, and of
-`components --rel --json` on the seeded 40,000-word relation at n = 20:
+--cnf --json` on the seeded random 3-CNFs at n = 22 and 24, of
+`components --rel --json` on the seeded 40,000-word relation at n = 20,
+of `path --formula` on a seeded 30,000-leaf and/or formula at n = 30,
+and of `conn --circuit` on a seeded 20,000-gate affine circuit:
 
     PYTHONPATH=src python tests/test_table_backed.py
 """
@@ -43,6 +45,8 @@ from bconn.clones import STANDARD_BASE
 from bconn.errors import LIMITS
 from bconn.graph import EXACT, LOWER_BOUND
 from bconn.truthtable import mask_rows
+
+from conftest import affine_circuit, and_or_formula
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -333,3 +337,33 @@ if __name__ == "__main__":
             got = json.load(fh) if code == 0 else {}
         print(f"components --rel, n=20: exit {code}, {got.get('count')} words, "
               f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
+        # the OR with a conjunction over 15 variables makes their indicator
+        # a solution 15 steps from all-ones
+        rng = random.Random("report")
+        ones = sorted(rng.sample(range(1, 31), 15))
+        conj = f"x{ones[-1]}"
+        for j in ones[-2::-1]:
+            conj = f"and(x{j},{conj})"
+        files = {
+            "mono.tt": "and 2 0001\nor 2 0111\n",
+            "mono.bf": f"or({and_or_formula(rng, 30_000, 30)},{conj})\n",
+            "affine.tt": "xor 2 0110\neqv 2 1001\n",
+            "affine.circ": affine_circuit(rng, 20_000, 30),
+        }
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        t = "".join("1" if j in ones else "0" for j in range(1, 31))
+        code, mb, wall = _peak(["-m", "bconn.cli", "path", "--base", os.path.join(tmp, "mono.tt"),
+                                "--formula", os.path.join(tmp, "mono.bf"), "--s", "1" * 30,
+                                "--t", t, "--json"], out)
+        with open(out, encoding="utf-8") as fh:
+            got = json.load(fh) if code == 0 else {}
+        print(f"path --formula, 30,000 leaves, n=30: exit {code}, {got.get('length')} steps, "
+              f"{mb:.1f} MB peak, {wall:.2f} s")
+        code, mb, wall = _peak(["-m", "bconn.cli", "conn", "--base", os.path.join(tmp, "affine.tt"),
+                                "--circuit", os.path.join(tmp, "affine.circ"), "--json"], out)
+        with open(out, encoding="utf-8") as fh:
+            got = json.load(fh) if code == 0 else {}
+        print(f"conn --circuit, 20,000 gates, n=30: exit {code}, connected {got.get('connected')}, "
+              f"{mb:.1f} MB peak, {wall:.2f} s")
