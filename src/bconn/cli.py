@@ -23,8 +23,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
-from errno import EISDIR
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import repeat
 
 from . import _later
@@ -90,32 +89,26 @@ def _read(path: str) -> str:
 
 @contextmanager
 def _writing(*paths: str):
-    """A list for the block to put one text per path in, written all or
-    none.  Each path gets a temporary file beside it on entry, so that an
-    unwritable path is refused before the block's work; the temporaries
-    replace the paths once every text is written, and are removed if any
-    step fails."""
-    temps: list = []
-    texts: list[str] = []
+    """Files open for writing at the paths, opened before the block's work
+    so that an unwritable path is refused first.  If a path is refused or
+    the block fails, the files this call created are removed again."""
+    made: list[str] = []
     path = ""
     try:
-        for path in paths:
-            if os.path.isdir(path):  # which os.replace would refuse only at the end
-                raise IsADirectoryError(EISDIR, os.strerror(EISDIR), path)
-            temps.append(open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8"))
-        yield texts
-        for path, fh, text in zip(paths, temps, texts):
-            with fh:
-                fh.write(text)
-        for path, fh in zip(paths, temps):
-            os.replace(fh.name, path)
-    except OSError as e:  # named by its path, not the temporary's
-        raise UsageError(f"cannot write {path}: {OSError(e.errno, e.strerror, path)}") from None
-    finally:
-        for fh in temps:
-            fh.close()
-            with suppress(FileNotFoundError):
-                os.remove(fh.name)
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                if not os.path.lexists(path):
+                    made.append(path)
+                files.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+            yield files
+    except BaseException as e:
+        for new in made:
+            with suppress(OSError):
+                os.remove(new)
+        if isinstance(e, OSError):
+            raise UsageError(f"cannot write {path}: {e}") from None
+        raise
 
 
 def _emit(args, text: str, payload: dict):
@@ -446,8 +439,9 @@ def _cmd_reduce(args) -> int:
     # a relation's payload is its sidecar; a formula's carries the formula
     payload = sidecar if args.rel else {"formula": text, **sidecar}
     if args.out:
-        with _writing(args.out, args.out + ".json") as texts:
-            texts += text + "\n", json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+        with _writing(args.out, args.out + ".json") as (fh, side):
+            fh.write(text + "\n")
+            side.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         text = f"wrote {args.out} and {args.out}.json"
     _emit(args, text, payload)
     return 0
@@ -456,10 +450,11 @@ def _cmd_reduce(args) -> int:
 def _write_dot(args, sol: SolutionSet) -> tuple[dict, str]:
     """The DOT rendering, written to --dot if given, and its summary."""
     check_dot_size(sol)  # before the component sweep, as is an unwritable --dot
-    with _writing(*filter(None, [args.dot])) as texts:
+    with _writing(*filter(None, [args.dot])) as files:
         lab = components(sol)
         dot = export_dot(sol, lab)
-        texts.append(dot)
+        for fh in files:
+            fh.write(dot)
     return {"vertices": len(sol), "components": lab.count, "dot": args.dot}, dot
 
 

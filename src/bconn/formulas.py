@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from operator import length_hint
 
 from .circuits import VAR_NAME, GateBuilder, GateList
 from .clones import BaseSet
@@ -38,53 +37,51 @@ _XWORD = re.compile(r"x(?<!\wx)\w*")  # an identifier starting with x, as variab
 
 def _parse(text: str, b: GateBuilder) -> int:
     """The output node, each application hash-consed into b as its frame
-    closes, reduced left to right on an explicit stack.  Each token is
-    read once; tok is the one after what has been reduced."""
+    closes, reduced left to right on an explicit stack."""
     heads: dict[str, tuple] = {}  # token -> (None, input node) or (arity, name)
     frames: list[tuple[str, int, list]] = []  # open applications
-    nxt, index = _tokens(text)
-    tok = nxt()
-    while True:  # an expression starts at tok
-        want, value = heads.get(tok) or _head(text, tok, index, b, heads)
-        tok = nxt()
+    nxt = _tokens(text).__next__
+    i, tok = 0, nxt()  # tok is token i
+    while True:  # an expression starts at token i
+        want, value = heads.get(tok) or _head(text, tok, i, b, heads)
+        i, tok = i + 1, nxt()
         if want is not None:
             if tok == "(":
-                tok = nxt()
+                i, tok = i + 1, nxt()
                 if tok != ")" or want:
                     frames.append((value, want, []))
                     continue
-                tok = nxt()
+                i, tok = i + 1, nxt()
             elif want:
                 raise ArityMismatch(f"{value} takes {want} args, got 0")
             value = b.app(value, ())
         while frames:  # close the frames that value completes
             frames[-1][2].append(value)
             if tok == ",":
-                tok = nxt()
+                i, tok = i + 1, nxt()
                 break
             if tok != ")":
-                raise FormulaSyntaxError("expected ',' or ')'", _at(text, index()))
-            tok = nxt()
+                raise FormulaSyntaxError("expected ',' or ')'", _at(text, i))
+            i, tok = i + 1, nxt()
             name, want, args = frames.pop()
             if len(args) != want:
                 raise ArityMismatch(f"{name} takes {want} args, got {len(args)}")
             value = b.app(name, tuple(args))
         else:
             if tok:
-                raise FormulaSyntaxError("trailing input", _at(text, index()))
+                raise FormulaSyntaxError("trailing input", _at(text, i))
             return value
 
 
-def _head(text: str, tok: str, index, b: GateBuilder, heads: dict) -> tuple:
-    """Classify tok, which starts an expression, and remember it."""
+def _head(text: str, tok: str, k: int, b: GateBuilder, heads: dict) -> tuple:
+    """Classify tok, token k, which starts an expression, and remember it."""
     if VAR_NAME.match(tok):
         heads[tok] = (None, b.node[int(tok[1:])])
     elif not tok[:1].isalnum() and tok[:1] != "_":
-        raise FormulaSyntaxError("expected identifier", _at(text, index()))
+        raise FormulaSyntaxError("expected identifier", _at(text, k))
     elif tok not in b.base:
         # an expression starts right after a comma, before any whitespace;
         # elsewhere at its own first token (the first one at offset 0)
-        k = index()
         comma = k and text[_at(text, k - 1)] == ","
         start = 0 if k == 0 else _at(text, k - 1) + 1 if comma else _at(text, k)
         raise UnknownFunction(f"unknown function {tok!r} at position {start}")
@@ -100,19 +97,9 @@ def _at(text: str, k: int) -> int:
 
 
 def _tokens(text: str):
-    """next() over the tokens of text and then "" for its end, found one
-    slice at a time, and index(), the index of the token next() last gave."""
-    at: list = [0, []]  # tokens of the slices before; this slice's tokens, iterator
-
-    def enter(toks: list[str]):
-        at[:] = at[0] + len(at[1]), toks, iter(toks)
-        return at[2]
-
-    def index() -> int:
-        return at[0] + len(at[1]) - length_hint(at[2]) - 1
-
+    """The tokens of text, found one slice at a time, then "" for its end."""
     found = (_TOKEN.findall(text, *span) for span in _slices(text, _NONWORD))
-    return chain.from_iterable(map(enter, chain(found, [[""]]))).__next__, index
+    return chain.from_iterable(chain(found, [[""]]))
 
 
 def parse_formula(text: str, base: BaseSet) -> GateList:

@@ -625,7 +625,7 @@ def parse_relation(text: str) -> SolutionSet:
     words: list[int] = []
     for first, lines in _line_slices(text):
         # a slice of bare n-bit words converts whole; others walk their lines
-        if set(map(len, lines)) == {n} and not "".join(lines).translate(_BITS):
+        if n and set(map(len, lines)) == {n} and not "".join(lines).translate(_BITS):
             words += map(int, lines, repeat(2))
             continue
         for lineno, raw in enumerate(lines, first):

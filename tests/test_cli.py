@@ -718,6 +718,37 @@ def test_an_unwritable_dot_path_is_refused_before_the_sweep(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "r.rel"]
 
 
+def test_dot_writes_through_a_symlink_and_keeps_the_target_file(capsys, files, tmp_path):
+    rel = files("r.rel", "n 2\n00\n01\n")
+    target = tmp_path / "target.dot"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.dot"
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "export-dot", "--rel", rel, "--dot", str(link))
+    assert code == 0 and "wrote" in out
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8").startswith("graph")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.dot", "r.rel", "target.dot"]
+
+
+def test_a_failed_sweep_removes_only_the_dot_file_it_created(capsys, monkeypatch, files, tmp_path):
+    from bconn import cli
+    from bconn.errors import UsageError
+
+    def failing_sweep(sol):
+        raise UsageError("no sweep")
+
+    monkeypatch.setattr(cli, "components", failing_sweep)
+    rel = files("r.rel", "n 2\n00\n01\n")
+    (tmp_path / "old.dot").write_text("old\n")
+    for name in ("new.dot", "old.dot"):
+        code, out, err = run(capsys, "export-dot", "--rel", rel, "--dot", str(tmp_path / name))
+        assert (code, out, err) == (2, "", "error [UsageError]: no sweep\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.dot", "r.rel"]
+
+
 @pytest.mark.parametrize("kind, text, width", [
     ("--cnf", "p cnf 3 2\n1 -2 0\n2 3 -1 0\n", 3),  # the widest clause
     ("--cnf", "p cnf 2 2\n1 0\n2 0\n", 2),  # x1 AND x2, the combiner

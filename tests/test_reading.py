@@ -252,6 +252,16 @@ def test_comments_blank_lines_and_every_line_break(monkeypatch, size):
             assert sliced(monkeypatch, size, parse, text, *args) == want
 
 
+@pytest.mark.parametrize("size", [1, 3, _SLICE])
+def test_slices_of_blank_lines_after_a_dimension_0_header(monkeypatch, size):
+    # a slice of only blank lines holds no words, not words of 0 bits
+    blank = "\n" * (3 * _SLICE)
+    for text, count in [("n 0\n0\n" + blank, 1), ("n 0\n" + blank, 0), ("n 0\n" + blank + "0", 1)]:
+        got = sliced(monkeypatch, size, parse_relation, text)
+        assert got == whole(parse_relation, text)
+        assert (got.n, len(got)) == (0, count)
+
+
 @pytest.mark.parametrize("kind", LINE_FORMATS)
 def test_empty_text_and_errors_read_in_tiny_slices(monkeypatch, kind):
     parse, make, args = LINE_FORMATS[kind]
