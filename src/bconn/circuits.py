@@ -10,14 +10,13 @@ A circuit has no type of its own: parse_circuit reads the file straight
 into a GateList, hash-consing each gate as it is read, and print_circuit
 writes a GateList back out.  Every input kind lowers to a GateList; the
 two loops at the end of this module are the package's only evaluator
-(tabulate: a whole table, or a batch of points one bit lane each) and
-GF(2) propagator.
+(tabulate: a whole table, or a batch of points one bit lane each, each
+gate through its table's multiplexer plan) and GF(2) propagator.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .clones import BaseSet
 from .errors import (
@@ -30,9 +29,9 @@ from .errors import (
     WrongClass,
 )
 from .properties import affine_form_of
-from .truthtable import LinearForm, Record, TruthTable, _lines, _set, mask_rows, tt_print
+from .truthtable import LinearForm, Record, TruthTable, _lines, _set, mux_eval, mux_plan, tt_print
 
-VAR_NAME = re.compile(r"x[1-9][0-9]*\Z")  # a variable x_j in every text format
+VAR_NAME = re.compile(r"x[1-9][0-9]{0,4299}\Z")  # x_j in every format; int() takes 4300 digits
 
 
 def parse_circuit(text: str, base: BaseSet) -> GateList:
@@ -181,36 +180,16 @@ class GateBuilder:
         return GateList(self.inputs, tuple(gates), output, max(self.inputs, default=0))
 
 
-@lru_cache(maxsize=256)
-def _plan(f: TruthTable) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """How tabulate builds f's mask: from f's smaller preimage.
-
-    The one-rows give an OR of ANDs; the zero-rows give the complement of
-    one, which tabulate builds directly as an AND of ORs (cnf is True).
-    A term lists one literal per argument position p: p reads the
-    argument's mask and ~p its complement.  An empty term list is the
-    constant the preimage leaves, 0 for one-rows and all rows for zero-rows.
-    Plans are cached per table across calls.
-    """
-    zeros = f.bits ^ ((1 << f.size) - 1)
-    cnf = zeros.bit_count() < f.bits.bit_count()
-    return cnf, tuple(
-        tuple(p if (r >> (f.n - 1 - p) & 1) != cnf else ~p for p in range(f.n))
-        for r in mask_rows(zeros if cnf else f.bits)
-    )
-
-
 def tabulate(gl: GateList, leaves: list[int], rows: int) -> int:
     """Output mask over the given number of rows, given one row mask per
     input node.  Rows are table rows (2^n of them) or the lanes of a batch
     of points (bit i for point i); the loop is the same.
 
-    Each gate reads its table's plan (see _plan) from a dict keyed by the
-    table's identity, since hashing a table runs Python code.  Each term
-    starts from its first literal, so an and/or gate is one big-int
-    operation and an imp gate two.  A mask wider than a machine word is
-    dropped after its last use, so a long list does not keep every mask
-    alive; narrower ones cost what point values would."""
+    Each gate runs its table's multiplexer plan (truthtable.mux_plan),
+    fetched from a dict keyed by the table's identity, since hashing a
+    table runs Python code.  A mask wider than a machine word is dropped
+    after its last use, so a long list does not keep every mask alive;
+    narrower ones cost what point values would."""
     full = (1 << rows) - 1
     k = len(gl.inputs)
     release = rows > 64
@@ -222,26 +201,8 @@ def tabulate(gl: GateList, leaves: list[int], rows: int) -> int:
     for g, (f, args) in enumerate(gl.gates, start=k):
         plan = plans.get(id(f))
         if plan is None:
-            plan = plans[id(f)] = _plan(f)
-        cnf, terms = plan
-        out = None
-        for term in terms:
-            v = None
-            for p in term:
-                x = values[args[p]] if p >= 0 else full ^ values[args[~p]]
-                if v is None:
-                    v = x
-                elif cnf:
-                    v |= x
-                else:
-                    v &= x
-            if out is None:
-                out = v
-            elif cnf:
-                out &= v
-            else:
-                out |= v
-        values.append((full if cnf else 0) if out is None else out)
+            plan = plans[id(f)] = mux_plan(f)
+        values.append(mux_eval(plan, values, args, full))
         if release:
             for a in args:
                 if last[a] == g:

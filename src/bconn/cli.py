@@ -144,15 +144,16 @@ def _load_object(args, base: BaseSet | None):
     if len(picked) != 1:
         raise UsageError("give exactly one of --formula/--circuit/--cnf/--qbf/--rel")
     kind, path = picked[0]
-    text = _read(path)
+    # formula offsets count from the stripped text, the one copy the parse holds
+    text = _read(path).strip() if kind in ("formula", "qbf") else _read(path)
     if kind == "formula":
-        return parse_formula(text.strip(), base)
+        return parse_formula(text, base)
     if kind == "circuit":
         return parse_circuit(text, base)
     if kind == "cnf":
         return cnf_to_formula(parse_dimacs(text))
     if kind == "qbf":
-        return parse_qbf(text.strip(), base)
+        return parse_qbf(text, base)
     return parse_relation(text)
 
 

@@ -36,6 +36,8 @@ from .truthtable import (
     TruthTable,
     _lines,
     _set,
+    mux_eval,
+    mux_plan,
     threshold_tt,
     tt_parse,
     tt_print,
@@ -299,29 +301,17 @@ def _rounds(base: BaseSet, m: int, known: dict):
 
     The tuples come grouped by head, the first k - 1 arguments, as
     `(name, head, g0, d, last)`: base function `name` applied to
-    `head + (t,)` gives table g0 ^ (d & t's table) for each t in `last`.
-    Arguments are `(complement, table)` pairs.  An arity-0 function comes
-    as `(name, (), value, 0, None)`, in the first round.
-
-    The kernel cofactors on the last argument: per head it builds two
-    masks, g0 and g1, the function with its last argument fixed to 0 and
-    to 1.  Each is the OR, over the one-rows ending in that bit, of the
-    AND of the head's tables or complements that the row's leading bits
-    pick; d = g0 ^ g1.
+    `head + (t,)` gives table g0 ^ (d & t) for each table t in `last`.
+    g0 and g0 ^ d are its multiplexer plan (truthtable.mux_plan) run on
+    the head with the last argument at 0 and at all rows.  An arity-0
+    function comes as `(name, (), value, 0, None)`, in the first round.
     """
     full = (1 << (1 << m)) - 1
-    ops = []
-    for name, f in base:
-        # the one-rows split by their last bit, each kept as its leading
-        # bits; an arity-0 function's one row, if any, lands in the first
-        halves: tuple[list, list] = ([], [])
-        for r in f.one_rows():
-            halves[r & 1].append([(r >> (f.n - j)) & 1 for j in range(1, f.n)])
-        ops.append((name, f.n, halves))
-    old: list[tuple[int, int]] = []
+    ops = [(name, f.n, mux_plan(f)) for name, f in base]
+    old: list[int] = []
     first = True
     while True:
-        new = [(full ^ t, t) for t in islice(known, len(old), None)]
+        new = list(islice(known, len(old), None))
         if not (new or first):
             return
         every = old + new
@@ -332,26 +322,16 @@ def _rounds(base: BaseSet, m: int, known: dict):
 
 
 def _round(ops, old, new, every, full, first):
-    for name, k, (rows0, rows1) in ops:
-        if k == 0:
-            if first:
-                yield name, (), full if rows0 else 0, 0, None
+    for name, k, plan in ops:
+        if k == 0 and first:
+            yield name, (), mux_eval(plan, (), (), full), 0, None
         elif new:  # every tuple holds a new table
+            ids = tuple(range(k))
             for i in range(k):
                 *pools, last = *[old] * i, new, *[every] * (k - 1 - i)
                 for head in product(*pools):
-                    g0 = _cofactor(head, rows0, full)
-                    yield name, head, g0, g0 ^ _cofactor(head, rows1, full), last
-
-
-def _cofactor(head, rows, full):
-    g = 0
-    for row in rows:
-        term = full
-        for pair, bit in zip(head, row):
-            term &= pair[bit]
-        g |= term
-    return g
+                    g0 = mux_eval(plan, head + (0,), ids, full)
+                    yield name, head, g0, g0 ^ mux_eval(plan, head + (full,), ids, full), last
 
 
 def clone_closure(base: BaseSet, max_arity: int) -> frozenset[TruthTable]:
@@ -386,7 +366,7 @@ def clone_closure(base: BaseSet, max_arity: int) -> frozenset[TruthTable]:
             charge("closure applications", applications)
             new: set[int] = set()
             for _, _, g0, d, last in groups:
-                outs = {g0 ^ (d & t) for _, t in last} if d else {g0}
+                outs = {g0 ^ (d & t) for t in last} if d else {g0}
                 new |= outs.difference(known)
                 charge("closure tables", total + len(known) + len(new))
                 if len(known) + len(new) == 1 << (1 << m):

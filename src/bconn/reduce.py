@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
 
 from .circuits import GateBuilder, GateList
 from .clones import STANDARD_BASE, BaseSet, _rounds
@@ -189,15 +188,15 @@ def t_transform(psi: GateList, variant: TVariant, n0: int | None = None) -> Gate
 def _synth_search(target: TruthTable, base: BaseSet) -> GateList:
     """Bottom-up closure rounds (clones._rounds) seeded with the
     projections, with observational-equivalence memoing: each table keeps
-    the (size, print text, name, args) of the smallest, then first
-    printed, candidate of the round that first produced it; a candidate's
-    text is built only when it could win.  A group's head is sized once,
-    so each last argument t costs g0 ^ (d & t) and its own size.  A round,
-    a generator passed over once, is listed once; the search scores the
-    list's hits (the candidates that give the target) and stops if one is
-    within the size cap (no other candidate can touch the target's entry,
-    as `known` is fixed in a round); else it scores the whole list.
-    The target's gates are built once, at the end.
+    the (size, print text, name, argument tables) of the smallest, then
+    first printed, candidate of the round that first produced it; a
+    candidate's text is built only when it could win.  A group's head is
+    sized once, so each last table t costs g0 ^ (d & t) and its size.  A
+    round, a generator passed over once, is listed once; the search
+    scores the list's hits (the candidates that give the target) and
+    stops if one is within the size cap (no other candidate can touch the
+    target's entry, as `known` is fixed in a round); else it scores the
+    whole list.  The target's gates are built once, at the end.
 
     An application is one argument tuple holding at least one table new
     in the previous round; every one counts, realized or duplicate, and a
@@ -219,10 +218,10 @@ def _synth_search(target: TruthTable, base: BaseSet) -> GateList:
         groups = list(groups)
         # g0 ^ (d & t) is goal iff d & t is x = g0 ^ goal (d = 0 at arity 0)
         hits = [
-            (name, head, g0, d, last and [t for t in last if d & t[1] == x])
+            (name, head, g0, d, last and [t for t in last if d & t == x])
             for name, head, g0, d, last in groups
             if not (x := g0 ^ goal) & ~d
-            and (last is None or x in map(d.__and__, map(itemgetter(1), last)))
+            and (last is None or x in map(d.__and__, last))
         ]
         for part in hits, groups:
             fresh: dict[int, tuple] = {}
@@ -232,20 +231,20 @@ def _synth_search(target: TruthTable, base: BaseSet) -> GateList:
                     if g0 not in known and (best is None or (1, name) < best[:2]):
                         fresh[g0] = (1, name, name, ())
                     continue
-                size0 = 1 + sum([known[a][0] for _, a in head])
+                size0 = 1 + sum([known[a][0] for a in head])
                 for t in last:
-                    size = size0 + known[t[1]][0]
+                    size = size0 + known[t][0]
                     if size > max_size:
                         skipped = max(skipped, size)
                         continue
-                    out = g0 ^ (d & t[1])
+                    out = g0 ^ (d & t)
                     if out in known:
                         continue
                     best = fresh.get(out)
                     if best is not None and size > best[0]:
                         continue
                     args = head + (t,)
-                    text = f"{name}({','.join(known[a][1] for _, a in args)})"
+                    text = f"{name}({','.join(known[a][1] for a in args)})"
                     if best is None or (size, text) < best[:2]:
                         fresh[out] = (size, text, name, args)
             if goal in fresh:
@@ -269,12 +268,12 @@ def _gates_of(known: dict, bits: int, base: BaseSet, n: int) -> GateList:
             stack.pop()
             continue
         _, _, name, args = known[t]
-        todo = [a for _, a in args if a not in node]
+        todo = [a for a in args if a not in node]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        node[t] = b.app(name, tuple([node[a] for _, a in args]))
+        node[t] = b.app(name, tuple([node[a] for a in args]))
     return b.finish(node[bits])
 
 

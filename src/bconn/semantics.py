@@ -11,9 +11,9 @@ Lowering a gate list returns it unchanged.
 (circuits.tabulate), in which every node carries a bit mask.  For a
 table, bit i is row i, so a variable is a periodic 2^n-bit pattern; for
 a batch of points, bit i is point i.  Each gate combines its arguments'
-masks with a handful of bigint operations, instead of 2^n walks or one
-walk per point.  The gates carry their tables, so the `base` argument
-of `evaluate` and `truth_table_of` is not read.
+masks by its table's multiplexer plan (truthtable.mux_plan), not by 2^n
+walks or one walk per point.  The gates carry their tables, so the
+`base` argument of `evaluate` and `truth_table_of` is not read.
 
 Only the gate layer loads with this module: the CNF layer loads when a
 CNF comes in, and the quantified-formula layer when a prefix does.

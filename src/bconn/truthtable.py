@@ -1,5 +1,5 @@
-"""Truth tables, assignment vectors, and linear forms; and the reader
-every text parser takes its input through, a bounded slice at a time.
+"""Truth tables and their multiplexer plans, assignment vectors, linear
+forms; and the reader every text parser takes its input through in slices.
 
 Conventions pinned here and used everywhere else:
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import struct
+from functools import cache, lru_cache
 from itertools import chain
 from operator import attrgetter, eq, ge, gt, le, lt
 
@@ -245,6 +246,64 @@ def var_mask(n: int, j: int) -> int:
         mask |= mask << width
         width *= 2
     return mask
+
+
+@lru_cache(maxsize=256)
+def mux_plan(f: TruthTable) -> tuple[tuple, ...]:
+    """f's decision DAG with the first argument on top (Bryant, "Graph-based
+    algorithms for Boolean function manipulation", 1986): the steps
+    mux_eval runs, children first.  Each distinct subfunction, memoized on
+    (depth, subtable), is a step (kind, p, lo, hi), x_p ? hi : lo for the
+    argument x_p at position p.  A branch is a position (a projection), an
+    earlier step s as ~s, or a constant "0"/"1".  The kind spells the two
+    branches, a constant as itself and a subfunction as l or h, and folds
+    constants into the operation: "0h" is x & hi, one big-int operation.
+    A constant f is one step "00" or "11", a projection x one step x & x.
+    Plans are cached per table across calls."""
+    steps: list[tuple] = []
+
+    @cache
+    def node(depth: int, bits: int):
+        rows = 1 << (f.n - depth)
+        if bits in (0, (1 << rows) - 1):
+            return str(bits & 1)
+        lo, hi = bits & ((1 << rows // 2) - 1), bits >> rows // 2
+        if lo == hi:
+            return node(depth + 1, lo)
+        lo, hi = node(depth + 1, lo), node(depth + 1, hi)
+        kind = (lo if isinstance(lo, str) else "l") + (hi if isinstance(hi, str) else "h")
+        if kind == "01":
+            return depth
+        steps.append((kind, depth, lo, hi))
+        return ~(len(steps) - 1)
+
+    root = node(0, f.bits)
+    if isinstance(root, str):
+        return ((root * 2, 0, root, root),)
+    return tuple(steps) if root < 0 else (("0h", root, "0", root),)  # x & x
+
+
+def mux_eval(plan: tuple, values, args, full: int) -> int:
+    """plan's function of the masks values[args[0]], values[args[1]], ... on the rows of full."""
+    r: list[int] = []
+    for kind, p, lo, hi in plan:
+        if kind == "0h":
+            v = values[args[p]] & (values[args[hi]] if hi >= 0 else r[~hi])
+        elif kind == "l1":
+            v = values[args[p]] | (values[args[lo]] if lo >= 0 else r[~lo])
+        elif kind == "lh":
+            lo = values[args[lo]] if lo >= 0 else r[~lo]
+            v = lo ^ (values[args[p]] & (lo ^ (values[args[hi]] if hi >= 0 else r[~hi])))
+        elif kind == "10":
+            v = full ^ values[args[p]]
+        elif kind == "1h":
+            v = (full ^ values[args[p]]) | (values[args[hi]] if hi >= 0 else r[~hi])
+        elif kind == "l0":
+            v = (values[args[lo]] if lo >= 0 else r[~lo]) & ~values[args[p]]
+        else:
+            v = full if kind == "11" else 0
+        r.append(v)
+    return v
 
 
 class LinearForm(Record):

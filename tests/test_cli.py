@@ -408,6 +408,25 @@ def test_conn_rejects_a_quantified_variable_that_is_not_xN(capsys, files, var):
     }
 
 
+LONG = "x1" + "0" * 4300  # 4301 digits, one past what int() converts by default
+
+
+@pytest.mark.parametrize("kind, text, error", [
+    ("--formula", f"and(x1,{LONG})", f"UnknownFunction]: unknown function {LONG!r} at position 7"),
+    ("--circuit", f"input x1\ninput {LONG}\ngate g and x1 x1\noutput g\n",
+     f"UsageError]: line 2: bad input name {LONG!r}"),
+    ("--qbf", f"E {LONG} : and(x1,x2)", f"FormulaSyntaxError]: bad quantified variable {LONG!r}"),
+], ids=["formula", "circuit", "qbf"])
+def test_a_variable_name_past_the_digit_limit_is_a_usage_error(capsys, files, kind, text, error):
+    # int() refused the name with a ValueError traceback (exit 1)
+    base = files("mono.tt", MONO_TT)
+    code, out, err = run(capsys, "conn", kind, files("long.txt", text), "--base", base)
+    assert (code, out, err) == (2, "", f"error [{error}\n")
+    # one digit fewer still names a variable
+    shorter = files("shorter.txt", text.replace(LONG, LONG[:-1]))
+    assert run(capsys, "conn", kind, shorter, "--base", base)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # reduce
 

@@ -244,7 +244,7 @@ def applications(groups):
             yield name, head, g0
             continue
         for t in last:
-            yield name, head + (t,), g0 ^ (d & t[1])
+            yield name, head + (t,), g0 ^ (d & t)
 
 
 def expanded_rounds(base, m, known):
@@ -256,7 +256,8 @@ def expanded_rounds(base, m, known):
 def row_pattern_rounds(base, m, known):
     """expanded_rounds with the row-pattern kernel: every application ANDs,
     for each one-row, the row's choice of table or complement at every
-    position, and ORs the rows."""
+    position, and ORs the rows.  Arguments are tables; their complements
+    are computed here."""
     full = (1 << (1 << m)) - 1
     ops = [
         (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in f.one_rows()])
@@ -264,7 +265,7 @@ def row_pattern_rounds(base, m, known):
     ]
     old, first = [], True
     while True:
-        new = [(full ^ t, t) for t in islice(known, len(old), None)]
+        new = list(islice(known, len(old), None))
         if not (new or first):
             return
         every = old + new
@@ -282,8 +283,8 @@ def row_pattern_round(ops, old, new, every, full, first):
                 out = 0
                 for row in rows:
                     term = full
-                    for pair, bit in zip(args, row):
-                        term &= pair[bit]
+                    for t, bit in zip(args, row):
+                        term &= t if bit else full ^ t
                     out |= term
                 yield name, args, out
 

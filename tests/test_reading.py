@@ -10,13 +10,14 @@ the whole text, kept below as the reference.  Both the shipped slice size
 and tiny ones are checked, so that cuts land everywhere.
 """
 
+import argparse
 import random
 import re
 import tracemalloc
 
 import pytest
 
-from bconn import truthtable
+from bconn import cli, truthtable
 from bconn.circuits import VAR_NAME, GateBuilder, parse_circuit
 from bconn.clones import BaseSet, parse_base_file
 from bconn.cnf import parse_dimacs
@@ -366,12 +367,19 @@ def _overhead(parse, *args) -> int:
     return peak - held
 
 
-def test_a_parse_holds_a_bounded_slice_of_its_input():
+def test_a_parse_holds_a_bounded_slice_of_its_input(tmp_path):
     rng = random.Random(30)
     # the benchmark's mono30 size: 30,000 leaves, about 246 kB; the list of
     # every token alone took 4.2 MB
     formula = and_or_formula(rng, 30_000, 30)
-    assert _overhead(parse_formula, formula, MONO) < 2_000_000
+    parse = _overhead(parse_formula, formula, MONO)
+    assert parse < 2_000_000
+    # the CLI's load holds the stripped text beside the parse, and not also
+    # the text as read (parse + 2 copies, 1.26 MB, before it rebound it)
+    path = tmp_path / "mono.bf"
+    path.write_text(f"\n{formula}\n", encoding="utf-8")
+    load = _overhead(cli._load_object, argparse.Namespace(formula=str(path)), MONO)
+    assert load < parse + 1.5 * len(formula)
     # 40,000 words at n = 20, 840 kB; the list of every line took 3 MB
     relation = relation_text(rng, count=40_000)
     assert _overhead(parse_relation, relation) < 1_000_000

@@ -339,7 +339,7 @@ def reference_synth_search(target, base, max_size, max_applications):
         fresh = {}
         for name, args, out in tuples:
             size = 1
-            for _, a in args:
+            for a in args:
                 size += known[a][0]
             if size > max_size:
                 skipped.append(size)
@@ -349,7 +349,7 @@ def reference_synth_search(target, base, max_size, max_applications):
             best = fresh.get(out)
             if best is not None and size > best[0]:
                 continue
-            text = f"{name}({','.join(known[a][1] for _, a in args)})" if args else name
+            text = f"{name}({','.join(known[a][1] for a in args)})" if args else name
             if best is None or (size, text) < best[:2]:
                 fresh[out] = (size, text, name, args)
         known.update(fresh)

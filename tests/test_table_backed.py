@@ -39,6 +39,8 @@ from bconn import (
     print_relation,
     random_relation,
     shortest_path,
+    threshold_tt,
+    tt_print,
 )
 from bconn import graph
 from bconn.clones import STANDARD_BASE
@@ -367,3 +369,17 @@ if __name__ == "__main__":
             got = json.load(fh) if code == 0 else {}
         print(f"conn --circuit, 20,000 gates, n=30: exit {code}, connected {got.get('connected')}, "
               f"{mb:.1f} MB peak, {wall:.2f} s")
+        # a gate of T^16_8 runs 71 multiplexer steps, where the DNF plan it
+        # replaced had 26,333 terms of 16 literals
+        with open(os.path.join(tmp, "t16.tt"), "w", encoding="utf-8") as fh:
+            fh.write(f"t 16 {tt_print(threshold_tt(16, 8))}\nand 2 0001\nor 2 0111\n")
+        t1, t5 = (",".join(f"x{j}" for j in range(lo, lo + 16)) for lo in (1, 5))
+        for gates, text in (("one T^16_8 gate", f"t({t1})"), ("two T^16_8 gates", f"and(t({t1}),t({t5}))")):
+            with open(os.path.join(tmp, "t16.bf"), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            code, mb, wall = _peak(["-m", "bconn.cli", "components", "--base", os.path.join(tmp, "t16.tt"),
+                                    "--formula", os.path.join(tmp, "t16.bf"), "--vars", "20", "--json"], out)
+            with open(out, encoding="utf-8") as fh:
+                got = json.load(fh) if code == 0 else {}
+            print(f"components --formula, {gates}, n=20: exit {code}, {got.get('count')} solutions, "
+                  f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")

@@ -21,9 +21,9 @@ from bconn import (
     tt_print,
     var_mask,
 )
-from bconn.circuits import tabulate
+from bconn.circuits import GateList, lane_mask, tabulate
 from bconn.semantics import lower
-from bconn.truthtable import N_MAX
+from bconn.truthtable import N_MAX, mux_plan
 
 from conftest import TABLES, tt_of
 
@@ -183,6 +183,75 @@ def test_apply_masks_agrees_with_pointwise_application():
                 for child in children:
                     arg = arg << 1 | (child >> row) & 1
                 assert (out >> row) & 1 == f.value(arg), (f, n, children, row)
+
+
+def dnf_plan(f):
+    """The plan tabulate read before multiplexer plans: f's smaller
+    preimage as an OR of ANDs over the one-rows, or as an AND of ORs over
+    the zero-rows (cnf), one literal per position, ~p the complement."""
+    zeros = f.bits ^ ((1 << f.size) - 1)
+    cnf = zeros.bit_count() < f.bits.bit_count()
+    return cnf, [
+        [p if (r >> (f.n - 1 - p) & 1) != cnf else ~p for p in range(f.n)]
+        for r in range(f.size)
+        if (zeros if cnf else f.bits) >> r & 1
+    ]
+
+
+def dnf_tabulate(gl, leaves, rows):
+    """tabulate as it ran each gate's DNF plan term by term."""
+    full = (1 << rows) - 1
+    values = list(leaves)
+    for f, args in gl.gates:
+        cnf, terms = dnf_plan(f)
+        out = full if cnf else 0
+        for term in terms:
+            v = 0 if cnf else full
+            for p in term:
+                x = values[args[p]] if p >= 0 else full ^ values[args[~p]]
+                v = v | x if cnf else v & x
+            out = out & v if cnf else out | v
+        values.append(out)
+    return values[gl.output]
+
+
+def random_gate_list(rng, n):
+    """Gates over x1..xn: the two constants, then random tables of arity
+    0-10 whose arguments repeat and include the constants."""
+    gates = [(TruthTable(0, 0), ()), (TruthTable(0, 1), ())]
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(0, 10)
+        pool = rng.sample(range(n + len(gates)), min(n + len(gates), rng.randint(1, 4)))
+        gates.append((TruthTable(k, rng.getrandbits(1 << k)), tuple(rng.choices(pool, k=k))))
+    return GateList(tuple(range(1, n + 1)), tuple(gates), n + len(gates) - 1, n)
+
+
+def test_tabulate_agrees_with_the_dnf_plans_on_whole_tables_and_lanes():
+    rng = random.Random(2727)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        gl = random_gate_list(rng, n)
+        leaves = [var_mask(n, j) for j in gl.inputs]
+        assert tabulate(gl, leaves, 1 << n) == dnf_tabulate(gl, leaves, 1 << n), gl
+        if n:
+            points = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randint(1, 150))]
+            lanes = [lane_mask(points, j) for j in gl.inputs]
+            assert tabulate(gl, lanes, len(points)) == dnf_tabulate(gl, lanes, len(points)), gl
+
+
+@pytest.mark.parametrize("bits, n, steps", [
+    ("0001", 2, 1), ("0111", 2, 1), ("10", 1, 1), ("1101", 2, 1),  # and, or, not, imp
+    ("1110", 2, 2), ("0110", 2, 2), ("01010011", 3, 1),  # nand, xor, mux
+    ("01", 1, 1), ("0011", 2, 1), ("0", 0, 1), ("1111", 2, 1),  # projections, constants
+])
+def test_a_multiplexer_plan_has_a_step_per_subfunction(bits, n, steps):
+    assert len(mux_plan(tt_parse(bits, n))) == steps
+
+
+def test_a_threshold_plan_stays_small():
+    # one step per (variables read, ones seen) that is still undecided; the
+    # DNF plan had 26,333 terms of 16 literals
+    assert len(mux_plan(threshold_tt(16, 8))) <= 100
 
 
 def test_linear_form_truth_table_and_str():
