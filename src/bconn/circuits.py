@@ -17,6 +17,7 @@ gate through its table's multiplexer plan) and GF(2) propagator.
 from __future__ import annotations
 
 import re
+import sys
 
 from .clones import BaseSet
 from .errors import (
@@ -31,7 +32,12 @@ from .errors import (
 from .properties import affine_form_of
 from .truthtable import LinearForm, Record, TruthTable, _lines, _set, mux_eval, mux_plan, tt_print
 
-VAR_NAME = re.compile(r"x[1-9][0-9]{0,4299}\Z")  # x_j in every format; int() takes 4300 digits
+_VAR = re.compile(r"x[1-9][0-9]*\Z")
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)  # int()'s; 0: none; new in 3.10.7
+
+
+def is_var(tok: str) -> bool:  # x_j in every text format, j within int()'s digit limit
+    return _VAR.match(tok) is not None and not 0 < _digit_limit() < len(tok) - 1
 
 
 def parse_circuit(text: str, base: BaseSet) -> GateList:
@@ -50,7 +56,7 @@ def parse_circuit(text: str, base: BaseSet) -> GateList:
         if kind == "input":
             if len(parts) != 2:
                 raise UsageError(f"line {lineno}: expected `input xN`")
-            if not VAR_NAME.match(parts[1]):
+            if not is_var(parts[1]):
                 raise UsageError(f"line {lineno}: bad input name {parts[1]!r}")
             if parts[1] in node:
                 raise DuplicateName(f"line {lineno}: duplicate input {parts[1]!r}")

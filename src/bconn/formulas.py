@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 
-from .circuits import VAR_NAME, GateBuilder, GateList
+from .circuits import GateBuilder, GateList, is_var
 from .clones import BaseSet
 from .errors import ArityMismatch, FormulaSyntaxError, TooLarge, UnknownFunction, charge
 from .truthtable import TruthTable, _slices
@@ -75,7 +75,7 @@ def _parse(text: str, b: GateBuilder) -> int:
 
 def _head(text: str, tok: str, k: int, b: GateBuilder, heads: dict) -> tuple:
     """Classify tok, token k, which starts an expression, and remember it."""
-    if VAR_NAME.match(tok):
+    if is_var(tok):
         heads[tok] = (None, b.node[int(tok[1:])])
     elif not tok[:1].isalnum() and tok[:1] != "_":
         raise FormulaSyntaxError("expected identifier", _at(text, k))
@@ -107,7 +107,7 @@ def parse_formula(text: str, base: BaseSet) -> GateList:
     which a first pass over the text finds."""
     spans = _slices(text, _NONWORD)
     names = set(chain.from_iterable(_XWORD.findall(text, *span) for span in spans))
-    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in names if VAR_NAME.match(t))))
+    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in names if is_var(t))))
     return b.finish(_parse(text, b))
 
 

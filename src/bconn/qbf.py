@@ -14,7 +14,7 @@ too.
 
 from __future__ import annotations
 
-from .circuits import VAR_NAME, GateList, lane_mask, tabulate
+from .circuits import GateList, is_var, lane_mask, tabulate
 from .clones import BaseSet
 from .errors import FormulaSyntaxError, UsageError, charge
 from .formulas import parse_formula, print_formula
@@ -58,7 +58,7 @@ def parse_qbf(text: str, base: BaseSet) -> GateList:
     for q, v in zip(toks[::2], toks[1::2]):
         if q not in (EXISTS, FORALL):
             raise FormulaSyntaxError(f"bad quantifier {q!r}")
-        if not VAR_NAME.match(v):
+        if not is_var(v):
             raise FormulaSyntaxError(f"bad quantified variable {v!r}")
         prefix.append((q, int(v[1:])))
     return with_prefix(parse_formula(body, base), tuple(prefix))

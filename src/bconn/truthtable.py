@@ -250,16 +250,16 @@ def var_mask(n: int, j: int) -> int:
 
 @lru_cache(maxsize=256)
 def mux_plan(f: TruthTable) -> tuple[tuple, ...]:
-    """f's decision DAG with the first argument on top (Bryant, "Graph-based
-    algorithms for Boolean function manipulation", 1986): the steps
-    mux_eval runs, children first.  Each distinct subfunction, memoized on
-    (depth, subtable), is a step (kind, p, lo, hi), x_p ? hi : lo for the
-    argument x_p at position p.  A branch is a position (a projection), an
-    earlier step s as ~s, or a constant "0"/"1".  The kind spells the two
-    branches, a constant as itself and a subfunction as l or h, and folds
-    constants into the operation: "0h" is x & hi, one big-int operation.
-    A constant f is one step "00" or "11", a projection x one step x & x.
-    Plans are cached per table across calls."""
+    """f's decision DAG with the first argument on top (Bryant, IEEE Trans.
+    Computers 1986): the steps mux_eval runs, children first, cached per
+    table.  Each distinct subfunction, memoized on (depth, subtable), is a
+    step (kind, p, lo, hi, free), x_p ? hi : lo for the argument at
+    position p.  A branch is a position, an earlier step s as ~s, or a
+    constant "0"/"1"; the kind spells both, a step as l or h, and folds
+    constants into the operation: "0h" is x_p & hi, one big-int operation.
+    free lists the steps read for the last time here, whose masks mux_eval
+    drops, so a wide gate holds its live subfunctions, not all of them.  A
+    constant f is one step "00" or "11", a projection one step x_p & x_p."""
     steps: list[tuple] = []
 
     @cache
@@ -278,15 +278,19 @@ def mux_plan(f: TruthTable) -> tuple[tuple, ...]:
         return ~(len(steps) - 1)
 
     root = node(0, f.bits)
-    if isinstance(root, str):
-        return ((root * 2, 0, root, root),)
-    return tuple(steps) if root < 0 else (("0h", root, "0", root),)  # x & x
+    if not steps:  # a constant as itself, a projection x as x & x
+        steps.append((root * 2, 0, root, root) if root in ("0", "1") else ("0h", root, "0", root))
+    last = {~c: t for t, step in enumerate(steps) for c in step[2:] if isinstance(c, int) and c < 0}
+    free: list[list] = [[] for _ in steps]
+    for s, t in last.items():
+        free[t].append(s)
+    return tuple((*step, tuple(free[t])) for t, step in enumerate(steps))
 
 
 def mux_eval(plan: tuple, values, args, full: int) -> int:
     """plan's function of the masks values[args[0]], values[args[1]], ... on the rows of full."""
     r: list[int] = []
-    for kind, p, lo, hi in plan:
+    for kind, p, lo, hi, free in plan:
         if kind == "0h":
             v = values[args[p]] & (values[args[hi]] if hi >= 0 else r[~hi])
         elif kind == "l1":
@@ -303,6 +307,9 @@ def mux_eval(plan: tuple, values, args, full: int) -> int:
         else:
             v = full if kind == "11" else 0
         r.append(v)
+        if free:  # an empty loop costs more, on the one-step plans most gates run
+            for s in free:
+                r[s] = 0
     return v
 
 

@@ -408,22 +408,35 @@ def test_conn_rejects_a_quantified_variable_that_is_not_xN(capsys, files, var):
     }
 
 
-LONG = "x1" + "0" * 4300  # 4301 digits, one past what int() converts by default
+@pytest.fixture(params=[4300, 640], ids=["default-limit", "lowest-limit"])
+def digit_limit(request):
+    """int()'s digit limit, set for the test: the default, then the lowest
+    that -X int_max_str_digits or PYTHONINTMAXSTRDIGITS allows."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no digit limit before Python 3.10.7")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("kind, text, error", [
-    ("--formula", f"and(x1,{LONG})", f"UnknownFunction]: unknown function {LONG!r} at position 7"),
-    ("--circuit", f"input x1\ninput {LONG}\ngate g and x1 x1\noutput g\n",
-     f"UsageError]: line 2: bad input name {LONG!r}"),
-    ("--qbf", f"E {LONG} : and(x1,x2)", f"FormulaSyntaxError]: bad quantified variable {LONG!r}"),
+    ("--formula", "and(x1,{x})", "UnknownFunction]: unknown function {x!r} at position 7"),
+    ("--circuit", "input x1\ninput {x}\ngate g and x1 x1\noutput g\n",
+     "UsageError]: line 2: bad input name {x!r}"),
+    ("--qbf", "E {x} : and(x1,x2)", "FormulaSyntaxError]: bad quantified variable {x!r}"),
 ], ids=["formula", "circuit", "qbf"])
-def test_a_variable_name_past_the_digit_limit_is_a_usage_error(capsys, files, kind, text, error):
+def test_a_variable_name_past_the_digit_limit_is_a_usage_error(
+    capsys, files, digit_limit, kind, text, error
+):
     # int() refused the name with a ValueError traceback (exit 1)
+    long = "x1" + "0" * digit_limit  # one digit past the limit
     base = files("mono.tt", MONO_TT)
-    code, out, err = run(capsys, "conn", kind, files("long.txt", text), "--base", base)
-    assert (code, out, err) == (2, "", f"error [{error}\n")
+    path = files("long.txt", text.format(x=long))
+    code, out, err = run(capsys, "conn", kind, path, "--base", base)
+    assert (code, out, err) == (2, "", f"error [{error.format(x=long)}\n")
     # one digit fewer still names a variable
-    shorter = files("shorter.txt", text.replace(LONG, LONG[:-1]))
+    shorter = files("shorter.txt", text.format(x=long[:-1]))
     assert run(capsys, "conn", kind, shorter, "--base", base)[0] == 0
 
 

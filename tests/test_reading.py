@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 from bconn import cli, truthtable
-from bconn.circuits import VAR_NAME, GateBuilder, parse_circuit
+from bconn.circuits import GateBuilder, is_var, parse_circuit
 from bconn.clones import BaseSet, parse_base_file
 from bconn.cnf import parse_dimacs
 from bconn.errors import (
@@ -71,7 +71,7 @@ _TOKEN = re.compile(r"\w+|\S")
 
 def reference_formula(text, base):
     toks = _TOKEN.findall(text) + [""]
-    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if VAR_NAME.match(t))))
+    b = GateBuilder(base, tuple(sorted(int(t[1:]) for t in set(toks) if is_var(t))))
     return b.finish(_reference_parse(text, toks, b))
 
 
@@ -109,7 +109,7 @@ def _reference_parse(text, toks, b):
 
 def _reference_head(text, toks, k, b, heads):
     tok = toks[k]
-    if VAR_NAME.match(tok):
+    if is_var(tok):
         heads[tok] = (None, b.node[int(tok[1:])])
     elif not tok[:1].isalnum() and tok[:1] != "_":
         raise FormulaSyntaxError("expected identifier", _reference_at(text, k))
