@@ -235,10 +235,11 @@ def _brute_guarded(args, obj, base: BaseSet | None, n: int) -> SolutionSet:
         return enumerate_solutions(obj, base, n)
     except BudgetExceeded as e:
         verdict = dispatch(base, quantified=obj.prefix is not None)
-        raise BudgetExceeded(
-            f"{e}; dispatch for this base is {verdict.describe()}, so no "
-            "polynomial algorithm applies"
-        ) from None
+        if verdict.side == "EASY":
+            tail = "so conn, stconn and path answer without enumerating"
+        else:
+            tail = "so no polynomial algorithm applies"
+        raise BudgetExceeded(f"{e}; dispatch for this base is {verdict.describe()}, {tail}") from None
 
 
 def _cmd_classify(args) -> int:
@@ -248,13 +249,7 @@ def _cmd_classify(args) -> int:
     quant = dispatch(base, quantified=True, degree_bound=args.degree_bound)
 
     def blob(v):
-        return {
-            "side": v.side,
-            "easy_class": v.easy_class,
-            "hard_variant": v.hard_variant,
-            "hard_k": v.hard_k,
-            "describe": v.describe(),
-        }
+        return {f: getattr(v, f) for f in v._fields} | {"describe": v.describe()}
 
     _emit(
         args,

@@ -28,7 +28,7 @@ import re
 from functools import lru_cache
 from itertools import islice, product
 
-from .errors import ArityOverflow, DuplicateName, UnknownClass, UsageError, charge
+from .errors import ArityOverflow, DegreeBoundTooSmall, DuplicateName, UnknownClass, UsageError, charge
 from .properties import DEFAULT_DEGREE_BOUND, property_report
 from .truthtable import (
     N_MAX,
@@ -204,22 +204,22 @@ def _check_arities(base: BaseSet):
             raise ArityOverflow(f"{name} has arity {f.n} > {N_MAX}")
 
 
-def _shared_atoms(base: BaseSet, degree_bound: int, report_bound: int) -> tuple[frozenset, int]:
+def _shared_atoms(base: BaseSet, degree_bound: int) -> tuple[frozenset, int]:
     """The atoms every function of the base has, the signature of the clone
     it generates, with separation degrees up to dmax = min(degree bound,
-    largest arity); and dmax.  Atoms read degrees up to dmax only, so any
-    report bound from max(dmax, 2) up gives the same atoms, and
-    clone_identify and dispatch share each report."""
+    largest arity); and dmax.  Each table's report is asked for at
+    max(dmax, 2), the least bound a report takes, so clone_identify and
+    dispatch share it, and a large degree bound builds no more atoms."""
     _check_arities(base)
     # an a-ary function's finite separation degree is at most a - 1
     dmax = min(degree_bound, max(f.n for f in base.tables))
-    reports = [property_report(f, report_bound) for f in base.tables]
+    reports = [property_report(f, max(dmax, 2)) for f in base.tables]
     return _upto(frozenset.intersection(*reports), dmax), dmax
 
 
 def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> str:
     """Name of the minimal closed class containing the base."""
-    atoms, dmax = _shared_atoms(base, degree_bound, max(degree_bound, 2))
+    atoms, dmax = _shared_atoms(base, degree_bound)
     try:
         return _signatures(dmax)[atoms]
     except KeyError:
@@ -229,7 +229,7 @@ def clone_identify(base: BaseSet, degree_bound: int = DEFAULT_DEGREE_BOUND) -> s
 class DichotomyVerdict(Record):
     """Which side of the tractability frontier a base falls on."""
 
-    __slots__ = ("side", "easy_class", "hard_variant", "hard_k", "quantified")
+    __slots__ = ("side", "easy_class", "hard_variant", "hard_k")
 
     def __init__(
         self,
@@ -237,13 +237,11 @@ class DichotomyVerdict(Record):
         easy_class: str | None = None,  # MONOTONE | LINEAR | ZERO_SEPARATING
         hard_variant: str | None = None,  # S12 | D1 | S02K
         hard_k: int | None = None,
-        quantified: bool = False,
     ):
         _set(self, "side", side)
         _set(self, "easy_class", easy_class)
         _set(self, "hard_variant", hard_variant)
         _set(self, "hard_k", hard_k)
-        _set(self, "quantified", quantified)
 
     def describe(self) -> str:
         if self.side == "EASY":
@@ -266,21 +264,24 @@ def dispatch(
     (at the degree bound inside S0), anything else S12.  The memberships
     are the atoms clone_identify looks up (_shared_atoms).
     """
-    atoms, _ = _shared_atoms(base, degree_bound, degree_bound)
+    _check_arities(base)  # before the bound, and before any report is built
+    if degree_bound < 2:
+        raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
+    atoms, _ = _shared_atoms(base, degree_bound)
     if "M" in atoms:
-        return DichotomyVerdict("EASY", easy_class="MONOTONE", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="MONOTONE")
     if "L" in atoms:
-        return DichotomyVerdict("EASY", easy_class="LINEAR", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="LINEAR")
     if "S0" in atoms and not quantified:
-        return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING")
     if "D" in atoms:
-        return DichotomyVerdict("HARD", hard_variant="D1", quantified=quantified)
+        return DichotomyVerdict("HARD", hard_variant="D1")
     # the degree atoms ("S0d", k) hold from k = 2 up to the common degree
     degrees = [a[1] for a in atoms if a[0] == "S0d"]
     k = degree_bound if "S0" in atoms else max(degrees, default=0)
     if k >= 2:
-        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=k, quantified=quantified)
-    return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
+        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=k)
+    return DichotomyVerdict("HARD", hard_variant="S12")
 
 
 def _rounds(base: BaseSet, m: int, known: dict):

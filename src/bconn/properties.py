@@ -1,8 +1,10 @@
 """Function properties that define the closed classes of Boolean functions.
 
-Predicates here are exact over the full truth table.  Degree-bounded
-separation is computed via a minimum-cover argument instead of subset
-enumeration: for c and a in f^-1(c), let coZ(a) be the set of coordinates
+Predicates here are exact over the full truth table, and each is a
+whole-table operation: shifts, ANDs and compares of the table and the
+variable masks, with no loop over rows.  Degree-bounded separation is
+computed via a minimum-cover argument instead of subset enumeration:
+for c and a in f^-1(c), let coZ(a) be the set of coordinates
 where a_i != c.  A size-m subset of f^-1(c) shares a common c-coordinate
 iff the union of its coZ sets is not all of {1..n}, so separation of
 degree m holds exactly when no m coZ sets cover {1..n}.  The largest
@@ -19,8 +21,7 @@ one lattice int."""
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 
 from .errors import DegreeBoundTooSmall, charge
 from .truthtable import LinearForm, TruthTable, dual, mask_rows, var_mask
@@ -77,11 +78,16 @@ def essential_variables(f: TruthTable) -> list[int]:
 
 
 def is_conjunction_like(f: TruthTable) -> bool:
-    """f is a constant or a conjunction of (unnegated) variables."""
+    """f is a constant or a conjunction of (unnegated) variables: f equals
+    the conjunction of the variables that are 1 on every 1-row."""
     if f.bits == 0:
         return True
-    lead = reduce(and_, f.one_rows())
-    return all(f.value(i) == (1 if (i & lead) == lead else 0) for i in range(f.size))
+    conjunction = (1 << f.size) - 1
+    for j in range(1, f.n + 1):
+        m = var_mask(f.n, j)
+        if not f.bits & ~m:
+            conjunction &= m
+    return conjunction == f.bits
 
 
 def is_disjunction_like(f: TruthTable) -> bool:
@@ -91,13 +97,6 @@ def is_disjunction_like(f: TruthTable) -> bool:
 
 def is_essentially_unary(f: TruthTable) -> bool:
     return len(essential_variables(f)) <= 1
-
-
-def is_projection_or_constant(f: TruthTable) -> bool:
-    full = (1 << f.size) - 1
-    if f.bits == 0 or f.bits == full:
-        return True
-    return any(f.bits == var_mask(f.n, j) for j in range(1, f.n + 1))
 
 
 def _inverse_rows(f: TruthTable, c: int) -> int:
@@ -207,18 +206,20 @@ def property_report(f: TruthTable, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
     """The atoms f lies in, each a closed class: R0, R1, M, D, L, S0, S1,
     E, V, N and I, and ("S{c}d", k) for each degree k in 2..degree_bound at
     which f is c-separating.  Computed once per (table, degree bound):
-    classify asks for each base table in clone_identify and both dispatches."""
+    classify asks for each base table in clone_identify and both dispatches.
+    S{c} is c-separation at every degree; I (constants, projections) is N and M."""
     if degree_bound < 2:
         raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
+    degrees = max_separation_degree(f, 0), max_separation_degree(f, 1)
+    monotone, unary = is_monotone(f), is_essentially_unary(f)
     flags = {
-        "R0": is_reproducing(f, 0), "R1": is_reproducing(f, 1), "M": is_monotone(f),
-        "D": is_self_dual(f), "L": is_affine(f), "S0": is_separating(f, 0),
-        "S1": is_separating(f, 1), "E": is_conjunction_like(f), "V": is_disjunction_like(f),
-        "N": is_essentially_unary(f), "I": is_projection_or_constant(f),
+        "R0": is_reproducing(f, 0), "R1": is_reproducing(f, 1), "M": monotone,
+        "D": is_self_dual(f), "L": is_affine(f), "S0": degrees[0] == ALL,
+        "S1": degrees[1] == ALL, "E": is_conjunction_like(f), "V": is_disjunction_like(f),
+        "N": unary, "I": unary and monotone,
     }
     atoms = [atom for atom, holds in flags.items() if holds]
-    for c in (0, 1):
-        d = max_separation_degree(f, c)
+    for c, d in enumerate(degrees):
         top = degree_bound if d == ALL else min(d, degree_bound)
         atoms += [(f"S{c}d", k) for k in range(2, top + 1)]
     return frozenset(atoms)

@@ -32,6 +32,7 @@ N_MAX = 30
 # takes about 20 bytes a character
 _SLICE = 1 << 14
 _NEWLINE = re.compile("\n")
+_NOT_BIT = re.compile("[^01]")
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
 
@@ -180,13 +181,11 @@ def tt_parse(text: str, n: int) -> TruthTable:
         raise LengthMismatch(
             f"expected {1 << n} characters for arity {n}, got {len(text)}"
         )
-    bits = 0
-    for i, c in enumerate(text):
-        if c == "1":
-            bits |= 1 << i
-        elif c != "0":
-            raise BadCharacter(f"bad character {c!r} at position {i}")
-    return TruthTable(n, bits)
+    bad = _NOT_BIT.search(text)
+    if bad:
+        raise BadCharacter(f"bad character {bad.group()!r} at position {bad.start()}")
+    # row i is character i, so the binary numeral is the text read backwards
+    return TruthTable(n, int(text[::-1], 2))
 
 
 def tt_print(f: TruthTable) -> str:

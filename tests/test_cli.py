@@ -127,6 +127,18 @@ def test_classify_complete_base_is_hard(capsys, files):
     assert payload["dispatch"]["hard_variant"] == "S12"
 
 
+def test_classify_at_a_huge_degree_bound(capsys, files):
+    # reports are built at the base's arity, so the bound costs nothing;
+    # only the quantified verdict names it
+    base = files("imp.tt", "imp 2 1101\n")
+    code, out, _ = run(capsys, "classify", "--base", base, "--degree-bound", "8")
+    assert code == 0
+    assert out == "clone: S0\ndispatch: EASY(ZERO_SEPARATING)\nquantified: HARD(S02K(8))\n"
+    code, huge, _ = run(capsys, "classify", "--base", base, "--degree-bound", "1000000000000")
+    assert code == 0
+    assert huge == out.replace("S02K(8)", "S02K(1000000000000)")
+
+
 def test_classify_without_base_is_usage(capsys):
     code, _, _ = run(capsys, "classify")
     assert code == 2
@@ -183,6 +195,22 @@ def test_conn_auto_refuses_hard_base_over_budget(capsys, files):
     blob = json.loads(err)
     assert blob["error"]["code"] == "BudgetExceeded"
     assert "HARD(S12)" in blob["error"]["message"]
+
+
+def test_refused_enumeration_names_what_the_dispatch_allows(capsys, files):
+    # on an EASY dispatch conn, stconn and path still answer; on a HARD one
+    # no polynomial algorithm does
+    wide = files("wide.bf", "and(x1,x30)\n")
+    mono = files("mono.tt", MONO_TT)
+    easy = ("30 table variables over the limit of 24; dispatch for this base is "
+            "EASY(MONOTONE), so conn, stconn and path answer without enumerating")
+    for argv in (["components"], ["conn", "--mode", "brute"]):
+        code, out, err = run(capsys, *argv, "--base", mono, "--formula", wide)
+        assert (code, out, err) == (3, "", f"error [BudgetExceeded]: {easy}\n")
+    code, out, err = run(capsys, "components", "--base", files("std.tt", STD_TT), "--formula", wide)
+    assert (code, out) == (3, "")
+    assert err == ("error [BudgetExceeded]: 30 table variables over the limit of 24; dispatch for "
+                   "this base is HARD(S12), so no polynomial algorithm applies\n")
 
 
 def test_conn_mode_poly_refuses_hard_base(capsys, files):

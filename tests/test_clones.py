@@ -42,7 +42,7 @@ from bconn.properties import (
 from bconn.semantics import lower
 from bconn.truthtable import mask_rows, var_mask
 
-from conftest import mk_base, tt_of
+from conftest import IMP_BASE, MONO_BASE, mk_base, tt_of
 from test_properties import reference_min_cover
 
 
@@ -375,6 +375,41 @@ def test_dispatch_hard_k_respects_degree_bound():
     assert dispatch(base, degree_bound=3).hard_k == 3
 
 
+def test_reports_are_built_at_most_at_the_largest_arity(monkeypatch):
+    """clone_identify and dispatch ask for each table's report at
+    max(dmax, 2), dmax = min(degree bound, largest arity), so a huge degree
+    bound builds no more atoms than the base's arity allows."""
+    report = bconn.clones.property_report
+    top = 0
+
+    def bounded(f, degree_bound):
+        if degree_bound > max(top, 2):
+            raise AssertionError(f"report of {f} asked for at degree bound {degree_bound}")
+        return report(f, degree_bound)
+
+    monkeypatch.setattr(bconn.clones, "property_report", bounded)
+    bases = [IMP_BASE, MONO_BASE, mk_base({"f": "00101111", "t": tt_print(dual_threshold(4))})]
+    for base, bound in product(bases, (2, 3, 8, 10**6, 10**12)):
+        top = max(f.n for f in base.tables)
+        assert clone_identify(base, bound) == clone_identify(base, min(bound, top))
+        dispatch(base, degree_bound=bound)
+        quant = dispatch(base, quantified=True, degree_bound=bound)
+    # {f, T^5_4 dualized} is in S0^4: the quantified verdict names S02K at
+    # the largest common degree, however large the bound
+    assert quant.describe() == "HARD(S02K(4))"
+    assert dispatch(IMP_BASE, quantified=True, degree_bound=10**12).describe() == "HARD(S02K(1000000000000))"
+
+
+def test_dispatch_refuses_a_bound_below_2_before_any_report(monkeypatch):
+    def unreachable(f, degree_bound):
+        raise AssertionError(f"report of {f} built for a refused bound")
+
+    monkeypatch.setattr(bconn.clones, "property_report", unreachable)
+    for bound in (1, 0, -3):
+        with pytest.raises(DegreeBoundTooSmall, match=f"^degree bound {bound} < 2$"):
+            dispatch(IMP_BASE, degree_bound=bound)
+
+
 def reference_dispatch(base, quantified=False, degree_bound=8):
     """dispatch read off the property predicates of each function, with
     neither property_report nor the atoms."""
@@ -383,21 +418,21 @@ def reference_dispatch(base, quantified=False, degree_bound=8):
         raise DegreeBoundTooSmall(f"degree bound {degree_bound} < 2")
     fs = base.tables
     if all(is_monotone(f) for f in fs):
-        return DichotomyVerdict("EASY", easy_class="MONOTONE", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="MONOTONE")
     if all(is_affine(f) for f in fs):
-        return DichotomyVerdict("EASY", easy_class="LINEAR", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="LINEAR")
     if not quantified and all(is_separating(f, 0) for f in fs):
-        return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING", quantified=quantified)
+        return DichotomyVerdict("EASY", easy_class="ZERO_SEPARATING")
     if all(is_self_dual(f) for f in fs):
-        return DichotomyVerdict("HARD", hard_variant="D1", quantified=quantified)
+        return DichotomyVerdict("HARD", hard_variant="D1")
     common_k = degree_bound
     for f in fs:
         d = max_separation_degree(f, 0)
         if d != ALL:
             common_k = min(common_k, d)
     if common_k >= 2:
-        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=common_k, quantified=quantified)
-    return DichotomyVerdict("HARD", hard_variant="S12", quantified=quantified)
+        return DichotomyVerdict("HARD", hard_variant="S02K", hard_k=common_k)
+    return DichotomyVerdict("HARD", hard_variant="S12")
 
 
 def outcome(fn, *args, **kwargs):

@@ -30,7 +30,6 @@ from bconn.properties import (
     is_conjunction_like,
     is_disjunction_like,
     is_essentially_unary,
-    is_projection_or_constant,
 )
 
 from conftest import TABLES, tt_of
@@ -172,7 +171,7 @@ def test_flags_agree_with_brute_force_exhaustively():
         assert essential_variables(f) == brute_essential(f), f
         assert is_conjunction_like(f) == brute_conjunction_like(f), f
         assert is_disjunction_like(f) == brute_disjunction_like(f), f
-        assert is_projection_or_constant(f) == brute_projection_or_constant(f), f
+        assert ("I" in property_report(f)) == brute_projection_or_constant(f), f
         assert is_essentially_unary(f) == (len(brute_essential(f)) <= 1), f
         for c in (0, 1):
             assert is_reproducing(f, c) == (f.value(0 if c == 0 else f.size - 1) == c), f
@@ -261,6 +260,25 @@ def test_property_report_degree_sentinel_and_none():
     assert degrees(property_report(tt_of(TABLES["imp"]), 20), 0) == list(range(2, 21))
     rep = property_report(tt_of(TABLES["and"]))
     assert "S0" not in rep and degrees(rep, 0) == []
+
+
+def test_property_report_of_wide_tables_reads_few_rows(monkeypatch):
+    """Every atom is a whole-table operation: the report of the 16-ary
+    AND, the 16-ary OR and T^16_8 reads at most 2n + 2 single rows."""
+    reads = 0
+    value = TruthTable.value
+
+    def counting(self, row):
+        nonlocal reads
+        reads += 1
+        return value(self, row)
+
+    monkeypatch.setattr(TruthTable, "value", counting)
+    n = 16
+    for k in (n, 1, n // 2):
+        reads = 0
+        property_report.__wrapped__(threshold_tt(n, k))  # past the report cache
+        assert reads <= 2 * n + 2, (k, reads)
 
 
 def test_property_report_rejects_tiny_degree_bound():

@@ -54,7 +54,7 @@ REPRS = [
     ("GateList", "GateList(inputs=(2,), gates=((TruthTable(n=1, bits=1), (0,)), "
      "(TruthTable(n=2, bits=14), (0, 1))), output=2, dim=2, prefix=None)"),
     ("DichotomyVerdict", "DichotomyVerdict(side='HARD', easy_class=None, "
-     "hard_variant='S12', hard_k=None, quantified=False)"),
+     "hard_variant='S12', hard_k=None)"),
     ("CnfFormula", "CnfFormula(n=2, clauses=((1, -2),))"),
     ("EasyAnswer", "EasyAnswer(connected=True, st_connected=True, "
      "witness_path=[BitVector(n=1, word=1)], rationale='monotone')"),

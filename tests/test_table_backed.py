@@ -7,7 +7,9 @@ Run as a script, it prints the peak RSS and wall time of `components
 --cnf --json` on the seeded random 3-CNFs at n = 22 and 24, of
 `components --rel --json` on the seeded 40,000-word relation at n = 20,
 of `path --formula` on a seeded 30,000-leaf and/or formula at n = 30,
-and of `conn --circuit` on a seeded 20,000-gate affine circuit:
+of `conn --circuit` on a seeded 20,000-gate affine circuit, of
+`components --formula --vars 20` on one and on two T^16_8 gates, and of
+`classify` on bases holding a 20-ary AND, a 20-ary OR and T^16_8:
 
     PYTHONPATH=src python tests/test_table_backed.py
 """
@@ -383,3 +385,19 @@ if __name__ == "__main__":
                 got = json.load(fh) if code == 0 else {}
             print(f"components --formula, {gates}, n=20: exit {code}, {got.get('count')} solutions, "
                   f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
+        # classify reads each base table as a whole: a 20-ary AND or OR beside
+        # the other monotone gate, and the T^16_8 base above
+        for label, name, text in (
+            ("20-ary AND, or", "and20.tt", f"a 20 {'0' * ((1 << 20) - 1)}1\nor 2 0111\n"),
+            ("20-ary OR, and", "or20.tt", f"o 20 0{'1' * ((1 << 20) - 1)}\nand 2 0001\n"),
+            ("T^16_8, and, or", "t16.tt", None),
+        ):
+            path = os.path.join(tmp, name)
+            if text is not None:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            code, mb, wall = _peak(["-m", "bconn.cli", "classify", "--base", path, "--json"], out)
+            with open(out, encoding="utf-8") as fh:
+                got = json.load(fh) if code == 0 else {}
+            print(f"classify {{{label}}}: exit {code}, clone {got.get('clone')}, "
+                  f"{mb:.1f} MB peak, {wall:.2f} s")

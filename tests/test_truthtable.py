@@ -1,6 +1,7 @@
 """Bit-level primitives: vectors, tables, masks, duals, linear forms."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -83,6 +84,24 @@ def test_tt_parse_rejects_bad_text():
         tt_parse("1", -1)
     with pytest.raises(ArityOverflow):
         tt_parse("0", 20000)
+
+
+def test_tt_parse_of_a_wide_text_and_its_bad_characters():
+    """A 2^20-row text converts as a whole, row i from character i; the
+    first character not 0 or 1 is named with its position, also one that
+    int() would read as a digit or skip as a space."""
+    n = 20
+    text = "".join(random.Random(2020).choices("01", k=1 << n))
+    # eight characters a byte, the first of them the byte's low bit
+    packed = bytes(int(text[k:k + 8][::-1], 2) for k in range(0, 1 << n, 8))
+    assert tt_parse(text, n) == TruthTable(n, int.from_bytes(packed, "little"))
+    for i in (0, (1 << n) // 2 + 3, (1 << n) - 1):
+        for c in ("2", "\uff11", " "):
+            bad = text[:i] + c + text[i + 1:]
+            if i + 1 < len(text):
+                bad = bad[:-1] + "x"  # a later bad character is not the one named
+            with pytest.raises(BadCharacter, match=f"^bad character {re.escape(repr(c))} at position {i}$"):
+                tt_parse(bad, n)
 
 
 def test_tt_print_round_trip():
