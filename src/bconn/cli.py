@@ -32,9 +32,11 @@ from .errors import (
     BudgetError,
     BudgetExceeded,
     NotRealizable,
+    TooLarge,
     UsageError,
     WitnessBudgetExceeded,
     WrongClass,
+    charge,
 )
 from .truthtable import BitVector, tt_print
 
@@ -116,6 +118,14 @@ def _emit(args, text: str, payload: dict):
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
+
+
+def _emit_relation(args, sol: SolutionSet, payload: dict):
+    """_emit with the relation file of sol as the text, written in chunks."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print_relation(sol, sys.stdout.write)
 
 
 def _bool(v: bool) -> str:
@@ -408,7 +418,9 @@ def _cmd_reduce(args) -> int:
         rel = parse_relation(_read(args.rel))
         out = apply_t_relation(rel, variant)
         n, facts = rel.n, {"n": out.n, "count": len(out)}
-        text = print_relation(out).rstrip("\n")
+
+        def spell(write):
+            print_relation(out, write)
     elif args.cnf:
         phi = parse_dimacs(_read(args.cnf))
         shifted = None
@@ -422,8 +434,14 @@ def _cmd_reduce(args) -> int:
         base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE
         stats: dict = {}
         gl = tr_combine(phi, variant, base, stats=stats)
-        text = (print_qbf if gl.prefix else print_formula)(gl, base)
+        # refused before --out is opened or a byte is written
+        charge("formula nodes", stats["size"], error=TooLarge)
         n, facts = phi.n, {"size": stats["size"], "depth": stats["depth"], "shifted_by": shifted}
+        printer = print_qbf if gl.prefix else print_formula
+
+        def spell(write):
+            printer(gl, base, write)
+            write("\n")
     else:
         raise UsageError("reduce needs --cnf or --rel input")
     sidecar = {
@@ -432,14 +450,23 @@ def _cmd_reduce(args) -> int:
         "pad_vector": variant.pad_vector(),
         **facts,
     }
-    # a relation's payload is its sidecar; a formula's carries the formula
-    payload = sidecar if args.rel else {"formula": text, **sidecar}
     if args.out:
         with _writing(args.out, args.out + ".json") as (fh, side):
-            fh.write(text + "\n")
+            spell(fh.write)
             side.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-        text = f"wrote {args.out} and {args.out}.json"
-    _emit(args, text, payload)
+        if not args.json:
+            print(f"wrote {args.out} and {args.out}.json")
+            return 0
+    if args.rel:  # a relation's payload is its sidecar
+        _emit_relation(args, out, sidecar)
+    elif not args.json:
+        spell(sys.stdout.write)
+    else:  # a formula's carries it, each piece escaped in its place
+        head, _, tail = json.dumps({"formula": "\0", **sidecar}, sort_keys=True).partition("\\u0000")
+        write = sys.stdout.write
+        write(head)
+        printer(gl, base, lambda piece: write(json.dumps(piece)[1:-1]))
+        print(tail)
     return 0
 
 
@@ -464,7 +491,7 @@ def _cmd_gen_expdiam(args) -> int:
     }
     if args.dot:
         info.update(_write_dot(args, sol)[0])
-    _emit(args, print_relation(sol).rstrip("\n"), info)
+    _emit_relation(args, sol, info)
     return 0
 
 
@@ -475,7 +502,7 @@ def _cmd_gen_random(args) -> int:
     info = {"n": sol.n, "count": len(sol), "seed": args.seed, "words": sol.texts()}
     if args.dot:
         info.update(_write_dot(args, sol)[0])
-    _emit(args, print_relation(sol).rstrip("\n"), info)
+    _emit_relation(args, sol, info)
     return 0
 
 

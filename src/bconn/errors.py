@@ -151,7 +151,7 @@ LIMITS = {
     "synthesis applications": 120_000,
     "synthesis nodes": 100_000,  # a candidate's formula size
     "transform words": 1 << 20,
-    "formula nodes": 1 << 26,  # print_formula builds the text whole
+    "formula nodes": 1 << 26,  # refused before print_formula writes a byte
     "cover states": 1 << 22,
     "DOT vertices": 1 << 16,
 }

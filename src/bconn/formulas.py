@@ -16,8 +16,8 @@ the printer unfolds a GateList back into text.  The parser reads each
 token once, as the text is tokenized a slice at a time after a first
 pass finds the variables: an application's '(' opens a frame on an
 explicit stack and its ')' reduces the frame, so nesting depth is
-unbounded.  The printer is one pass over the gates in order: it builds
-each text the output reaches once and keeps it only until its last reader.
+unbounded.  The printer writes the text in pieces and never builds a
+gate's text longer than _JOINED characters.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .truthtable import TruthTable, _slices
 _TOKEN = re.compile(r"\w+|\S")  # an identifier or one other character
 _NONWORD = re.compile(r"\W")  # no token spans a cut just after one
 _XWORD = re.compile(r"x(?<!\wx)\w*")  # an identifier starting with x, as variables do
+_JOINED = 1 << 16  # characters of the longest gate text the printer builds whole
 
 
 def _parse(text: str, b: GateBuilder) -> int:
@@ -111,31 +112,44 @@ def parse_formula(text: str, base: BaseSet) -> GateList:
     return b.finish(_parse(text, b))
 
 
-def print_formula(gl: GateList, base: BaseSet) -> str:
-    """The formula the gates unfold to, shared nodes spelled per occurrence.
+def print_formula(gl: GateList, base: BaseSet, write) -> None:
+    """Write the formula the gates unfold to through write, in pieces,
+    shared nodes spelled per occurrence.
 
     Each table is named by the least base name that has it, the name
-    synthesis's (size, text) tie-break picks.  One pass in gate order joins
-    each text the output reaches once and drops it after its last reader,
-    so a gate the output does not reach is never spelled.  The peak is the
-    output and the texts it is joined from, as in a recursive join (traced:
-    0.79 MB for a D1 and 1.05 MB for an S02K(2) reduction of 8 clauses).
-    A formula of more than LIMITS["formula nodes"] is refused first, as
-    the text (about three characters a node) is built whole; the largest
-    output measured, S02K(3) of a 64-clause CNF, has 52.1M."""
+    synthesis's (size, text) tie-break picks.  A gate whose text has at
+    most _JOINED characters, or a leaf, is joined in gate order and dropped
+    after its last joined reader, so a gate the output does not reach is
+    never spelled.  A longer gate is never built: it is written from the
+    output down as its name and '(', its arguments with ',' between them,
+    and ')'.  So the peak is the joined texts a written gate still reads,
+    not the output: 1.4 MB traced writing a 64-clause D1 reduction of
+    22.6M nodes.  More than LIMITS["formula nodes"] is refused before the
+    first write."""
+    _write_formula(gl, base, write, "")
+
+
+def _write_formula(gl: GateList, base: BaseSet, write, head: str) -> None:
+    """Write head, then print_formula's text; both wait for the refusal."""
     charge("formula nodes", formula_size(gl), error=TooLarge)
     names: dict[TruthTable, str] = {}
     for name, f in sorted(base):  # names are distinct, so tables never compare
         names.setdefault(f, name)
     k = len(gl.inputs)
-    last = [0] * gl.output + [-1]  # node -> the last gate reading it; 0: unreached
+    texts: list = [f"x{j}" for j in gl.inputs]
+    chars = [len(t) for t in texts]  # node -> characters of its text
+    for f, args in gl.gates:
+        chars.append(len(names[f]) + (sum([chars[a] for a in args]) + len(args) + 1 if args else 0))
+    texts += [None] * (gl.output + 1 - k)
+    joined = [not args or chars[g] <= _JOINED for g, (_, args) in enumerate(gl.gates, k)]
+    # node -> the last joined gate reading it; -1: kept to the end; 0: unreached
+    last = [0] * gl.output + [-1]
     for g in range(gl.output, k - 1, -1):
         if last[g]:
             for a in gl.gates[g - k][1]:
-                last[a] = last[a] or g
-    texts: list = [f"x{j}" for j in gl.inputs] + [None] * (gl.output + 1 - k)
+                last[a] = (last[a] or g) if joined[g - k] else -1
     for g in range(k, gl.output + 1):
-        if last[g]:
+        if last[g] and joined[g - k]:
             f, args = gl.gates[g - k]
             parts = [names[f], "("]
             for a in args:
@@ -145,7 +159,20 @@ def print_formula(gl: GateList, base: BaseSet) -> str:
             for a in args:
                 if last[a] == g:
                     texts[a] = None
-    return texts[gl.output]
+    todo: list = [gl.output, head] if head else [gl.output]  # last first
+    while todo:
+        v = todo.pop()
+        if type(v) is str:
+            write(v)
+        elif texts[v] is not None:
+            write(texts[v])
+        else:
+            f, args = gl.gates[v - k]
+            write(names[f] + "(")
+            todo.append(")")
+            for a in args[:0:-1]:
+                todo += a, ","
+            todo.append(args[0])
 
 
 def formula_size(gl: GateList) -> int:

@@ -88,6 +88,7 @@ truth_table_of = _later("semantics", "truth_table_of")
 
 # one mask layer costs about as much as probing 2^(n-11) frontier words
 _THICK_SHIFT = 11
+_CHUNK = 1024  # words per write of print_relation
 
 _BITS = str.maketrans("", "", "01")  # translate deletes 0 and 1
 
@@ -101,7 +102,7 @@ class SolutionSet(Record):
 
     A set built from words keeps them.  An enumerated set keeps only the
     table, and builds its words on first read of `words`, which only
-    `texts` (so `print_relation`), `vectors`, `labels` and `export_dot`
+    `texts`, `print_relation`, `vectors`, `labels` and `export_dot`
     make.  The searches ask only how many words it has (see the module
     docstring)."""
 
@@ -654,5 +655,10 @@ def parse_relation(text: str) -> SolutionSet:
     return SolutionSet.from_words(n, words)
 
 
-def print_relation(s: SolutionSet) -> str:
-    return f"n {s.n}\n" + "".join(t + "\n" for t in s.texts())
+def print_relation(s: SolutionSet, write) -> None:
+    """Write the relation file of s through write: its `n` line, then one
+    word per line, _CHUNK words per write, so no text of every word is built."""
+    write(f"n {s.n}\n")
+    words, spec = s.words, f"0{s.n}b"
+    for i in range(0, len(words), _CHUNK):
+        write("\n".join(map(format, words[i:i + _CHUNK], repeat(spec))) + "\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .circuits import GateList, is_var, lane_mask, tabulate
 from .clones import BaseSet
 from .errors import FormulaSyntaxError, UsageError, charge
-from .formulas import parse_formula, print_formula
+from .formulas import _write_formula, parse_formula
 from .truthtable import TruthTable, var_mask
 
 _LANE_ROWS = 1 << 12  # rows one batched evaluation tabulates at most
@@ -64,13 +64,11 @@ def parse_qbf(text: str, base: BaseSet) -> GateList:
     return with_prefix(parse_formula(body, base), tuple(prefix))
 
 
-def print_qbf(q: GateList, base: BaseSet) -> str:
-    """The prefix, then the matrix as print_formula spells it."""
-    matrix = print_formula(q, base)
-    if not q.prefix:
-        return matrix
-    head = " ".join(f"{quant} x{j}" for quant, j in q.prefix)
-    return f"{head} : {matrix}"
+def print_qbf(q: GateList, base: BaseSet, write) -> None:
+    """Write the prefix, then the matrix as print_formula writes it; a
+    refused matrix writes nothing."""
+    head = " ".join(f"{quant} x{j}" for quant, j in q.prefix or ())
+    _write_formula(q, base, write, head and head + " : ")
 
 
 def with_prefix(m: GateList, prefix: tuple[tuple[str, int], ...]) -> GateList:

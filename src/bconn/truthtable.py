@@ -149,7 +149,7 @@ class TruthTable(Record):
     def __init__(self, n: int, bits: int):
         if n < 0:
             raise ArityMismatch("arity must be >= 0")
-        if not 0 <= bits < (1 << (1 << n)):
+        if bits < 0 or bits.bit_length() > 1 << n:  # no 2^n-bit bound is built
             raise LengthMismatch(f"table does not fit 2^{n} rows")
         _set(self, "n", n)
         _set(self, "bits", bits)
@@ -163,10 +163,6 @@ class TruthTable(Record):
 
     def value(self, row: int) -> int:
         return (self.bits >> row) & 1
-
-    def one_rows(self) -> list[int]:
-        """Row indices mapped to 1, ascending."""
-        return mask_rows(self.bits)
 
     def __str__(self) -> str:
         return tt_print(self)

@@ -10,6 +10,7 @@ Agreement between these and the library is what the tests check.
 from __future__ import annotations
 
 import functools
+import io
 import random
 import re
 from collections import deque
@@ -174,6 +175,13 @@ def qbf_solutions_slow(text: str, tables: dict[str, str]) -> set[int]:
         if eval_qbf_slow(text, tables, env):
             out.add(w)
     return out
+
+
+def spelled(printer, *args) -> str:
+    """The text a printer writes through its last argument, pieces joined."""
+    buf = io.StringIO()
+    printer(*args, buf.write)
+    return buf.getvalue()
 
 
 def base_texts(base: BaseSet) -> dict[str, str]:

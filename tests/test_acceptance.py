@@ -50,6 +50,7 @@ from bconn.truthtable import BitVector, replace
 from bconn.cli import run_cli
 
 from conftest import (
+    spelled,
     IMP_BASE,
     IMP_OPS,
     LIN_BASE,
@@ -383,7 +384,7 @@ def test_criterion_08_synthesizer_sanity():
     t0 = time.monotonic()
     base = mk_base({"h": "0010"})  # x and not y
     got = synth_bformula(tt_of("0001"), base)
-    assert print_formula(got, base) == "h(x1,h(x1,x2))"
+    assert spelled(print_formula, got, base) == "h(x1,h(x1,x2))"
     assert truth_table_of(got, base, 2) == tt_of("0001")
     with pytest.raises(NotRealizable):
         synth_bformula(tt_of("0111"), base)

@@ -13,8 +13,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bconn.cli
+import bconn.formulas
+import bconn.graph
 from bconn import (
     TVariant,
+    apply_t_relation,
     cnf_to_formula,
     gen_expdiam,
     parse_dimacs,
@@ -29,7 +33,7 @@ from bconn.cli import run_cli
 from bconn.errors import LIMITS
 from bconn.properties import property_report
 
-from conftest import STD_BASE
+from conftest import STD_BASE, spelled
 
 STD_TT = "and 2 0001\nor 2 0111\nnot 1 10\n"
 MONO_TT = "and 2 0001\nor 2 0111\n"
@@ -311,7 +315,7 @@ def test_path_disconnected(capsys, files):
 
 
 def test_diameter_exact_and_lower_bound(capsys, files):
-    rel = files("p.rel", print_relation(gen_expdiam(2)))
+    rel = files("p.rel", spelled(print_relation, gen_expdiam(2)))
     code, payload, _ = jrun(capsys, "diameter", "--rel", rel)
     assert code == 0
     assert payload == {"count": 7, "components": 1, "diameter": 6, "mode": "EXACT"}
@@ -649,6 +653,58 @@ def test_reduce_relation_writes_out_files(capsys, files, tmp_path):
     }
     # the --json payload of a relation is its sidecar
     assert jrun(capsys, "reduce", "--rel", rel, "--variant", "d1", "--out", out)[1] == sidecar
+
+
+@pytest.mark.parametrize("variant, base", [("s12", "nand.tt"), ("d1", None), ("s02q", None)])
+def test_reduce_output_is_the_same_under_every_join_limit(capsys, files, tmp_path, monkeypatch, variant, base):
+    # under a limit of 0 every gate is written as its parts, in --json
+    # each part escaped on its own
+    argv = ["reduce", "--cnf", files("p.cnf", PINNED_CNF), "--variant", variant]
+    if base:
+        argv += ["--base", files(base, PINNED_BASES[base])]
+    out = tmp_path / "t.bf"
+    runs = []
+    for limit in (bconn.formulas._JOINED, 0, 1, 8):
+        monkeypatch.setattr(bconn.formulas, "_JOINED", limit)
+        got = []
+        for more in ([], ["--json"], ["--out", str(out)], ["--out", str(out), "--json"]):
+            got.append(run(capsys, *argv, *more))
+            if "--out" in more:
+                got += out.read_bytes(), (tmp_path / "t.bf.json").read_bytes()
+                out.unlink()
+        runs.append(got)
+    assert all(r == runs[0] for r in runs)
+    (code, text, err), (_, blob, _) = runs[0][:2]
+    assert (code, err) == (0, "") and json.loads(blob)["formula"] == text[:-1]
+    assert runs[0][3] == runs[0][6] == text.encode() and runs[0][5][1] == blob
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--rel", "{rel}", "--variant", "s02k", "--k", "3", "--json"],
+    ["gen-expdiam", "--k", "3", "--json"],
+])
+def test_a_json_payload_without_relation_text_builds_none(capsys, files, monkeypatch, argv):
+    rel = files("r.rel", "n 2\n11\n")
+    code, out, err = run(capsys, *[a.format(rel=rel) for a in argv])
+    assert (code, err) == (0, "")
+
+    def refuse(*args):
+        raise AssertionError("print_relation called")
+
+    monkeypatch.setattr(bconn.cli, "print_relation", refuse)
+    assert run(capsys, *[a.format(rel=rel) for a in argv]) == (0, out, "")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_relation_output_is_written_in_chunks(capsys, files, monkeypatch, chunk):
+    monkeypatch.setattr(bconn.graph, "_CHUNK", chunk)
+    rel = files("r.rel", "n 1\n1\n")
+    for argv, want in (
+        (["gen-expdiam", "--k", "3"], gen_expdiam(3)),
+        (["reduce", "--rel", rel, "--variant", "d1"], apply_t_relation(parse_relation("n 1\n1\n"), TVariant("D1"))),
+    ):
+        text = f"n {want.n}\n" + "".join(format(w, f"0{want.n}b") + "\n" for w in want.words)
+        assert len(want) > 3 and run(capsys, *argv) == (0, text, "")
 
 
 def test_reduce_relation_rejects_s02q(capsys, files):

@@ -260,7 +260,7 @@ def row_pattern_rounds(base, m, known):
     are computed here."""
     full = (1 << (1 << m)) - 1
     ops = [
-        (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in f.one_rows()])
+        (name, f.n, [[(r >> (f.n - j)) & 1 for j in range(1, f.n + 1)] for r in mask_rows(f.bits)])
         for name, f in base
     ]
     old, first = [], True

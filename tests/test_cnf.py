@@ -23,7 +23,7 @@ from bconn import (
 )
 from bconn.cli import run_cli
 
-from conftest import STD_BASE, env_of, eval_cnf_slow, rand_three_cnf
+from conftest import STD_BASE, env_of, eval_cnf_slow, rand_three_cnf, spelled
 
 SAMPLE = """\
 c two clauses over three variables
@@ -105,7 +105,7 @@ def test_cnf_to_formula_is_equivalent():
 def test_cnf_renders_as_a_balanced_fold():
     cnf = parse_dimacs("p cnf 4 3\n1 -2 3 0\n-1 0\n2 -4 0\n")
     gl = cnf_to_formula(cnf)
-    assert print_formula(gl, STD_BASE) == (
+    assert spelled(print_formula, gl, STD_BASE) == (
         "and(or(x1,or(not(x2),x3)),and(not(x1),or(x2,not(x4))))"
     )
     # each gate's last argument is built first; tabulation runs in this
@@ -123,7 +123,7 @@ def test_empty_cnf_is_the_constant_one():
     assert evaluate(cnf, STD_BASE, BitVector.parse("00")) == 1
     gl = cnf_to_formula(cnf)
     assert evaluate(gl, STD_BASE, BitVector.parse("00")) == 1
-    assert print_formula(gl, STD_BASE) == "or(x1,not(x1))" and gl.dim == 2
+    assert spelled(print_formula, gl, STD_BASE) == "or(x1,not(x1))" and gl.dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,23 @@ import random
 import re
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bconn.cli
+import bconn.formulas
 from bconn import (
+    EXISTS,
+    FORALL,
     ArityMismatch,
     BconnError,
     BitVector,
+    CnfFormula,
     FormulaSyntaxError,
     TVariant,
+    TooLarge,
     UnknownFunction,
     evaluate,
     formula_size,
@@ -31,8 +37,12 @@ from bconn import (
 )
 from bconn.circuits import GateBuilder
 from bconn.cli import run_cli
+from bconn.errors import LIMITS
+from bconn.qbf import with_prefix
+from bconn.truthtable import mask_rows
 
 from conftest import (
+    spelled,
     LIN_OPS,
     MONO_OPS,
     STD_BASE,
@@ -58,18 +68,18 @@ def test_parse_print_round_trip():
         "and(or(x1,x2),or(x1,x2))",
     ):
         gl = parse_formula(text, STD_BASE)
-        assert print_formula(gl, STD_BASE) == text
+        assert spelled(print_formula, gl, STD_BASE) == text
 
 
 def test_parse_tolerates_whitespace():
     gl = parse_formula(" and ( x1 , or(x2, x3) ) ", STD_BASE)
-    assert print_formula(gl, STD_BASE) == "and(x1,or(x2,x3))"
+    assert spelled(print_formula, gl, STD_BASE) == "and(x1,or(x2,x3))"
 
 
 def test_parse_zero_ary_application():
     base = mk_base(["and", "c1"])
     gl = parse_formula("and(x1,c1)", base)
-    assert print_formula(gl, base) == "and(x1,c1)"
+    assert spelled(print_formula, gl, base) == "and(x1,c1)"
     assert evaluate(gl, base, BitVector.parse("1")) == 1
     # the parenthesized spelling parses to the same gates
     assert parse_formula("and(x1,c1())", base) == gl
@@ -79,7 +89,7 @@ def test_print_names_each_table_by_its_least_name():
     # zz and or share a table, as do h and a; file order is not name order
     base = mk_base({"zz": "0111", "h": "0001", "or": "0111", "a": "0001", "not": "10"})
     gl = parse_formula("h(zz(x1,not(x2)),or(a(x1,x2),x3))", base)
-    assert print_formula(gl, base) == "a(or(x1,not(x2)),or(a(x1,x2),x3))"
+    assert spelled(print_formula, gl, base) == "a(or(x1,not(x2)),or(a(x1,x2),x3))"
     # h(x1,x2) and a(x1,x2) are one gate
     assert len(parse_formula("zz(h(x1,x2),a(x1,x2))", base).gates) == 2
 
@@ -145,7 +155,7 @@ def test_deep_chain_folds_without_recursion():
     gl = parse_formula(text, STD_BASE)
     assert formula_size(gl) == 5001 and len(gl.gates) == 5000
     assert gl.inputs == (1,)
-    assert print_formula(gl, STD_BASE) == text
+    assert spelled(print_formula, gl, STD_BASE) == text
     assert truth_table_of(gl, STD_BASE, 1) == tt_of("01")
 
 
@@ -213,12 +223,41 @@ def gate_lists(draw):
     return b.finish(draw(st.integers(0, len(inputs) + len(b.cons) - 1)))
 
 
+# the join limits the printer runs under: every gate walked, every gate
+# of more than one or eight characters walked, and the default
+JOIN_LIMITS = (0, 1, 8, bconn.formulas._JOINED)
+
+
 @settings(max_examples=300, deadline=None)
-@given(gate_lists())
-def test_print_matches_the_explicit_stack_reference(gl):
-    text = print_formula(gl, PRINT_BASE)
-    assert text == reference_print_formula(gl, PRINT_BASE)
-    assert 1 + text.count("(") + text.count(",") == formula_size(gl)
+@given(gate_lists(), st.data())
+def test_print_matches_the_explicit_stack_reference(gl, data):
+    want = reference_print_formula(gl, PRINT_BASE)
+    assert 1 + want.count("(") + want.count(",") == formula_size(gl)
+    bound = sorted(data.draw(st.sets(st.sampled_from(gl.inputs))) if gl.inputs else ())
+    prefix = tuple((data.draw(st.sampled_from([EXISTS, FORALL])), j) for j in bound)
+    q = with_prefix(gl, prefix)
+    head = " ".join(f"{quant} x{j}" for quant, j in prefix)
+    for limit in JOIN_LIMITS:
+        with patch.object(bconn.formulas, "_JOINED", limit):
+            pieces = []
+            print_formula(gl, PRINT_BASE, pieces.append)
+            assert "".join(pieces) == want
+            pieces.clear()
+            print_qbf(q, PRINT_BASE, pieces.append)
+            assert "".join(pieces) == (f"{head} : {want}" if prefix else want)
+
+
+@pytest.mark.parametrize("limit", JOIN_LIMITS)
+def test_a_refused_formula_writes_nothing(monkeypatch, limit):
+    gl = parse_formula("and(x1,or(x2,x3))", STD_BASE)
+    monkeypatch.setitem(LIMITS, "formula nodes", 4)
+    monkeypatch.setattr(bconn.formulas, "_JOINED", limit)
+    pieces = []
+    with pytest.raises(TooLarge, match="5 formula nodes over the limit of 4"):
+        print_formula(gl, STD_BASE, pieces.append)
+    with pytest.raises(TooLarge, match="5 formula nodes over the limit of 4"):
+        print_qbf(with_prefix(gl, (("A", 2),)), STD_BASE, pieces.append)
+    assert pieces == []
 
 
 def test_a_dead_doubling_chain_is_never_spelled():
@@ -227,22 +266,43 @@ def test_a_dead_doubling_chain_is_never_spelled():
     lines += [f"gate d{i} and d{i - 1} d{i - 1}" for i in range(1, 60)]
     gl = parse_circuit("\n".join(lines + ["gate out not x1", "output out"]), STD_BASE)
     assert len(gl.gates) == 61 and gl.output == 61
-    assert print_formula(gl, STD_BASE) == "not(x1)"
+    assert spelled(print_formula, gl, STD_BASE) == "not(x1)"
+
+
+def _three_cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
+    """Random clauses of three distinct variables, each keeping a positive literal."""
+    clauses = []
+    for _ in range(m):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        if all(lit < 0 for lit in lits):
+            lits[0] = -lits[0]
+        clauses.append(tuple(lits))
+    return CnfFormula(n, tuple(clauses))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("variant", [TVariant("D1"), TVariant("S02K", 2)], ids=str)
 def test_printing_a_reduction_peaks_no_higher_than_the_reference(variant):
     gl = tr_combine(rand_three_cnf(random.Random(12), 12, 8), variant, STD_BASE)
     want = reference_print_formula(gl, STD_BASE)
-    assert print_formula(gl, STD_BASE) == want
+    assert spelled(print_formula, gl, STD_BASE) == want
     del want
-    peaks = []
-    for printer in (reference_print_formula, print_formula):
-        tracemalloc.start()
-        printer(gl, STD_BASE)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+    peaks = [_traced_peak(lambda: reference_print_formula(gl, STD_BASE)),
+             _traced_peak(lambda: print_formula(gl, STD_BASE, len))]
     assert peaks[1] <= peaks[0]
+    # at 64 clauses the output is tens of millions of characters, which the
+    # reference holds whole; written into a sink, the peak stays small
+    gl = tr_combine(_three_cnf(random.Random(5), 12, 64), variant, STD_BASE)
+    assert formula_size(gl) > 20_000_000
+    assert _traced_peak(lambda: print_formula(gl, STD_BASE, len)) < 4 << 20
 
 
 def _spaced(rng: random.Random, text: str) -> str:
@@ -288,7 +348,7 @@ def test_parsing_into_gates_matches_lowering_the_tree():
             got = parse_formula(text, base)
             assert (got.inputs, got.dim, len(got.gates)) == (inputs, max(inputs, default=0), len(keys))
             m = max(got.dim, 1)
-            assert set(truth_table_of(got, base, m).one_rows()) == ast_solutions_slow(plain, tables, m)
+            assert set(mask_rows(truth_table_of(got, base, m).bits)) == ast_solutions_slow(plain, tables, m)
             q = parse_qbf(f"E x{n} A x{n + 1} : {text}", base)
             assert (q.inputs, q.prefix, len(q.gates)) == (inputs, (("E", n), ("A", n + 1)), len(keys))
             assert q.dim == len(set(inputs) - {n, n + 1})
@@ -523,11 +583,11 @@ def test_formula_parse_matches_the_reference_reading(text):
         return
     gl = parse_formula(text, FUZZ_BASE)
     assert gl.inputs == tuple(sorted(_tree_vars(tree)))
-    assert parse_formula(print_formula(gl, FUZZ_BASE), FUZZ_BASE) == gl
+    assert parse_formula(spelled(print_formula, gl, FUZZ_BASE), FUZZ_BASE) == gl
     n = max(gl.inputs, default=1)
     if n <= 8:  # an edit can repeat a digit, as in x2 -> x22
         rows = {w for w in range(1 << n) if _value(tree, env_of(w, n))}
-        assert set(truth_table_of(gl, FUZZ_BASE, n).one_rows()) == rows
+        assert set(mask_rows(truth_table_of(gl, FUZZ_BASE, n).bits)) == rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -541,7 +601,7 @@ def test_qbf_parse_matches_the_reference_reading(text):
         assert (type(info.value).__name__, str(info.value)) == e.args
         return
     q = parse_qbf(text, FUZZ_BASE)
-    assert parse_qbf(print_qbf(q, FUZZ_BASE), FUZZ_BASE) == q
+    assert parse_qbf(spelled(print_qbf, q, FUZZ_BASE), FUZZ_BASE) == q
     free = sorted(_tree_vars(tree) - {j for _, j in prefix})
     assert q.free_vars() == free
     f = len(free)
@@ -550,7 +610,7 @@ def test_qbf_parse_matches_the_reference_reading(text):
         env = {j: (w >> (f - 1 - p)) & 1 for p, j in enumerate(free)}
         if _quantified(prefix, tree, env):
             rows.add(w)
-    assert set(truth_table_of(q, FUZZ_BASE, f).one_rows()) == rows
+    assert set(mask_rows(truth_table_of(q, FUZZ_BASE, f).bits)) == rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -36,6 +36,7 @@ from bconn.graph import EXACT, LOWER_BOUND
 from bconn.truthtable import N_MAX, mask_rows
 
 from conftest import (
+    spelled,
     STD_BASE,
     ast_solutions_slow,
     base_texts,
@@ -256,12 +257,12 @@ def test_random_relation_bounds_the_count_before_sampling(monkeypatch):
 
 def test_relation_file_round_trip():
     s = random_relation(4, 7, 99)
-    text = print_relation(s)
+    text = spelled(print_relation, s)
     assert parse_relation(text) == s
     for n in range(5):  # n = 0 has one word, printed `0`
         for s in (SolutionSet(n, ()), SolutionSet(n, tuple(range(1 << n)))):
-            assert parse_relation(print_relation(s)) == s
-    assert print_relation(SolutionSet(0, (0,))) == "n 0\n0\n"
+            assert parse_relation(spelled(print_relation, s)) == s
+    assert spelled(print_relation, SolutionSet(0, (0,))) == "n 0\n0\n"
     with pytest.raises(UsageError):
         parse_relation("n 0\n1\n")
     assert parse_relation("# comment\nn 2\n01\n11\n").words == (1, 3)

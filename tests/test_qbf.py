@@ -18,6 +18,7 @@ from bconn.errors import LIMITS
 from bconn.qbf import quantified_value, with_prefix
 
 from conftest import (
+    spelled,
     LIN_BASE,
     LIN_OPS,
     MONO_BASE,
@@ -33,8 +34,8 @@ from conftest import (
 def test_parse_print_round_trip():
     q = parse_qbf("A x3 E x4 : and(x1,or(x3,x4))", STD_BASE)
     assert q.prefix == (("A", 3), ("E", 4))
-    assert print_qbf(q, STD_BASE) == "A x3 E x4 : and(x1,or(x3,x4))"
-    assert print_qbf(parse_qbf("or(x2,x1)", STD_BASE), STD_BASE) == "or(x2,x1)"
+    assert spelled(print_qbf, q, STD_BASE) == "A x3 E x4 : and(x1,or(x3,x4))"
+    assert spelled(print_qbf, parse_qbf("or(x2,x1)", STD_BASE), STD_BASE) == "or(x2,x1)"
 
 
 def test_formula_without_prefix_parses_as_closed_matrix():

@@ -45,6 +45,7 @@ from bconn.reduce import _gates_of, _synth_search
 from bconn.truthtable import replace, var_mask
 
 from conftest import (
+    spelled,
     STD_BASE,
     compact_cnf,
     cube_labels,
@@ -201,12 +202,12 @@ def test_transform_ambient_width_override():
 def test_synth_reproduces_and_from_nimp():
     base = mk_base({"h": "0010"})
     got = synth_bformula(tt_of("0001"), base)
-    assert print_formula(got, base) == "h(x1,h(x1,x2))"
+    assert spelled(print_formula, got, base) == "h(x1,h(x1,x2))"
 
 
 def test_synth_identity_is_a_projection():
     base = mk_base({"h": "0010"})
-    assert print_formula(synth_bformula(tt_of("01"), base), base) == "x1"
+    assert spelled(print_formula, synth_bformula(tt_of("01"), base), base) == "x1"
 
 
 def test_synth_certifies_or_unrealizable():
@@ -254,7 +255,7 @@ def test_synth_is_deterministic():
     base = mk_base({"h": "0010"})
     a = synth_bformula(tt_of("0001"), base)
     b = synth_bformula(tt_of("0001"), base)
-    assert print_formula(a, base) == print_formula(b, base)
+    assert spelled(print_formula, a, base) == spelled(print_formula, b, base)
 
 
 def test_synth_cache_keeps_answers_apart_per_budget(monkeypatch, swap_limit):
@@ -265,13 +266,13 @@ def test_synth_cache_keeps_answers_apart_per_budget(monkeypatch, swap_limit):
     xor = tt_of("0110")
     swap_limit("synthesis applications", 100)
     fallback = synth_bformula(xor, STD_BASE)
-    assert print_formula(fallback, STD_BASE) == (
+    assert spelled(print_formula, fallback, STD_BASE) == (
         "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
         "and(x2,and(x2,not(x2))))))"
     )
     monkeypatch.undo()
     synth_bformula.cache_clear()
-    assert print_formula(synth_bformula(xor, STD_BASE), STD_BASE) == "and(not(and(x1,x2)),or(x1,x2))"
+    assert spelled(print_formula, synth_bformula(xor, STD_BASE), STD_BASE) == "and(not(and(x1,x2)),or(x1,x2))"
 
 
 @pytest.mark.parametrize(
@@ -293,7 +294,7 @@ def test_synth_search_budget_boundary(swap_limit, bits, base, limit, want):
     # one fewer refuses that round whole
     target = tt_of(bits)
     swap_limit("synthesis applications", limit)
-    assert print_formula(synth_bformula(target, base), base) == want
+    assert spelled(print_formula, synth_bformula(target, base), base) == want
     swap_limit("synthesis applications", limit - 1)
     message = f"^{limit} synthesis applications over the limit of {limit - 1}$"
     with pytest.raises(BudgetExceeded, match=message):
@@ -416,7 +417,7 @@ def test_synth_search_agrees_with_the_per_application_reference(monkeypatch):
         if isinstance(got, tuple):
             kinds.add(next(w for w in ("applications", "nodes", "outside") if w in got[1]))
         else:
-            got, want = print_formula(got, base), print_formula(want, base)
+            got, want = spelled(print_formula, got, base), spelled(print_formula, want, base)
             kinds.add("found")
         assert got == want, (target, base, limits)
     # found, refused per application and per size, and certified outside
@@ -533,7 +534,7 @@ def printed_reduction(phi, variant, base):
     type and message of what it raised."""
     synth_bformula.cache_clear()
     got = outcome(tr_combine, phi, variant, base)
-    return got if isinstance(got, tuple) else print_formula(got, base)
+    return got if isinstance(got, tuple) else spelled(print_formula, got, base)
 
 
 def test_tr_agrees_with_the_per_application_reference_search(monkeypatch):
@@ -725,7 +726,7 @@ if __name__ == "__main__":
     t0 = time.perf_counter()
     for base, variant in hard_single_bases():
         try:
-            text = print_formula(tr_combine(phi, variant, base), base)
+            text = spelled(print_formula, tr_combine(phi, variant, base), base)
             split["output"] += 1
         except BudgetError as e:
             text = f"{type(e).__name__}: {e}"

@@ -17,6 +17,7 @@ of `conn --circuit` on a seeded 20,000-gate affine circuit, of
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -335,7 +336,7 @@ if __name__ == "__main__":
                   f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
         path = os.path.join(tmp, "r20.rel")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(print_relation(dense_relation()))
+            print_relation(dense_relation(), fh.write)
         code, mb, wall = _peak(["-m", "bconn.cli", "components", "--rel", path, "--json"], out)
         with open(out, encoding="utf-8") as fh:
             got = json.load(fh) if code == 0 else {}
@@ -385,6 +386,27 @@ if __name__ == "__main__":
                 got = json.load(fh) if code == 0 else {}
             print(f"components --formula, {gates}, n=20: exit {code}, {got.get('count')} solutions, "
                   f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
+        # reduce at m = 64: the formula is written as it is spelled, so the
+        # child holds its gates, not its text (tens of millions of nodes)
+        rng = random.Random("reduce64")
+        lines = ["p cnf 12 64"]
+        for _ in range(64):
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 3)]
+            if all(lit < 0 for lit in lits):  # all-ones satisfies every clause
+                lits[0] = -lits[0]
+            lines.append(" ".join(map(str, lits)) + " 0")
+        path = os.path.join(tmp, "m64.cnf")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for variant in (["d1"], ["s02k", "--k", "3"]):
+            code, mb, wall = _peak(["-m", "bconn.cli", "reduce", "--cnf", path, "--variant", *variant,
+                                    "--json"], out)
+            with open(out, "rb") as fh:
+                fh.seek(max(0, os.path.getsize(out) - 400))
+                size = re.search(rb'"size": (\d+)', fh.read()) if code == 0 else None
+            print(f"reduce --cnf {' '.join(variant)}, m=64, n=12: exit {code}, "
+                  f"{int(size[1]) if size else None} formula nodes, {os.path.getsize(out) / 1e6:.1f} MB "
+                  f"written, {mb:.1f} MB peak, {wall:.2f} s")
         # classify reads each base table as a whole: a 20-ary AND or OR beside
         # the other monotone gate, and the T^16_8 base above
         for label, name, text in (

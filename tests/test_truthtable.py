@@ -25,7 +25,7 @@ from bconn import (
 )
 from bconn.circuits import GateList, lane_mask, tabulate
 from bconn.semantics import lower
-from bconn.truthtable import N_MAX, mux_plan
+from bconn.truthtable import N_MAX, mask_rows, mux_plan
 
 from conftest import TABLES, tt_of
 
@@ -86,6 +86,27 @@ def test_tt_parse_rejects_bad_text():
         tt_parse("0", 20000)
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_a_table_must_fit_its_rows(n):
+    top = (1 << (1 << n)) - 1
+    assert TruthTable(n, top).bits == top and TruthTable(n, 0).bits == 0
+    for bits in (top + 1, top << 1, -1):
+        with pytest.raises(LengthMismatch, match=re.escape(f"table does not fit 2^{n} rows")):
+            TruthTable(n, bits)
+
+
+def test_a_wide_table_is_checked_without_a_bound_of_its_width():
+    # a 2^28-bit bound would be a 32 MB int
+    tracemalloc.start()
+    try:
+        TruthTable(28, 0)
+        TruthTable(31, 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_tt_parse_of_a_wide_text_and_its_bad_characters():
     """A 2^20-row text converts as a whole, row i from character i; the
     first character not 0 or 1 is named with its position, also one that
@@ -120,7 +141,7 @@ def test_tt_print_parse_round_trip(n, data):
 
 def test_one_rows_ascending():
     f = tt_of("0111")
-    assert list(f.one_rows()) == [1, 2, 3]
+    assert mask_rows(f.bits) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -132,7 +153,7 @@ def test_one_rows_matches_bit_loop(n):
     tables += [rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(8)]
     for bits in tables:
         want = [i for i in range(1 << n) if (bits >> i) & 1]
-        assert TruthTable(n, bits).one_rows() == want
+        assert mask_rows(TruthTable(n, bits).bits) == want
 
 
 def test_threshold_majority():
