@@ -142,6 +142,7 @@ def _write_formula(gl: GateList, base: BaseSet, write, head: str) -> None:
         chars.append(len(names[f]) + (sum([chars[a] for a in args]) + len(args) + 1 if args else 0))
     texts += [None] * (gl.output + 1 - k)
     joined = [not args or chars[g] <= _JOINED for g, (_, args) in enumerate(gl.gates, k)]
+    del chars  # one int per node, not to be held through the join below
     # node -> the last joined gate reading it; -1: kept to the end; 0: unreached
     last = [0] * gl.output + [-1]
     for g in range(gl.output, k - 1, -1):
