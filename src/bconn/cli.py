@@ -499,7 +499,9 @@ def _cmd_gen_random(args) -> int:
     if args.vars is None:
         raise UsageError("--vars is required")
     sol = random_relation(args.vars, args.count, args.seed)
-    info = {"n": sol.n, "count": len(sol), "seed": args.seed, "words": sol.texts()}
+    info = {"n": sol.n, "count": len(sol), "seed": args.seed}
+    if args.json:  # plain output prints the relation file, never this list
+        info["words"] = sol.texts()
     if args.dot:
         info.update(_write_dot(args, sol)[0])
     _emit_relation(args, sol, info)

@@ -120,12 +120,12 @@ def print_formula(gl: GateList, base: BaseSet, write) -> None:
     synthesis's (size, text) tie-break picks.  A gate whose text has at
     most _JOINED characters, or a leaf, is joined in gate order and dropped
     after its last joined reader, so a gate the output does not reach is
-    never spelled.  A longer gate is never built: it is written from the
-    output down as its name and '(', its arguments with ',' between them,
-    and ')'.  So the peak is the joined texts a written gate still reads,
-    not the output: 1.4 MB traced writing a 64-clause D1 reduction of
-    22.6M nodes.  More than LIMITS["formula nodes"] is refused before the
-    first write."""
+    never spelled.  A longer gate, and the output, is never built: it is
+    written from the output down as its name and '(', its arguments with
+    ',' between them, and ')'.  So the peak is the joined texts a written
+    gate still reads, not the output: 1.4 MB traced writing a 69-clause D1
+    reduction of 21.5M nodes.  More than LIMITS["formula nodes"] is refused
+    before the first write."""
     _write_formula(gl, base, write, "")
 
 
@@ -141,7 +141,8 @@ def _write_formula(gl: GateList, base: BaseSet, write, head: str) -> None:
     for f, args in gl.gates:
         chars.append(len(names[f]) + (sum([chars[a] for a in args]) + len(args) + 1 if args else 0))
     texts += [None] * (gl.output + 1 - k)
-    joined = [not args or chars[g] <= _JOINED for g, (_, args) in enumerate(gl.gates, k)]
+    # the output is written from its arguments' texts, never joined beside them
+    joined = [not args or chars[g] <= _JOINED and g != gl.output for g, (_, args) in enumerate(gl.gates, k)]
     del chars  # one int per node, not to be held through the join below
     # node -> the last joined gate reading it; -1: kept to the end; 0: unreached
     last = [0] * gl.output + [-1]

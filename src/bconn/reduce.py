@@ -42,7 +42,7 @@ from .errors import (
 from .formulas import formula_size
 from .qbf import FORALL, with_prefix
 from .semantics import evaluate, truth_table_of
-from .truthtable import BitVector, Record, TruthTable, _set, replace, var_mask
+from .truthtable import BitVector, Record, TruthTable, _set, mux_plan, replace, var_mask
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -277,53 +277,19 @@ def _gates_of(known: dict, bits: int, base: BaseSet, n: int) -> GateList:
     return b.finish(node[bits])
 
 
-def _shannon(
-    target: TruthTable, ops: dict[str, GateList], b: GateBuilder, memo: dict[tuple[int, int], int]
-) -> int:
-    """Expansion over the target's first variable: target = (NOT x1 AND
-    f0) OR (x1 AND f1), with the connectives spelled in base terms by
-    pasting their synthesized gates.  b's inputs are x_1..x_N; a target of
-    arity m >= 1 ranges over its last m, and a constant (arity 0) is
-    spelled over x_N, so a memo entry is a node for every caller."""
-    key = (target.n, target.bits)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    n = target.n
-    full = (1 << (1 << n)) - 1
-    x = len(b.inputs) - max(n, 1)  # the node of the target's first variable
-
-    def inst(op: str, *args: int) -> int:
-        return b.paste(ops[op], args)
-
-    if target.bits == 0:
-        out = inst("and", x, inst("not", x))
-    elif target.bits == full:
-        out = inst("or", x, inst("not", x))
-    else:
-        for j in range(1, n + 1):
-            if target.bits == var_mask(n, j):
-                memo[key] = x + j - 1
-                return x + j - 1
-        stride = 1 << (n - 1)
-        f0 = _shannon(TruthTable(n - 1, target.bits & ((1 << stride) - 1)), ops, b, memo)
-        f1 = _shannon(TruthTable(n - 1, target.bits >> stride), ops, b, memo)
-        out = inst("or", inst("and", inst("not", x), f0), inst("and", x, f1))
-    memo[key] = out
-    return out
-
-
 @functools.lru_cache(maxsize=256)
 def synth_bformula(target: TruthTable, base: BaseSet) -> GateList:
     """A gate list over the base and x_1..x_n whose table equals the target.
 
     Exhaustive bottom-up search first, within the synthesis limits; if
-    it is refused and the base can express not/and/or, fall back to
-    Shannon expansion built from those connectives, each searched within
-    the same limits.  NotRealizable is only raised on a genuine closure
-    fixpoint, never on a refusal.  Answers are cached per (target, base),
-    least recently used first out, so a test that swaps a synthesis limit
-    clears the cache before and after.
+    it is refused and the base can express not/and/or, each searched
+    within the same limits, fall back to the target's decision diagram
+    (truthtable.mux_plan): each step x_p ? hi : lo is spelled in those
+    connectives, with its constant branches folded in as the plan's kind
+    names them, and a constant is spelled over x_1.  NotRealizable is only
+    raised on a genuine closure fixpoint, never on a refusal.  Answers are
+    cached per (target, base), least recently used first out, so a test
+    that swaps a synthesis limit clears the cache before and after.
     """
     try:
         return _synth_search(target, base)
@@ -334,8 +300,30 @@ def synth_bformula(target: TruthTable, base: BaseSet) -> GateList:
             raise BudgetExceeded(
                 f"{e}; the base does not yield not/and/or for a structural fallback"
             ) from None
-        b = GateBuilder(base, tuple(range(1, max(target.n, 1) + 1)))
-        return b.finish(_shannon(target, ops, b, {}))
+    b = GateBuilder(base, tuple(range(1, max(target.n, 1) + 1)))
+
+    def inst(op: str, *args: int) -> int:
+        return b.paste(ops[op], args)
+
+    r: list[int] = []  # the node of each step; a branch c >= 0 is input node c
+    for kind, p, lo, hi, _ in mux_plan(target):
+        lo, hi = (c if isinstance(c, str) or c >= 0 else r[~c] for c in (lo, hi))
+        if kind == "0h":
+            v = p if hi == p else inst("and", p, hi)
+        elif kind == "l1":
+            v = inst("or", p, lo)
+        elif kind == "lh":
+            v = inst("or", inst("and", inst("not", p), lo), inst("and", p, hi))
+        elif kind == "10":
+            v = inst("not", p)
+        elif kind == "1h":
+            v = inst("or", inst("not", p), hi)
+        elif kind == "l0":
+            v = inst("and", lo, inst("not", p))
+        else:
+            v = inst("and" if kind == "00" else "or", 0, inst("not", 0))
+        r.append(v)
+    return b.finish(v)
 
 
 def tr_combine(

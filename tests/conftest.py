@@ -16,11 +16,14 @@ import re
 from collections import deque
 
 from bconn import (
+    STANDARD_BASE,
     BaseSet,
     CnfFormula,
     EXISTS,
     FORALL,
+    TruthTable,
     tt_parse,
+    var_mask,
 )
 
 TABLES = {
@@ -190,6 +193,45 @@ def base_texts(base: BaseSet) -> dict[str, str]:
     return {nm: tt_print(f) for nm, f in base}
 
 
+def shannon_fallback(target: TruthTable, base: BaseSet):
+    """The gate list synth_bformula's fallback built before it spelled the
+    target's decision diagram, kept as a size reference: Shannon expansion
+    over the first variable, target = (NOT x1 AND f0) OR (x1 AND f1), down
+    to projections and constants (spelled and(x, not(x)) and or(x, not(x))),
+    with not/and/or pasted in as the base's searched gate lists and one
+    node per distinct (arity, subtable).  A subtable of arity m ranges over
+    the builder's last m inputs, and a constant of arity 0 over x_N."""
+    from bconn.circuits import GateBuilder
+    from bconn.reduce import _synth_search
+
+    ops = {op: _synth_search(f, base) for op, f in STANDARD_BASE}
+    b = GateBuilder(base, tuple(range(1, max(target.n, 1) + 1)))
+    memo: dict[tuple[int, int], int] = {}
+
+    def inst(op: str, *args: int) -> int:
+        return b.paste(ops[op], args)
+
+    def rec(n: int, bits: int) -> int:
+        if (n, bits) in memo:
+            return memo[n, bits]
+        x = len(b.inputs) - max(n, 1)  # the node of the subtable's first variable
+        projections = [j for j in range(1, n + 1) if bits == var_mask(n, j)]
+        if bits == 0:
+            out = inst("and", x, inst("not", x))
+        elif bits == (1 << (1 << n)) - 1:
+            out = inst("or", x, inst("not", x))
+        elif projections:
+            out = x + projections[0] - 1
+        else:
+            stride = 1 << (n - 1)
+            f0, f1 = rec(n - 1, bits & ((1 << stride) - 1)), rec(n - 1, bits >> stride)
+            out = inst("or", inst("and", inst("not", x), f0), inst("and", x, f1))
+        memo[n, bits] = out
+        return out
+
+    return b.finish(rec(target.n, target.bits))
+
+
 # ---------------------------------------------------------------------------
 # Plain BFS graph oracles over word sets.
 
@@ -351,6 +393,17 @@ def rand_three_cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
         if all(l < 0 for l in lits):
             i = rng.randrange(len(lits))
             lits[i] = -lits[i]
+        clauses.append(tuple(lits))
+    return CnfFormula(n, tuple(clauses))
+
+
+def three_cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
+    """Random clauses of three distinct variables, each keeping a positive literal."""
+    clauses = []
+    for _ in range(m):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        if all(lit < 0 for lit in lits):
+            lits[0] = -lits[0]
         clauses.append(tuple(lits))
     return CnfFormula(n, tuple(clauses))
 

@@ -25,6 +25,7 @@ from bconn import (
     parse_formula,
     parse_qbf,
     parse_relation,
+    print_dimacs,
     print_relation,
     t_transform,
     truth_table_of,
@@ -33,7 +34,7 @@ from bconn.cli import run_cli
 from bconn.errors import LIMITS
 from bconn.properties import property_report
 
-from conftest import STD_BASE, spelled
+from conftest import STD_BASE, spelled, three_cnf
 
 STD_TT = "and 2 0001\nor 2 0111\nnot 1 10\n"
 MONO_TT = "and 2 0001\nor 2 0111\n"
@@ -528,16 +529,15 @@ def test_reduce_refuses_an_oversized_transform_before_building_it(
 
 @pytest.mark.parametrize("more", [[], ["--json"], ["--out", "t.bf"]])
 def test_reduce_refuses_an_output_too_large_to_print(capsys, files, tmp_path, more):
-    # 83 gates over {f} that unfold to 857,264,731 nodes: printing them
-    # would build a 2.6 GB string
-    cnf = files("f.cnf", "p cnf 4 3\n1 -2 3 0\n2 3 -4 0\n1 4 0\n")
-    base = files("f.tt", "f 3 11000000\n")
+    # D1 of a 256-clause 3-CNF is a few thousand gates that unfold to
+    # 348,625,598 nodes: printing them would write about 1.5 GB
+    cnf = files("f.cnf", print_dimacs(three_cnf(random.Random(5), 12, 256)))
     more = [str(tmp_path / m) if m.endswith(".bf") else m for m in more]
     t0 = time.monotonic()
-    code, out, err = run(capsys, "reduce", "--cnf", cnf, "--base", base, "--variant", "s12", *more)
+    code, out, err = run(capsys, "reduce", "--cnf", cnf, "--variant", "d1", *more)
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (3, "")
-    message = "857264731 formula nodes over the limit of 67108864"
+    message = "348625598 formula nodes over the limit of 67108864"
     if "--json" in more:
         assert json.loads(err) == {"error": {"code": "TooLarge", "message": message}}
     else:
@@ -572,13 +572,13 @@ PINNED_BASES = {
 }
 PINNED_REDUCE = [
     ("s12", None, "d02eb9c266553c6a04bc6b64e97b87234f6c18ddbe22787a7f167bbe04a43737"),
-    ("d1", None, "7fbb07efcff0a1165b14b812e7bfb035a57fefdc237ea3422db1b18ce9d6cca4"),
-    ("s02k --k 2", None, "ab42e9948c3381aef58627b6eb70f4fcb37b7edab79e7f52908573006222faff"),
-    ("s02k --k 3", None, "5ca910b4fa209d204c02058eaa461402895c8926308e5fe3996b5b71e8f812bc"),
-    ("s02q", None, "f1a3e9e4ae6bb7b1f3b0a9bc98f4328247a2d6668c808bf19826c397b35cb682"),
-    ("s12", "nand.tt", "4bca33bb57562368e2b8b5e0230031c62ff8a0b9e414426733ce2537ae12b41d"),
+    ("d1", None, "3a22962c51b455bb4d34066427b663e5e493663c7e48206fb4634abc884bf4f2"),
+    ("s02k --k 2", None, "4734456a317e092c07f3eee14270a0e015abdd35208ecf4d1bb2ead9952f00a2"),
+    ("s02k --k 3", None, "8d4499afa936900c65c37a0af359be144dc1d5f24136ad6086a641a9d5038c5d"),
+    ("s02q", None, "f933f1a44f7b12c16a9f8d920b2d44d19306fef97847957c93b52bb99cd35b9c"),
+    ("s12", "nand.tt", "24e49b51a9ec7d379734ee65d7761771a909f255a70b387a4d7ce286522d34b5"),
     ("s12", "dup.tt", "c464e1b09b64635581a2b53fd41797931031512edc1ce936edcb1f39290491d8"),
-    ("d1", "dup.tt", "5640fb17acf99e9e2ac3299f474a4e93680075e351a21914089fcd666fbc1c2c"),
+    ("d1", "dup.tt", "4e2a18a4ce321447d250ec47d556e51b61110dad3f122d4063e27e38725a3980"),
 ]
 
 
@@ -931,6 +931,20 @@ def test_gen_random_is_seed_deterministic(capsys):
     assert len(parse_relation(out1)) == 5
     code, _, _ = run(capsys, "gen-random", "--vars", "3", "--count", "100")
     assert code == 2
+
+
+def test_plain_gen_random_builds_no_word_list(capsys, monkeypatch):
+    # the word texts are read by the --json payload only; plain output is
+    # the relation file, written in chunks
+    calls = []
+    texts = bconn.graph.SolutionSet.texts
+    monkeypatch.setattr(bconn.graph.SolutionSet, "texts", lambda s: calls.append(s) or texts(s))
+    argv = ["gen-random", "--vars", "6", "--count", "20", "--seed", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, calls) == (0, [])
+    code, payload, _ = jrun(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert payload["words"] == out.splitlines()[1:]
 
 
 @pytest.mark.parametrize("n", ["31", "99999999999"])

@@ -27,6 +27,7 @@ from bconn import (
     diameter,
     enumerate_solutions,
     evaluate,
+    formula_size,
     gen_expdiam,
     is_induced_path,
     parse_formula,
@@ -51,11 +52,14 @@ from conftest import (
     cube_labels,
     mk_base,
     rand_three_cnf,
+    shannon_fallback,
     tt_of,
 )
 from test_clones import applications, expanded_rounds, outcome
 
 S12 = TVariant("S12")
+# the 3-clause CNF the hard-side sweep (this file's __main__) reduces over every base
+SWEEP_CNF = CnfFormula(4, ((1, -2, 3), (2, 3, -4), (1, 4)))
 D1 = TVariant("D1")
 S02Q = TVariant("S02Q")
 
@@ -251,6 +255,51 @@ def test_synth_structural_fallback_over_a_complete_base(swap_limit):
         assert truth_table_of(got, STD_BASE, 4) == target
 
 
+@pytest.mark.parametrize(
+    "base, limit",
+    [
+        (STD_BASE, 10),
+        (mk_base(["nand"]), 25),
+        (mk_base({"h": "0010", "c0": "0", "c1": "1"}), 196),
+    ],
+    ids=["not-and-or", "nand", "nimp-constants"],
+)
+def test_the_fallback_is_no_larger_than_shannon_expansion(swap_limit, base, limit):
+    # `limit` applications are the fewest that still find the base's
+    # not/and/or, so most targets of arity 2 and up are refused by the
+    # search and spelled from their decision diagram; constants are drawn
+    # often, since a random table is rarely one
+    rng = random.Random(30)
+    swap_limit("synthesis applications", limit)
+    fired = set()
+    for n in range(8):
+        full = (1 << (1 << n)) - 1
+        for _ in range(25):
+            target = TruthTable(n, rng.choice((0, full)) if rng.random() < 0.1 else rng.randrange(full + 1))
+            if not isinstance(outcome(_synth_search, target, base), tuple):
+                continue  # the search answers: no fallback
+            got = outcome(synth_bformula, target, base)
+            if isinstance(got, tuple):  # a fixpoint of arity 0: neither builds anything
+                assert n == 0 and got[0] is NotRealizable
+                continue
+            fired.add((n, target.bits in (0, full)))
+            assert truth_table_of(got, base, n) == target
+            assert formula_size(got) <= formula_size(shannon_fallback(target, base))
+    assert {(n, False) for n in range(3, 8)} <= fired
+    assert "c0" in base or (7, True) in fired  # a base constant is found, not spelled
+
+
+@pytest.mark.parametrize("bits", ["11000000", "10100000", "10001000", "11111100", "11111010", "11101110"])
+def test_the_s12_bases_the_old_fallback_spelled_too_large_get_an_output(bits):
+    # Shannon expansion spelled their reduction of the sweep's CNF in
+    # 857,264,731 nodes, past LIMITS["formula nodes"]
+    base = BaseSet({"f": tt_of(bits)})
+    got = tr_combine(SWEEP_CNF, S12, base)
+    assert formula_size(got) <= LIMITS["formula nodes"]
+    want = t_transform(cnf_to_formula(SWEEP_CNF), S12, n0=4)
+    assert truth_table_of(got, base, 5) == truth_table_of(want, STD_BASE, 5)
+
+
 def test_synth_is_deterministic():
     base = mk_base({"h": "0010"})
     a = synth_bformula(tt_of("0001"), base)
@@ -260,16 +309,13 @@ def test_synth_is_deterministic():
 
 def test_synth_cache_keeps_answers_apart_per_budget(monkeypatch, swap_limit):
     # the tight limit trips the search (xor's needs 406 applications), so
-    # its answer is the Shannon fallback, whose searches share the limit
-    # (its "and" needs 10); with the cache cleared, the default limit must
-    # still get the searched formula
+    # its answer is the fallback that spells xor's decision diagram, whose
+    # searches share the limit (its "and" needs 10); with the cache
+    # cleared, the default limit must still get the searched formula
     xor = tt_of("0110")
     swap_limit("synthesis applications", 100)
     fallback = synth_bformula(xor, STD_BASE)
-    assert spelled(print_formula, fallback, STD_BASE) == (
-        "or(and(not(x1),x2),and(x1,or(and(not(x2),or(x2,not(x2))),"
-        "and(x2,and(x2,not(x2))))))"
-    )
+    assert spelled(print_formula, fallback, STD_BASE) == "or(and(not(x1),x2),and(x1,not(x2)))"
     monkeypatch.undo()
     synth_bformula.cache_clear()
     assert spelled(print_formula, synth_bformula(xor, STD_BASE), STD_BASE) == "and(not(and(x1,x2)),or(x1,x2))"
@@ -504,11 +550,12 @@ def test_tr_matches_transform_for_every_variant():
 
 
 def test_tr_builds_large_reductions_as_few_gates():
-    # the outputs unfold to millions of formula nodes (the sizes the tree
-    # representation counted) but are a few hundred gates, never printed here
+    # the outputs unfold to hundreds of thousands of formula nodes (the
+    # sizes the tree representation counted) but are a few hundred gates,
+    # never printed here
     phi = rand_three_cnf(random.Random(12), 12, 32)
     psi = cnf_to_formula(phi)
-    for variant, size in ((D1, 2_578_476), (s02k(3), 5_794_927)):
+    for variant, size in ((D1, 1_042_046), (s02k(3), 260_403)):
         stats = {}
         got = tr_combine(phi, variant, STD_BASE, stats=stats)
         assert len(got.gates) < 2000
@@ -720,13 +767,12 @@ if __name__ == "__main__":
     # takes, and a sha256 over each base's printed output or refusal text,
     # in base order, so a change to the hard side can show its outputs
     # unchanged.
-    phi = CnfFormula(4, ((1, -2, 3), (2, 3, -4), (1, 4)))
     split = {"output": 0, "TooLarge": 0, "BudgetExceeded": 0}
     digest = hashlib.sha256()
     t0 = time.perf_counter()
     for base, variant in hard_single_bases():
         try:
-            text = spelled(print_formula, tr_combine(phi, variant, base), base)
+            text = spelled(print_formula, tr_combine(SWEEP_CNF, variant, base), base)
             split["output"] += 1
         except BudgetError as e:
             text = f"{type(e).__name__}: {e}"

@@ -39,6 +39,7 @@ from bconn import (
     is_connected,
     is_induced_path,
     parse_dimacs,
+    print_dimacs,
     print_relation,
     random_relation,
     shortest_path,
@@ -51,7 +52,7 @@ from bconn.errors import LIMITS
 from bconn.graph import EXACT, LOWER_BOUND
 from bconn.truthtable import mask_rows
 
-from conftest import affine_circuit, and_or_formula
+from conftest import affine_circuit, and_or_formula, three_cnf
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -386,25 +387,20 @@ if __name__ == "__main__":
                 got = json.load(fh) if code == 0 else {}
             print(f"components --formula, {gates}, n=20: exit {code}, {got.get('count')} solutions, "
                   f"{got.get('components')} components, {mb:.1f} MB peak, {wall:.2f} s")
-        # reduce at m = 64: the formula is written as it is spelled, so the
-        # child holds its gates, not its text (tens of millions of nodes)
-        rng = random.Random("reduce64")
-        lines = ["p cnf 12 64"]
-        for _ in range(64):
-            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 3)]
-            if all(lit < 0 for lit in lits):  # all-ones satisfies every clause
-                lits[0] = -lits[0]
-            lines.append(" ".join(map(str, lits)) + " 0")
-        path = os.path.join(tmp, "m64.cnf")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        for variant in (["d1"], ["s02k", "--k", "3"]):
+        # reduce of seeded 3-CNFs over 12 variables: the formula is written
+        # as it is spelled, so the child holds its gates, not its text (tens
+        # of millions of nodes); D1 at m = 128 and S02K(3) at m = 256 were
+        # refused as too large to print while the fallback was Shannon's
+        for m, variant in ((64, ["d1"]), (64, ["s02k", "--k", "3"]), (128, ["d1"]), (256, ["s02k", "--k", "3"])):
+            path = os.path.join(tmp, f"m{m}.cnf")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(print_dimacs(three_cnf(random.Random(f"reduce{m}"), 12, m)))
             code, mb, wall = _peak(["-m", "bconn.cli", "reduce", "--cnf", path, "--variant", *variant,
                                     "--json"], out)
             with open(out, "rb") as fh:
                 fh.seek(max(0, os.path.getsize(out) - 400))
                 size = re.search(rb'"size": (\d+)', fh.read()) if code == 0 else None
-            print(f"reduce --cnf {' '.join(variant)}, m=64, n=12: exit {code}, "
+            print(f"reduce --cnf {' '.join(variant)}, m={m}, n=12: exit {code}, "
                   f"{int(size[1]) if size else None} formula nodes, {os.path.getsize(out) / 1e6:.1f} MB "
                   f"written, {mb:.1f} MB peak, {wall:.2f} s")
         # classify reads each base table as a whole: a 20-ary AND or OR beside
