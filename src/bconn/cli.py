@@ -12,8 +12,8 @@ Only the error and truth-table layers load with this module.  Every
 other function the commands call is a stand-in that loads its module on
 first call, and constants and classes are imported in the command that
 uses them, so a query compiles only the modules it runs: `classify`,
-`closure`, `reduce` of a 1-reproducing CNF and a query the polynomial
-deciders answer never load the graph engine.  A relation is told apart by
+`closure`, `reduce --cnf` and a query the polynomial deciders answer
+never load the graph engine.  A relation is told apart by
 its input flag (--rel), not by its class.
 """
 
@@ -75,6 +75,7 @@ apply_t_relation = _later("reduce", "apply_t_relation")
 gen_expdiam = _later("reduce", "gen_expdiam")
 shift_to_one_reproducing = _later("reduce", "shift_to_one_reproducing")
 tr_combine = _later("reduce", "tr_combine")
+truth_table_of = _later("semantics", "truth_table_of")
 
 # representatives per write of `components --json`; a chunk's texts are
 # the largest transient of the write, so a smaller one lowers the peak
@@ -425,10 +426,10 @@ def _cmd_reduce(args) -> int:
         phi = parse_dimacs(_read(args.cnf))
         shifted = None
         if not phi.is_one_reproducing():
-            sols = enumerate_solutions(phi, STANDARD_BASE, phi.n)
-            if not sols:
+            bits = truth_table_of(phi, STANDARD_BASE, phi.n).bits
+            if not bits:
                 raise UsageError("CNF is unsatisfiable; no 1-reproducing shift exists")
-            anchor = BitVector(phi.n, sols.smallest())
+            anchor = BitVector(phi.n, (bits & -bits).bit_length() - 1)  # the smallest solution
             phi = shift_to_one_reproducing(phi, anchor)
             shifted = anchor.text
         base = parse_base_file(_read(args.base)) if args.base else STANDARD_BASE

@@ -54,15 +54,14 @@ The double sweep is exact on a tree (|E| = |V| - 1), so the exact
 `diameter` needs nothing more on a forest, which the cube's edge count
 shows on the mask side.  Otherwise it counts a component's edges after
 its far search, charges a component with a cycle its BFS steps against
-the limit, and only then lists that component's words, with adjacency
-lists among them, to run `_bfs_depths` from every other vertex.
+the limit, and only then runs `_bfs_depths`, one `_layers` search over
+that component alone, from every other vertex.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 from itertools import chain, product, repeat, starmap
 from operator import lt, xor
@@ -323,12 +322,12 @@ def _layers(cube: _Cube, frontier, unseen):
     """The BFS layers after `frontier`, whose words it takes out of `unseen`.
 
     A thin layer is a collection of words, a thick one a mask.  `unseen`
-    (from `_unseen`) loses each word the search reaches, so a search run
-    to its end leaves exactly the words it did not reach, and `unseen`
-    must hold every word the search may reach (other components may stay
-    in it).  Only the mask side's `_Bitmap` gives and takes a mask: on the
-    word side no frontier gets thick, as the whole set has fewer words
-    than a thick frontier.
+    (from `_unseen`, or one component's from `_bfs_depths`) loses each
+    word the search reaches, so a search run to its end leaves exactly
+    the words it did not reach, and `unseen` must hold every word the
+    search may reach (other components may stay in it).  Only a `_Bitmap`
+    gives and takes a mask: a `_Words` (a set on the word side, or a
+    component) has fewer words than a thick frontier, so none gets thick.
     """
     for w in frontier:
         unseen.discard(w)
@@ -493,16 +492,14 @@ def shortest_path(
     return [BitVector(s.n, w) for w in reversed(path)]
 
 
-def _bfs_depths(adj: list[list[int]], src: int) -> dict[int, int]:
-    depth = {src: 0}
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in depth:
-                depth[j] = depth[i] + 1
-                queue.append(j)
-    return depth
+def _bfs_depths(cube: _Cube, comp: int | list[int], src: int) -> int:
+    """The eccentricity of src: the depth of one search from it over its
+    component, a mask or (with fewer than `cube.thick` words) a word list."""
+    if isinstance(comp, int):
+        unseen = _Bitmap(comp, cube.n, cube.flips)
+    else:
+        unseen = _Words(comp, cube.flips)
+    return sum(1 for _ in _layers(cube, (src,), unseen))
 
 
 def diameter(s: SolutionSet, mode: str = EXACT) -> int:
@@ -513,10 +510,10 @@ def diameter(s: SolutionSet, mode: str = EXACT) -> int:
     double sweep's value, which lies between the eccentricity of each
     component's smallest word and the diameter.  EXACT also searches from
     every other vertex of a component with a cycle (on a tree the double
-    sweep is exact), and raises BudgetExceeded, before it lists the
-    component's words, once those searches come to more than LIMITS["BFS
-    steps"] (sources x (vertices + edges)) in all; trees cost two searches
-    and are not counted.
+    sweep is exact), each search over that component's words or mask
+    alone, and raises BudgetExceeded, before the first of them, once they
+    come to more than LIMITS["BFS steps"] (sources x (vertices + edges))
+    in all; trees cost two searches and are not counted.
     """
     if mode not in (EXACT, LOWER_BOUND):
         raise UsageError(f"bad diameter mode {mode!r}")
@@ -540,12 +537,11 @@ def diameter(s: SolutionSet, mode: str = EXACT) -> int:
             continue
         work += k * (k + edges)
         charge("BFS steps", work)
-        words = mask_rows(comp) if isinstance(comp, int) else comp
-        index = {w: i for i, w in enumerate(words)}
-        adj = [[index[u] for u in map(w.__xor__, cube.flips) if u in index] for w in words]
-        for i, w in enumerate(words):
+        if not isinstance(comp, int) and k >= cube.thick:
+            comp = _words_mask(comp, cube.n)  # a search from another source may get thick
+        for w in mask_rows(comp) if isinstance(comp, int) else comp:
             if w != far:
-                best = max(best, max(_bfs_depths(adj, i).values()))
+                best = max(best, _bfs_depths(cube, comp, w))
     return best
 
 

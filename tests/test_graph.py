@@ -499,9 +499,9 @@ def _count_bfs(monkeypatch):
     calls = []
     real = graph._bfs_depths
 
-    def counted(adj, src):
+    def counted(cube, comp, src):
         calls.append(src)
-        return real(adj, src)
+        return real(cube, comp, src)
 
     monkeypatch.setattr(graph, "_bfs_depths", counted)
     return calls
@@ -640,6 +640,25 @@ def test_exact_diameter_answers_and_refuses_like_the_oracle(monkeypatch, shift):
                     assert diameter(s, mode=EXACT) == want
             refused += want is None
     assert refused  # the small budgets refuse some of these sets
+
+
+def test_exact_searches_stay_inside_their_component(monkeypatch):
+    # 24,705 components, the largest of 51 words: far short of a thick
+    # layer of 512, so every source is searched over its component's words
+    built = []
+
+    class Counted(graph._Bitmap):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    s = random_relation(20, 40_000, 0)
+    assert max(components(s).sizes) == 51 < graph._cube(s).thick == 512
+    monkeypatch.setattr(graph, "_Bitmap", Counted)
+    assert diameter(s, mode=EXACT) == 17
+    assert len(built) == 1  # the bitmap the far searches share
 
 
 def _induced_path_by_degrees(s):

@@ -43,6 +43,7 @@ def inputs(tmp_path):
     files = {
         "r.rel": "n 4\n0000\n0001\n0011\n0111\n1111\n1000\n",
         "f.cnf": "p cnf 3 2\n1 -2 0\n2 3 0\n",
+        "shift.cnf": "p cnf 3 2\n-1 -2 0\n2 3 0\n",  # not 1-reproducing
         "mono.tt": "and 2 0001\nor 2 0111\n",
         "f.bf": "and(x1,or(x2,x3))\n",
         "mux.tt": "mux 3 00110101\n",
@@ -52,7 +53,8 @@ def inputs(tmp_path):
     return tmp_path
 
 
-# the modules a reduction of a 1-reproducing CNF runs, none of them the graph engine
+# the modules a reduction of a CNF runs, none of them the graph engine, even
+# when the CNF is shifted to its smallest solution first
 REDUCE = {"circuits", "clones", "cnf", "formulas", "properties", "qbf", "reduce", "semantics"}
 
 # (argv, the bconn modules beyond CORE that the query may load)
@@ -82,6 +84,7 @@ QUERIES = [
     ),
     (["reduce", "--cnf", "f.cnf", "--variant", "d1"], REDUCE),
     (["reduce", "--cnf", "f.cnf", "--variant", "s02q"], REDUCE),
+    (["reduce", "--cnf", "shift.cnf", "--variant", "d1"], REDUCE),
     (["closure", "--base", "mux.tt", "--vars", "2"], {"clones", "properties"}),
 ]
 

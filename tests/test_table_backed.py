@@ -177,18 +177,22 @@ def test_a_table_must_fit_its_dimension():
 def test_reduce_shifts_by_the_lowest_row_without_listing_words(monkeypatch, tmp_path, capsys):
     from bconn import cli
 
-    made = []
-
-    def enumerate_and_keep(*args):
-        made.append(enumerate_solutions(*args))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "enumerate_solutions", enumerate_and_keep)
+    # every solution set is made through __init__ or from_table
+    built = []
+    init, from_table = SolutionSet.__init__, SolutionSet.from_table.__func__
+    monkeypatch.setattr(SolutionSet, "__init__", lambda s, *a: built.append(a) or init(s, *a))
+    monkeypatch.setattr(
+        SolutionSet, "from_table", classmethod(lambda c, *a: built.append(a) or from_table(c, *a))
+    )
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n3 0\n-1 0\n", encoding="utf-8")  # solutions 001 and 011
     assert cli.run_cli(["reduce", "--cnf", str(cnf), "--variant", "s12", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["shifted_by"] == "001"
-    assert len(made) == 1 and not _has_words(made[0])
+    assert not built  # the smallest solution is read off the table
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n", encoding="utf-8")
+    assert cli.run_cli(["reduce", "--cnf", str(cnf), "--variant", "s12"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error [UsageError]: CNF is unsatisfiable; no 1-reproducing shift exists\n"
 
 
 def test_export_dot_refuses_a_large_table_before_any_sweep(monkeypatch, tmp_path, capsys):
